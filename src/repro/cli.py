@@ -206,6 +206,7 @@ def _parse_workers(raw: str) -> "tuple[int, str | None]":
 
 
 def _cmd_serve(args) -> int:
+    import gc
     import signal
     import threading
 
@@ -266,6 +267,10 @@ def _cmd_serve(args) -> int:
           f"cache {args.cache_mb} MiB{quota_note})")
     print("endpoints: POST /query, GET /healthz, GET /stats, "
           "GET /metrics  (Ctrl-C to stop, SIGTERM to drain)")
+    # The serving stack lives until exit too: keep the cyclic GC from
+    # re-walking it per request (SamaEngine.open froze the index).
+    gc.collect()
+    gc.freeze()
 
     drain_s = (args.drain_deadline_ms / 1000.0
                if args.drain_deadline_ms is not None else None)
@@ -459,11 +464,18 @@ def _cmd_profile(args) -> int:
         depths = {}
         for record in trace.records:
             depths.setdefault(record.name, record.depth)
+        last = engine.last_result
         for name, calls, seconds in trace.breakdown():
             label = "  " * depths.get(name, 0) + name
             share = 100.0 * seconds / wall if wall else 0.0
+            effort = ""
+            if name == "search" and last is not None:
+                effort = (f"  [{last.expansions} expansions, "
+                          f"{last.candidate_lists} candidate lists "
+                          f"(+{last.candidate_cache_hits} shared), "
+                          f"{last.psi_evaluations} psi evaluations]")
             print(f"{label:<12} {calls:>6} {seconds * 1000:>10.2f} "
-                  f"{seconds * 1000 / calls:>9.2f} {share:>6.1f}%")
+                  f"{seconds * 1000 / calls:>9.2f} {share:>6.1f}%{effort}")
         accounted = trace.total_seconds
         print(f"{'(untraced)':<12} {'':>6} "
               f"{(wall - accounted) * 1000:>10.2f} {'':>9} "

@@ -18,7 +18,9 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 
+from ..index.columns import PathColumns
 from ..index.pathindex import PathIndex
 from ..parallel import chunked
 from ..paths.alignment import Alignment, LabelMatcher, align, exact_match
@@ -66,16 +68,22 @@ SCATTER_THRESHOLD = 64
 _CHUNK = 128
 
 
+#: Cluster order: best (lowest) λ first, gid breaking ties.
+_BY_SCORE_THEN_GID = attrgetter("score", "offset")
+
+
 @dataclass(frozen=True)
 class ClusterEntry:
     """One candidate data path in a cluster, with its alignment and λ.
 
     ``path`` may be a *prefix* of the stored path when the query path's
     sink matched mid-path (see :func:`build_clusters`); ``offset`` still
-    identifies the stored path.  ``uid`` is a small integer unique
-    within one clustering run — the search keys its pairwise-ψ cache on
-    it (cheaper than hashing (offset, prefix-length) tuples millions of
-    times).
+    identifies the stored path.  ``uid`` identifies the ``(offset,
+    prefix length)`` row — the search keys its pairwise-ψ cache on it
+    (cheaper than hashing tuples millions of times).  ``id_set`` is the
+    χ operand: the frozenset of the path's interned node label ids
+    (``None`` when the path carries none); :func:`build_clusters` hands
+    in the shared object of :class:`~repro.index.columns.PathColumns`.
     """
 
     offset: int
@@ -83,6 +91,11 @@ class ClusterEntry:
     alignment: Alignment
     score: float
     uid: int = -1
+    id_set: "frozenset[int] | None" = None
+
+    def __post_init__(self):
+        if self.id_set is None:
+            object.__setattr__(self, "id_set", self.path.node_label_id_set())
 
     @property
     def cache_key(self) -> tuple[int, int]:
@@ -90,103 +103,81 @@ class ClusterEntry:
 
     # The search reads paths through these entry-level accessors (never
     # ``entry.path.X`` directly), so a LazyClusterEntry can answer from
-    # its shipped id column without decoding the path.
+    # its shared id column without decoding the path.
 
     @property
     def path_length(self) -> int:
         return self.path.length
 
-    def node_label_id_set(self) -> "frozenset[int] | None":
-        return self.path.node_label_id_set()
-
     def node_label_set(self) -> frozenset:
         return self.path.node_label_set()
 
-    def bucket_labels(self, interned: bool) -> list:
-        """Deduplicated ``(bucket key, lexical name)`` pairs, in node
-        order — what the search's inverted candidate index files this
-        entry under."""
-        path = self.path
-        label_ids = path.label_ids if interned else None
-        if label_ids is not None:
-            return _id_bucket_labels(label_ids, path.nodes)
-        return [(label, str(label)) for label in path.node_label_set()]
+    def label_name(self, key) -> str:
+        """Lexical form of one of this entry's bucket keys (interned
+        node label id or label) — the rarest-label tie-break."""
+        if isinstance(key, int):
+            path = self.path
+            key = path.nodes[path.label_ids.index(key)]
+        return str(key)
 
     def __str__(self):
         return f"{self.path} [{self.score:g}]"
 
 
-def _id_bucket_labels(label_ids, names_source) -> list:
-    """Dedup (label id, name) pairs keeping first-seen node order.
-
-    ``names_source`` yields one printable label per id — the path's
-    nodes, or interner lookups when only ids crossed the process
-    boundary.  Both spell the same Term, so bucket tie-breaks agree
-    across execution modes.
-    """
-    out = []
-    seen = set()
-    for label_id, node in zip(label_ids, names_source):
-        if label_id not in seen:
-            seen.add(label_id)
-            out.append((label_id, str(node)))
-    return out
-
-
 class _EntryContext:
     """What a :class:`LazyClusterEntry` needs to materialize on demand.
 
-    One per scatter-gathered cluster, shared by all of its entries:
-    the index (to decode), the query path + matcher (to re-align), and
-    the per-query memo (so a threads-mode entry whose alignment was
-    already computed inside its shard task finds it instead of paying
-    a second greedy scan).
+    One per cluster, shared by all of its lazy entries: the index (to
+    decode), the query path + matcher (to re-align), the per-query memo
+    (so a threads-mode entry whose alignment was already computed
+    inside its shard task finds it instead of paying a second greedy
+    scan), and the epoch's column store (label spellings).
     """
 
     __slots__ = ("index", "query_path", "matcher", "memo", "transcript",
-                 "interner")
+                 "columns")
 
-    def __init__(self, index, query_path, matcher, memo, transcript):
+    def __init__(self, index, query_path, matcher, memo, transcript, columns):
         self.index = index
         self.query_path = query_path
         self.matcher = matcher
         self.memo = memo
         self.transcript = transcript
-        self.interner = getattr(index, "interner", None)
+        self.columns = columns
 
 
 class LazyClusterEntry:
-    """A cluster entry materialized from a compact scatter result.
+    """A cluster entry that is a row: ``(λ, gid, prefix length)`` plus
+    the shared columns of that stored path.
 
-    Scatter tasks — thread or process — ship back ``(λ, gid, prefix
-    length, node label ids)`` rows, not ``Path``/``Alignment`` objects:
-    the row is what ranking needs, it crosses a process boundary as a
-    few machine words, and most entries of a large cluster are never
-    looked at again.  The id column answers everything the top-k
-    search asks in bulk — χ operands, candidate buckets, path length —
-    so whole clusters are joined without touching the page store; the
-    path is decoded (and the alignment recomputed) lazily only for the
-    entries that become answers, explain output, or pool selections.
+    Scatter tasks and quotient classes produce rows, not
+    ``Path``/``Alignment`` objects: the row is what ranking needs, and
+    most entries of a large cluster are never looked at again.  The
+    node-id set — the very object
+    :class:`~repro.index.columns.PathColumns` keeps for the epoch,
+    never a per-query copy — answers everything the top-k search asks
+    in bulk (χ operands, candidate buckets), so whole
+    clusters are joined without touching the page store; the path is
+    decoded (and the alignment recomputed) lazily only for the entries
+    that become answers, explain output, or pool selections.
 
     Duck-types :class:`ClusterEntry`: same attributes, same
     ``cache_key``, same entry-level accessors, lazily the same
     ``path``/``alignment``.
     """
 
-    __slots__ = ("offset", "score", "uid", "_plen", "_context", "_path",
-                 "_alignment", "_node_ids", "_id_set")
+    __slots__ = ("offset", "score", "uid", "id_set", "_plen", "_context",
+                 "_path", "_alignment")
 
     def __init__(self, context: _EntryContext, gid: int, plen: int,
-                 score: float, uid: int = -1, node_ids=None):
+                 score: float, row: tuple):
         self.offset = gid
         self.score = score
-        self.uid = uid
         self._plen = plen
         self._context = context
+        self.uid, self.id_set = row
         self._path = None
         self._alignment = None
-        self._node_ids = node_ids
-        self._id_set = None
 
     @property
     def path(self) -> Path:
@@ -223,34 +214,16 @@ class LazyClusterEntry:
     def path_length(self) -> int:
         return self._plen
 
-    def node_label_id_set(self) -> "frozenset[int] | None":
-        id_set = self._id_set
-        if id_set is None:
-            if self._node_ids is not None:
-                id_set = frozenset(self._node_ids)
-            else:
-                id_set = self.path.node_label_id_set()
-            self._id_set = id_set
-        return id_set
-
     def node_label_set(self) -> frozenset:
-        interner = self._context.interner
-        if self._node_ids is not None and interner is not None:
-            return frozenset(interner.lookup(label_id)
-                             for label_id in self._node_ids)
+        if self.id_set is not None:
+            lookup = self._context.index.interner.lookup
+            return frozenset(lookup(label_id) for label_id in self.id_set)
         return self.path.node_label_set()
 
-    def bucket_labels(self, interned: bool) -> list:
-        interner = self._context.interner
-        if interned and self._node_ids is not None and interner is not None:
-            return _id_bucket_labels(
-                self._node_ids,
-                (interner.lookup(label_id) for label_id in self._node_ids))
-        path = self.path
-        label_ids = path.label_ids if interned else None
-        if label_ids is not None:
-            return _id_bucket_labels(label_ids, path.nodes)
-        return [(label, str(label)) for label in path.node_label_set()]
+    def label_name(self, key) -> str:
+        if isinstance(key, int):
+            return self._context.columns.name(key)
+        return str(key)
 
     def __str__(self):
         return f"{self.path} [{self.score:g}]"
@@ -384,7 +357,8 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
                    proc_pool=None,
                    transcript: bool = False,
                    sketch_filter=None,
-                   quotient=None) -> list[Cluster]:
+                   quotient=None,
+                   columns: "PathColumns | None" = None) -> list[Cluster]:
     """Build one cluster per query path of ``prepared``.
 
     ``semantic_lookup`` controls whether index retrieval may widen
@@ -466,17 +440,23 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
     length)`` is copied to the other members, which enter the cluster
     as :class:`LazyClusterEntry` rows carrying their own node ids.
     Budget charging still sees every retrieved candidate (identical
-    ``max_candidates`` trip points), uids are assigned in the same
-    candidate order, and the ``(λ, gid)`` sort key is unchanged, so
-    rankings are bit-identical to per-path scoring
+    ``max_candidates`` trip points) and the ``(λ, gid)`` sort key is
+    unchanged, so rankings are bit-identical to per-path scoring
     (``benchmarks/bench_quotient.py`` asserts it across shard counts ×
     worker modes × two-stage modes).
+
+    ``columns`` is the engine's per-epoch
+    :class:`~repro.index.columns.PathColumns`: every entry takes its
+    uid and χ operand from there, so a path's node-id set is built
+    once per epoch, not per query (default: a store for this call).
     """
     clusters = []
-    next_uid = 0
     tripped = False
     if memo is None:
         memo = AlignmentMemo()
+    if columns is None:
+        columns = PathColumns(index)
+    row = columns.row
     sharded = getattr(index, "is_sharded", False)
     health = getattr(index, "health", None) if sharded else None
     # Shards found dead during *this query* (shard -> first error).
@@ -489,9 +469,6 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
     if health is not None:
         for shard_no, reason in health.quarantined_shards():
             dead_shards[shard_no] = reason or "quarantined"
-    # Prefix-trimmed candidates of the same stored path must share a
-    # uid only when the prefix matches; key the uid pool accordingly.
-    uid_pool: dict[tuple[int, int], int] = {}
     for position, query_path in enumerate(prepared.paths):
         if tripped or (budget is not None and budget.poll("cluster")):
             # Budget gone: emit the remaining clusters empty.
@@ -574,18 +551,10 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
                 proc_pool=proc_pool, quotient_ctx=qctx)
             tripped = tripped or scatter_tripped
             context = _EntryContext(index, query_path, matcher, memo,
-                                    transcript)
-            entries = []
-            for score, gid, plen, node_ids in merged:
-                uid_key = (gid, plen)
-                uid = uid_pool.get(uid_key)
-                if uid is None:
-                    uid = next_uid
-                    uid_pool[uid_key] = uid
-                    next_uid += 1
-                entries.append(LazyClusterEntry(context, gid, plen,
-                                                score, uid,
-                                                node_ids=node_ids))
+                                    transcript, columns)
+            entries = [LazyClusterEntry(context, gid, plen, score,
+                                        row(gid, plen, node_ids))
+                       for score, gid, plen, node_ids in merged]
             if max_cluster_size is not None:
                 entries = entries[:max_cluster_size]
             clusters.append(Cluster(
@@ -597,11 +566,11 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
         # Quotient-aware serial path: identical budget charging and
         # sort keys, but only one alignment per refined class.
         if qctx is not None:
-            entries, next_uid, q_tripped = _quotient_serial(
+            entries, q_tripped = _quotient_serial(
                 index, offsets, query_path, trim_to_anchor, anchor,
                 matcher, weights, memo, transcript, budget, executor,
                 parallel_threshold, sharded, health, dead_shards, qctx,
-                uid_pool, next_uid)
+                columns)
             tripped = tripped or q_tripped
             if max_cluster_size is not None:
                 entries = entries[:max_cluster_size]
@@ -651,20 +620,10 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
             # Deadline tripped mid-scoring: keep what was scored, emit
             # the remaining clusters empty (same contract as before).
             tripped = True
-        # Stage 3 (serial): assign uids in candidate order and sort.
-        entries = []
-        for (offset, path), (alignment, score) in zip(pool_pairs, scored):
-            uid_key = (offset, path.length)
-            uid = uid_pool.get(uid_key)
-            if uid is None:
-                uid = next_uid
-                uid_pool[uid_key] = uid
-                next_uid += 1
-            entries.append(ClusterEntry(
-                offset=offset, path=path, alignment=alignment,
-                score=score, uid=uid))
+        # Stage 3 (serial): attach the shared columns and sort.
+        entries = _scored_entries(pool_pairs, scored, row)
         # Best (lowest λ) first; offset breaks ties deterministically.
-        entries.sort(key=lambda entry: (entry.score, entry.offset))
+        entries.sort(key=_BY_SCORE_THEN_GID)
         if max_cluster_size is not None:
             entries = entries[:max_cluster_size]
         clusters.append(Cluster(
@@ -678,23 +637,34 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
     return clusters
 
 
+def _scored_entries(pool_pairs, scored, row) -> list:
+    """One :class:`ClusterEntry` per scored candidate, each holding the
+    uid and id set of its ``(offset, prefix length)`` column row."""
+    entries = []
+    for (offset, path), (alignment, score) in zip(pool_pairs, scored):
+        uid, id_set = row(offset, path.length, path.label_ids)
+        entries.append(ClusterEntry(offset, path, alignment, score, uid,
+                                    id_set))
+    return entries
+
+
 def _quotient_serial(index, offsets, query_path: Path,
                      trim_to_anchor: bool, anchor, matcher: LabelMatcher,
                      weights: ScoringWeights, memo: AlignmentMemo,
                      transcript: bool, budget: "Budget | None", executor,
                      parallel_threshold: int, sharded: bool, health,
-                     dead_shards: "dict[int, str]", qctx, uid_pool,
-                     next_uid: int) -> "tuple[list, int, bool]":
+                     dead_shards: "dict[int, str]", qctx,
+                     columns: PathColumns) -> "tuple[list, bool]":
     """The serial cluster stages with one alignment per refined class.
 
     Mirrors :func:`build_clusters`'s stages 1–3 exactly — identical
     budget charging (every candidate is charged, member or not),
     identical dead-shard skips and per-candidate fault isolation,
-    identical uid assignment order, identical ``(λ, offset)`` sort —
-    except that a candidate whose refine key was already seen skips the
-    decode/trim/align pipeline entirely: it enters the cluster as a
-    :class:`LazyClusterEntry` carrying its own node ids and the
-    representative's bit-identical ``(λ, trimmed length)``.
+    identical ``(λ, offset)`` sort — except that a candidate whose
+    refine key was already seen skips the decode/trim/align pipeline
+    entirely: it enters the cluster as a :class:`LazyClusterEntry`
+    row — its own shared node-id column plus the representative's
+    bit-identical ``(λ, trimmed length)``.
 
     The first candidate of a class becomes its representative.  A
     representative that faults during decode does *not* register its
@@ -711,9 +681,10 @@ def _quotient_serial(index, offsets, query_path: Path,
     # Refine key -> pool index of the class representative, or -1 when
     # the representative fell to the anchor trim.
     rep_state: dict = {}
-    # Candidate-order plan: ``(offset, key, pool index | None)`` —
-    # ``None`` pool index marks a member expanded from its class.
-    plan: list = []
+    #: Members: offset and pool index of the representative, aligned.
+    member_offsets: list[int] = []
+    member_reps: list[int] = []
+    key_of = qctx.key_of
     for rank, offset in enumerate(offsets):
         if (budget is not None and rank % _CHARGE_BLOCK == 0
                 and budget.charge_candidates(
@@ -723,13 +694,13 @@ def _quotient_serial(index, offsets, query_path: Path,
         if sharded and dead_shards \
                 and index.locate(offset)[0] in dead_shards:
             continue
-        key = qctx.key_of(offset)
+        key = key_of(offset)
         if key is not None:
             state = rep_state.get(key)
             if state is not None:
                 if state >= 0:
-                    qctx.members += 1
-                    plan.append((offset, key, None))
+                    member_offsets.append(offset)
+                    member_reps.append(state)
                 continue
         try:
             path = index.path_at(offset)
@@ -750,47 +721,27 @@ def _quotient_serial(index, offsets, query_path: Path,
         if key is not None:
             rep_state[key] = len(pool_pairs)
             qctx.reps += 1
-        plan.append((offset, key, len(pool_pairs)))
         pool_pairs.append((offset, path))
+    qctx.members += len(member_offsets)
     scored = _score_candidates(pool_pairs, query_path, matcher, weights,
                                memo, transcript, budget, executor,
                                parallel_threshold)
     if len(scored) < len(pool_pairs):
         tripped = True
-    context = _EntryContext(index, query_path, matcher, memo, transcript)
-    entries: list = []
-    for offset, key, pool_index in plan:
-        if pool_index is not None:
-            if pool_index >= len(scored):
-                continue       # deadline tripped before this rep scored
-            path = pool_pairs[pool_index][1]
-            alignment, score = scored[pool_index]
-            uid_key = (offset, path.length)
-            uid = uid_pool.get(uid_key)
-            if uid is None:
-                uid = next_uid
-                uid_pool[uid_key] = uid
-                next_uid += 1
-            entries.append(ClusterEntry(
-                offset=offset, path=path, alignment=alignment,
-                score=score, uid=uid))
-        else:
-            rep_index = rep_state[key]
-            if rep_index >= len(scored):
-                continue       # representative lost to the deadline
-            score = scored[rep_index][1]
-            plen = pool_pairs[rep_index][1].length
-            uid_key = (offset, plen)
-            uid = uid_pool.get(uid_key)
-            if uid is None:
-                uid = next_uid
-                uid_pool[uid_key] = uid
-                next_uid += 1
-            entries.append(LazyClusterEntry(
-                context, offset, plen, score, uid,
-                node_ids=qctx.member_node_ids(offset, plen)))
-    entries.sort(key=lambda entry: (entry.score, entry.offset))
-    return entries, next_uid, tripped
+    row = columns.row
+    entries = _scored_entries(pool_pairs, scored, row)
+    context = _EntryContext(index, query_path, matcher, memo, transcript,
+                            columns)
+    #: What a member copies, per scored pool index.
+    verdicts = [(score, pair[1].length)
+                for pair, (_alignment, score) in zip(pool_pairs, scored)]
+    for offset, rep_index in zip(member_offsets, member_reps):
+        if rep_index < len(verdicts):   # else: lost to the deadline
+            score, plen = verdicts[rep_index]
+            entries.append(LazyClusterEntry(context, offset, plen, score,
+                                            row(offset, plen)))
+    entries.sort(key=_BY_SCORE_THEN_GID)
+    return entries, tripped
 
 
 def _score_candidates(pool_pairs: list[tuple[int, Path]], query_path: Path,
@@ -899,7 +850,8 @@ def _scatter_gather(index, gids: list[int], query_path: Path,
     candidate of a refined class is decoded and aligned, its
     ``(λ, trimmed length)`` verdict is published in a cluster-wide
     class memo, and later members — on *any* shard, classes span
-    shards — ship a row copied from it with their own node ids.  The
+    shards — ship a row copied from it (no ids: the coordinator's
+    column store derives each member's own from its class).  The
     memo is shared like the alignment memo: dict ops are GIL-atomic
     and the refine key determines the verdict bit-exactly, so a racing
     duplicate write stores the identical value.  Procs-eligible shards
@@ -938,9 +890,8 @@ def _scatter_gather(index, gids: list[int], query_path: Path,
                     if verdict is not None:
                         score, plen = verdict
                         quotient_ctx.members += 1
-                        results.append((
-                            score, gid, plen,
-                            quotient_ctx.member_node_ids(gid, plen)))
+                        # No ids: the column store derives them.
+                        results.append((score, gid, plen, None))
                         continue
             path = shard.path_at(offset)
             if trim_to_anchor:

@@ -23,12 +23,13 @@ best-first by the paper's score.
 
 from __future__ import annotations
 
-import os
+import gc
 import tempfile
 import threading
 from dataclasses import dataclass, field, replace
 
 from ..index.builder import IndexStats, build_index
+from ..index.columns import PathColumns
 from ..index.labels import SemanticMatcher
 from ..index.pathindex import PathIndex
 from ..index.thesaurus import Thesaurus, default_thesaurus
@@ -145,6 +146,7 @@ class SamaEngine:
         self._sketch_epoch = None
         self._quotient_lock = threading.Lock()
         self._quotient_resolver = None
+        self._columns: "PathColumns | None" = None
         self._quotient_epoch = None
 
     def _build_matcher(self) -> LabelMatcher:
@@ -205,7 +207,16 @@ class SamaEngine:
         else:
             index = PathIndex.open(directory, thesaurus=thesaurus,
                                    read_latency=read_latency)
-        return cls(index, config=config, thesaurus=thesaurus)
+        engine = cls(index, config=config, thesaurus=thesaurus)
+        # What was loaded (label maps, interner, thesaurus, quotient
+        # classes) lives as long as the engine and holds no garbage:
+        # take it out of the cyclic collector's sight, so the full
+        # passes query-time allocation triggers stop re-walking it.
+        # GC stays enabled for everything allocated from here on.
+        engine.quotient_resolver()
+        gc.collect()
+        gc.freeze()
+        return engine
 
     # -- query API ----------------------------------------------------------------
 
@@ -266,7 +277,8 @@ class SamaEngine:
                                   sketch_filter=self.sketch_filter(),
                                   quotient=(self.quotient_resolver()
                                             if self.config.fast_path
-                                            else None))
+                                            else None),
+                                  columns=self.path_columns())
 
     def query(self, query, k: "int | None" = None, *,
               deadline_ms: "float | None" = None,
@@ -414,9 +426,7 @@ class SamaEngine:
         if mode == "off":
             return None
         index = self.index
-        epoch_vector = getattr(index, "epoch_vector", None)
-        epoch_key = (tuple(epoch_vector) if epoch_vector is not None
-                     else (getattr(index, "epoch", 0),))
+        epoch_key = self._epoch_key()
         # Resolved before taking the sketch lock — the two lazy caches
         # stay lock-disjoint, so there is no ordering to get wrong.
         quotient = self.quotient_resolver()
@@ -456,7 +466,12 @@ class SamaEngine:
             self._sketch_filter = filtered
         return self._sketch_filter
 
-    # -- quotient compression --------------------------------------------------
+    # -- per-epoch state: quotient classes and path columns --------------------
+
+    def _epoch_key(self) -> tuple:
+        epoch_vector = getattr(self.index, "epoch_vector", None)
+        return (tuple(epoch_vector) if epoch_vector is not None
+                else (getattr(self.index, "epoch", 0),))
 
     def quotient_resolver(self):
         """The class-compression hook, or ``None`` (per-path scoring).
@@ -472,40 +487,50 @@ class SamaEngine:
         ``sama_quotient_compression_ratio`` gauges, so ``/stats``
         reports the live compression.
         """
-        if self.config.quotient == "off":
-            return None
-        index = self.index
-        epoch_vector = getattr(index, "epoch_vector", None)
-        epoch_key = (tuple(epoch_vector) if epoch_vector is not None
-                     else (getattr(index, "epoch", 0),))
+        return self._per_epoch()[0]
+
+    def path_columns(self) -> PathColumns:
+        """The :class:`~repro.index.columns.PathColumns` of the current
+        index epoch: created beside the quotient resolver (whose
+        classes it derives rows from) and dropped with it when the
+        epoch moves — rows describe stored bytes, a write orphans them.
+        """
+        return self._per_epoch()[1]
+
+    def _per_epoch(self) -> tuple:
+        epoch_key = self._epoch_key()
         with self._quotient_lock:
-            if self._quotient_epoch == epoch_key:
-                return self._quotient_resolver
-            self._quotient_epoch = epoch_key
-            self._quotient_resolver = None
-            if getattr(index, "interner", None) is None:
-                return None     # in-memory indexes carry no quotients
-            from ..obs import get_registry
-            from ..quotient import QuotientIndex, QuotientResolver
-            quotients = QuotientIndex.for_index(index)
-            if quotients is None:
-                return None
-            registry = get_registry()
-            registry.gauge(
-                "sama_quotient_classes",
-                "Equality-pattern equivalence classes loaded from "
-                "quotient.bin files").set(quotients.class_count)
-            registry.gauge(
-                "sama_quotient_paths",
-                "Stored paths covered by loaded quotient.bin files",
-            ).set(quotients.path_count)
-            registry.gauge(
-                "sama_quotient_compression_ratio",
-                "Stored paths per equivalence class across loaded "
-                "quotients").set(quotients.compression_ratio)
-            self._quotient_resolver = QuotientResolver(
-                index, quotients, self.matcher)
-        return self._quotient_resolver
+            if self._quotient_epoch != epoch_key:
+                self._quotient_epoch = epoch_key
+                self._quotient_resolver = resolver = self._load_quotients()
+                self._columns = PathColumns(
+                    self.index, resolver.quotients if resolver else None)
+            return self._quotient_resolver, self._columns
+
+    def _load_quotients(self):
+        index = self.index
+        if (self.config.quotient == "off"
+                or getattr(index, "interner", None) is None):
+            return None         # in-memory indexes carry no quotients
+        from ..obs import get_registry
+        from ..quotient import QuotientIndex, QuotientResolver
+        quotients = QuotientIndex.for_index(index)
+        if quotients is None:
+            return None
+        registry = get_registry()
+        registry.gauge(
+            "sama_quotient_classes",
+            "Equality-pattern equivalence classes loaded from "
+            "quotient.bin files").set(quotients.class_count)
+        registry.gauge(
+            "sama_quotient_paths",
+            "Stored paths covered by loaded quotient.bin files",
+        ).set(quotients.path_count)
+        registry.gauge(
+            "sama_quotient_compression_ratio",
+            "Stored paths per equivalence class across loaded "
+            "quotients").set(quotients.compression_ratio)
+        return QuotientResolver(index, quotients, self.matcher)
 
     # -- execution mode --------------------------------------------------------
 

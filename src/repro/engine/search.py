@@ -92,6 +92,11 @@ class SearchResult:
     ``degradation`` records why the search stopped early, when it did —
     budget trips and the ``max_expansions`` safety valve both land
     here, so ``exhausted=False`` always comes with a reason.
+
+    Sub-stage attribution: ``candidate_lists`` counts the sorted child
+    lists built, ``candidate_cache_hits`` the states that shared one
+    already built, and ``psi_evaluations`` the (entry, settled IG edge)
+    pairs scored while building them — where the search's time goes.
     """
 
     answers: list[Answer]
@@ -100,6 +105,9 @@ class SearchResult:
     exhausted: bool = True
     forced_emissions: int = 0
     degradation: tuple[DegradationReason, ...] = ()
+    candidate_lists: int = 0
+    candidate_cache_hits: int = 0
+    psi_evaluations: int = 0
 
     def __iter__(self):
         return iter(self.answers)
@@ -142,26 +150,22 @@ class _JoinSpace:
             if not entries_i or not entries_j:
                 self.edge_floor[(i, j)] = penalty
                 continue
-            cap = 0
             sample_i = entries_i[:_FLOOR_SAMPLE]
             sample_j = entries_j[:_FLOOR_SAMPLE]
             # One key space per edge: ids only when every sampled path
             # on both sides carries them (mixed spaces would intersect
-            # to nothing and overstate the floor).
+            # to nothing and overstate the floor).  The maximum is over
+            # the *distinct* sets — trimmed prefixes repeat heavily.
             sets_i = sets_j = None
             if interned:
-                sets_i = [e.node_label_id_set() for e in sample_i]
-                sets_j = [e.node_label_id_set() for e in sample_j]
+                sets_i = {e.id_set for e in sample_i}
+                sets_j = {e.id_set for e in sample_j}
                 if None in sets_i or None in sets_j:
                     sets_i = sets_j = None
             if sets_i is None:
-                sets_i = [e.node_label_set() for e in sample_i]
-                sets_j = [e.node_label_set() for e in sample_j]
-            for labels_i in sets_i:
-                for labels_j in sets_j:
-                    common = len(labels_i & labels_j)
-                    if common > cap:
-                        cap = common
+                sets_i = {e.node_label_set() for e in sample_i}
+                sets_j = {e.node_label_set() for e in sample_j}
+            cap = _max_common(sets_i, sets_j)
             self.edge_floor[(i, j)] = penalty / cap if cap else penalty
         self.min_lambda = [
             cluster.entries[0].score if cluster.entries
@@ -189,37 +193,38 @@ class _JoinSpace:
         # Candidate lists depend only on (depth, the decided entries on
         # that depth's settled edges) — states sharing those share the
         # list, which this cache exploits.
-        self._candidate_cache: dict[tuple, list[tuple[float, int, int]]] = {}
+        self._candidate_cache: dict[tuple, tuple[tuple, tuple, tuple]] = {}
         # Per-cluster inverted index: node label key → entry ranks, used
         # to find the entries that *intersect* an anchor path without
         # scanning the whole cluster.  Built lazily per cluster.
-        self._buckets: dict[int, tuple[dict, dict]] = {}
+        self._buckets: dict[int, dict] = {}
+        # Sub-stage effort for the SearchResult (plain ints, no registry).
+        self.candidate_lists = 0
+        self.candidate_cache_hits = 0
+        self.psi_evaluations = 0
 
-    def buckets_of(self, cluster_index: int) -> tuple[dict, dict]:
+    def buckets_of(self, cluster_index: int) -> dict:
         """Inverted index of one cluster: label key → entry ranks.
 
         Keys are interned label ids when the cluster's paths carry them
-        (C-speed int hashing), the Term labels otherwise.  The second
-        dict maps each key to the label's lexical form — the
-        deterministic tie-break of the rarest-label ordering, identical
-        in both key spaces so interned and Term-based runs score the
-        same candidate pools.
+        (C-speed int hashing, read straight off the shared id-set
+        column), the Term labels otherwise.
         """
-        cached = self._buckets.get(cluster_index)
-        if cached is None:
-            buckets: dict = {}
-            names: dict = {}
+        buckets = self._buckets.get(cluster_index)
+        if buckets is None:
+            buckets = self._buckets[cluster_index] = {}
+            interned = self.interned
             for rank, entry in enumerate(self.clusters[cluster_index].entries):
-                for key, name in entry.bucket_labels(self.interned):
-                    buckets.setdefault(key, []).append(rank)
-                    names.setdefault(key, name)
-            cached = (buckets, names)
-            self._buckets[cluster_index] = cached
-        return cached
-
-    def _longest(self, cluster_index: int) -> int:
-        entries = self.clusters[cluster_index].entries
-        return max((entry.path_length for entry in entries), default=0)
+                keys = entry.id_set if interned else None
+                if keys is None:
+                    keys = entry.node_label_set()
+                for key in keys:
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        buckets[key] = [rank]
+                    else:
+                        bucket.append(rank)
+        return buckets
 
     def _tail_estimates(self) -> list[float]:
         depth_count = len(self.order)
@@ -253,11 +258,9 @@ class _JoinSpace:
 
     def chi_operands(self, entry_a, entry_b) -> tuple[frozenset, frozenset]:
         if self.interned:
-            ids_a = entry_a.node_label_id_set()
-            if ids_a is not None:
-                ids_b = entry_b.node_label_id_set()
-                if ids_b is not None:
-                    return ids_a, ids_b
+            ids_a, ids_b = entry_a.id_set, entry_b.id_set
+            if ids_a is not None and ids_b is not None:
+                return ids_a, ids_b
         return entry_a.node_label_set(), entry_b.node_label_set()
 
     def psi_of_pair(self, entry: "ClusterEntry | None",
@@ -270,6 +273,25 @@ class _JoinSpace:
         if common == 0:
             return penalty, True
         return penalty / common, False
+
+
+def _max_common(sets_i, sets_j) -> int:
+    """``max |a ∩ b|`` over ``a`` in ``sets_i``, ``b`` in ``sets_j``,
+    counted through postings of ``sets_j``: the work is the number of
+    label co-occurrences (most pairs share nothing), not ``|i|·|j|``."""
+    postings: dict = {}
+    for index_j, labels in enumerate(sets_j):
+        for label in labels:
+            postings.setdefault(label, []).append(index_j)
+    best = 0
+    for labels in sets_i:
+        shared: dict = {}
+        for label in labels:
+            for index_j in postings.get(label, ()):
+                count = shared[index_j] = shared.get(index_j, 0) + 1
+                if count > best:
+                    best = count
+    return best
 
 
 def _join_order(prepared: PreparedQuery, clusters: list[Cluster]) -> list[int]:
@@ -308,7 +330,8 @@ class _PartialState:
         self.ranks = ranks            # rank per decided cluster, join order
         self.cost = cost              # exact Λ + settled Ψ so far
         self.broken = broken
-        self.candidates: "list[tuple[float, int, int]] | None" = None
+        #: Sorted children as three aligned columns (see _candidates_of).
+        self.candidates: "tuple[tuple, tuple, tuple] | None" = None
 
 
 def top_k(prepared: PreparedQuery, clusters: list[Cluster],
@@ -447,20 +470,27 @@ def top_k(prepared: PreparedQuery, clusters: list[Cluster],
     return SearchResult(answers=emitted, expansions=expansions,
                         generated=generated, exhausted=exhausted,
                         forced_emissions=forced,
-                        degradation=tuple(degradation))
+                        degradation=tuple(degradation),
+                        candidate_lists=space.candidate_lists,
+                        candidate_cache_hits=space.candidate_cache_hits,
+                        psi_evaluations=space.psi_evaluations)
 
 
 def _candidates_of(space: _JoinSpace, state: _PartialState,
-                   limit: "int | None") -> list[tuple[float, int, int]]:
+                   limit: "int | None") -> tuple[tuple, tuple, tuple]:
     """Sorted candidate children of a partial state.
 
-    Each item is ``(cost increment, broken increment, rank)`` for the
-    cluster decided at ``state.depth``; the increment is exact — the
+    Returned as three aligned columns — cost increments, broken
+    increments, ranks — sorted by ``(cost, broken, rank)``: they live
+    as long as the search, and flat tuples of numbers give the cyclic
+    GC nothing to track.  Child ``i`` decides entry ``ranks[i]`` at
+    ``state.depth``; its increment is exact — the
     entry's λ plus the ψ of the IG edges this decision settles — so
     parent cost + increment is again an exact prefix cost.  With a
-    ``limit`` only the best ``limit`` children are kept (heap
-    selection, O(C log limit)); the discarded tail has the worst
-    increments.
+    ``limit`` only the best ``limit`` children are kept (a plain sort
+    while the pool is at most twice the limit — which the default
+    pool cap guarantees — heap selection beyond); the discarded tail
+    has the worst increments.
 
     Only the entries decided on this depth's *settled edges* influence
     the scores, so the list is memoised on them: sibling states that
@@ -481,7 +511,9 @@ def _candidates_of(space: _JoinSpace, state: _PartialState,
     key = tuple(cache_key)
     cached = space._candidate_cache.get(key)
     if cached is not None:
+        space.candidate_cache_hits += 1
         return cached
+    space.candidate_lists += 1
 
     def increments(entry: "ClusterEntry | None", base: float,
                    ) -> tuple[float, int]:
@@ -495,9 +527,10 @@ def _candidates_of(space: _JoinSpace, state: _PartialState,
 
     if not cluster.entries:
         cost, broken = increments(None, cluster.missing_penalty)
-        result = [(cost, broken, _MISSING)]
+        scored = [(cost, broken, _MISSING)]
     else:
         ranks = _evaluation_pool(space, cluster_index, anchors, limit)
+        space.psi_evaluations += len(ranks) * len(anchors)
         entries = cluster.entries
         # Interned fast path: the ψ of every settled edge is an int-set
         # intersection, inlined here — the generic increments() chain
@@ -514,48 +547,61 @@ def _candidates_of(space: _JoinSpace, state: _PartialState,
                 if other_entry is None:
                     anchor_sets.append((None, penalty))
                     continue
-                ids = other_entry.node_label_id_set()
+                ids = other_entry.id_set
                 if ids is None:
                     anchor_sets = None
                     break
                 anchor_sets.append((ids, penalty))
         scored = []
         if anchor_sets is not None:
+            # Most pool entries share no node with any anchor: one test
+            # against the anchors' union prices them all-broken, with the
+            # same left-to-right float sum as the per-edge loop below.
+            anchor_union = frozenset().union(
+                *[ids for ids, _penalty in anchor_sets if ids is not None])
+            all_broken = 0.0
+            for _ids, penalty in anchor_sets:
+                all_broken += penalty
+            edge_count = len(anchor_sets)
             for rank in ranks:
                 entry = entries[rank]
-                ids = entry.node_label_id_set()
+                ids = entry.id_set
                 if ids is None:
                     cost, broken = increments(entry, entry.score)
                     scored.append((cost, broken, rank))
                     continue
+                if ids.isdisjoint(anchor_union):
+                    scored.append((entry.score + all_broken, edge_count,
+                                   rank))
+                    continue
                 psi_total = 0.0
                 broken = 0
                 for other_ids, penalty in anchor_sets:
-                    if other_ids is not None:
-                        common = len(ids & other_ids)
-                        if common:
-                            psi_total += penalty / common
-                            continue
-                    psi_total += penalty
-                    broken += 1
+                    if other_ids is None or ids.isdisjoint(other_ids):
+                        psi_total += penalty
+                        broken += 1
+                    else:
+                        psi_total += penalty / len(ids & other_ids)
                 scored.append((entry.score + psi_total, broken, rank))
         else:
             for rank in ranks:
                 entry = entries[rank]
                 cost, broken = increments(entry, entry.score)
                 scored.append((cost, broken, rank))
-        if limit is None:
+        if limit is None or len(scored) <= 2 * limit:
             scored.sort()
-            result = scored
+            if limit is not None:
+                del scored[limit:]
         else:
-            result = heapq.nsmallest(limit, scored)
+            scored = heapq.nsmallest(limit, scored)
+    result = tuple(zip(*scored)) or ((), (), ())
     space._candidate_cache[key] = result
     return result
 
 
 def _evaluation_pool(space: _JoinSpace, cluster_index: int,
                      anchors: list[tuple["ClusterEntry | None", float]],
-                     limit: "int | None") -> list[int]:
+                     limit: "int | None") -> "list[int] | range":
     """The entry ranks worth scoring exactly against these anchors.
 
     With no ``limit`` every rank is scored (exact search).  Otherwise
@@ -563,35 +609,45 @@ def _evaluation_pool(space: _JoinSpace, cluster_index: int,
     through the cluster's label buckets rarest-label-first — these are
     the conformity-friendly candidates ψ rewards — and (b) the λ-order
     prefix, which dominates among the non-intersecting entries because
-    their ψ penalty is uniform.  The pool is capped at ``4·limit`` (at
-    least 256): beyond it, candidates are either worse in λ than the
-    whole prefix or no better in ψ than the pooled intersecting ones.
+    their ψ penalty is uniform.  The pool is capped at ``2·limit`` (at
+    least 128), half of it for (a): beyond it, candidates are either
+    worse in λ than the whole prefix or no better in ψ than the pooled
+    intersecting ones.
     """
-    cluster = space.clusters[cluster_index]
-    total = len(cluster.entries)
+    total = len(space.clusters[cluster_index].entries)
     if limit is None:
-        return list(range(total))
+        return range(total)
     cap = max(2 * limit, 128)
     if total <= cap:
-        return list(range(total))
+        return range(total)
     pool: list[int] = []
     seen: set[int] = set()
-    buckets, names = space.buckets_of(cluster_index)
+    buckets = space.buckets_of(cluster_index)
+    #: ``(anchor entry, its bucket keys)`` — who spells a label's name.
+    anchor_keys = []
     anchor_labels = set()
     for entry, _penalty in anchors:
         if entry is not None:
-            ids = entry.node_label_id_set() if space.interned else None
-            anchor_labels |= ids if ids is not None \
-                else entry.node_label_set()
+            keys = entry.id_set if space.interned else None
+            if keys is None:
+                keys = entry.node_label_set()
+            anchor_keys.append((entry, keys))
+            anchor_labels |= keys
+
+    def rarity(label):
+        for entry, keys in anchor_keys:
+            if label in keys:
+                return len(buckets[label]), entry.label_name(label)
+
     # Rarest labels first: a label shared with few entries pinpoints
     # the genuinely related candidates (specific entities), while a
     # label shared with thousands (class nodes) carries no signal.
     # The tie-break is the label's lexical form in both key spaces, so
-    # interned and Term-based runs pool identical candidates.
-    for label in sorted(anchor_labels,
-                        key=lambda l: (len(buckets.get(l, ())),
-                                       names.get(l) or str(l))):
-        for rank in buckets.get(label, ()):
+    # interned and Term-based runs pool identical candidates (resolved
+    # for these few anchor labels only, never per entry).
+    for label in sorted((label for label in anchor_labels
+                         if label in buckets), key=rarity):
+        for rank in buckets[label]:
             if rank not in seen:
                 seen.add(rank)
                 pool.append(rank)
@@ -599,12 +655,11 @@ def _evaluation_pool(space: _JoinSpace, cluster_index: int,
                     break
         if len(pool) >= cap // 2:
             break
-    for rank in range(total):
-        if len(pool) >= cap:
-            break
-        if rank not in seen:
-            seen.add(rank)
-            pool.append(rank)
+    # Fill up with the λ-order prefix: at most ``len(seen)`` of its
+    # first ``cap + len(seen)`` ranks are taken, so that many suffice.
+    prefix = [rank for rank in range(min(total, cap + len(seen)))
+              if rank not in seen]
+    pool.extend(prefix[:cap - len(pool)])
     return pool
 
 
@@ -612,9 +667,10 @@ def _enqueue_child(frontier, space: _JoinSpace, state: _PartialState,
                    sibling_index: int, tie, config: SearchConfig) -> None:
     if state.candidates is None:
         state.candidates = _candidates_of(space, state, config.sibling_limit)
-    if sibling_index >= len(state.candidates):
+    costs = state.candidates[0]
+    if sibling_index >= len(costs):
         return
-    increment, _broken, _rank = state.candidates[sibling_index]
+    increment = costs[sibling_index]
     # Bound: exact cost through the child (parent cost + λ of the entry
     # + ψ of the edges it settles) plus the optimistic remainder at the
     # child's depth (min λ of undecided clusters + floors of edges not
@@ -641,7 +697,7 @@ def _greedy_complete(space: _JoinSpace, state: _PartialState,
     if state.candidates is None:
         state.candidates = _candidates_of(space, state, config.sibling_limit)
     current = _make_child(space, state,
-                          min(sibling_index, len(state.candidates) - 1))
+                          min(sibling_index, len(state.candidates[0]) - 1))
     while current.depth < depth_total:
         if current.candidates is None:
             current.candidates = _candidates_of(space, current,
@@ -652,9 +708,11 @@ def _greedy_complete(space: _JoinSpace, state: _PartialState,
 
 def _make_child(space: _JoinSpace, parent: _PartialState,
                 sibling_index: int) -> _PartialState:
-    increment, broken, rank = parent.candidates[sibling_index]
-    return _PartialState(parent.depth + 1, parent.ranks + (rank,),
-                         parent.cost + increment, parent.broken + broken)
+    costs, brokens, ranks = parent.candidates
+    return _PartialState(parent.depth + 1,
+                         parent.ranks + (ranks[sibling_index],),
+                         parent.cost + costs[sibling_index],
+                         parent.broken + brokens[sibling_index])
 
 
 def _materialize(space: _JoinSpace, state: _PartialState) -> "Answer | None":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 
 from ..paths.model import Path
 from ..rdf.ntriples import parse_term
@@ -60,7 +61,7 @@ class PathIndex:
 
     def __init__(self, directory, records: RecordFile,
                  sink_index: LabelIndex, contains_index: LabelIndex,
-                 offsets: list[int], metadata: dict,
+                 offsets: "list[int] | array", metadata: dict,
                  dictionary: "TermDictionary | None" = None,
                  interner: "LabelInterner | None" = None,
                  interned_records: bool = False):
@@ -134,8 +135,9 @@ class PathIndex:
         # accounting and fault injection alike.
         records.discard_tail()
         sink_index = _load_label_map(maps["sink"], thesaurus)
-        contains_index = _load_label_map(maps["contains"], thesaurus)
-        offsets = list(maps["offsets"])
+        # pop: the parsed JSON lists are the open-time memory peak.
+        contains_index = _load_label_map(maps.pop("contains"), thesaurus)
+        offsets = array("q", maps["offsets"])
         dictionary = None
         if maps.get("compressed"):
             dictionary = TermDictionary.load(
@@ -326,8 +328,10 @@ class PathIndexWriter:
         # it atomically so a crash here leaves either no index or a
         # complete one, never a torn manifest.
         atomic_write_json(os.path.join(self.directory, _MAPS_FILE), maps)
-        sink_index = _build_label_index(self._sink_map, self._thesaurus)
-        contains_index = _build_label_index(self._contains_map, self._thesaurus)
+        sink_index = LabelIndex.from_postings(self._sink_map.items(),
+                                              self._thesaurus)
+        contains_index = LabelIndex.from_postings(self._contains_map.items(),
+                                                  self._thesaurus)
         return PathIndex(self.directory, self._records, sink_index,
                          contains_index, self._offsets, maps["metadata"],
                          dictionary=self._dictionary,
@@ -350,18 +354,6 @@ def _dump_label_map(label_map: dict[Term, list[int]]) -> dict[str, list[int]]:
 
 def _load_label_map(dumped: dict[str, list[int]],
                     thesaurus: "Thesaurus | None") -> LabelIndex:
-    index = LabelIndex(thesaurus)
-    for n3, offsets in dumped.items():
-        label = parse_term(n3)
-        for offset in offsets:
-            index.add(label, offset)
-    return index
-
-
-def _build_label_index(label_map: dict[Term, list[int]],
-                       thesaurus: "Thesaurus | None") -> LabelIndex:
-    index = LabelIndex(thesaurus)
-    for label, offsets in label_map.items():
-        for offset in offsets:
-            index.add(label, offset)
-    return index
+    return LabelIndex.from_postings(
+        ((parse_term(n3), offsets) for n3, offsets in dumped.items()),
+        thesaurus)

@@ -315,7 +315,6 @@ def _score_quotient(view, quotient, pairs, query, weights, ids_match,
 
     row_of = quotient.row_of
     class_ids = quotient.class_ids
-    patterns = quotient.patterns
     params_list = quotient.params
     pair_list = list(pairs)
     keys = []                    # refine key per pair, pair order
@@ -324,9 +323,9 @@ def _score_quotient(view, quotient, pairs, query, weights, ids_match,
     seen = set()
     for gid, offset in pair_list:
         row = row_of[offset]
-        pattern = patterns[class_ids[row]]
-        key = (pattern.tobytes(),
-               tuple(feature(param) for param in params_list[row]))
+        # One worker is one shard, so the class id is the identity.
+        key = (class_ids[row],
+               *[feature(param) for param in params_list[row]])
         keys.append(key)
         if key not in seen:
             seen.add(key)

@@ -8,7 +8,7 @@ closes that gap with a **refine key** per candidate:
 
 .. code-block:: text
 
-    key = (class pattern, (feature(param) for each slot filler))
+    key = (class pattern, feature(param) for each slot filler ...)
     feature(p) = { query constant c : ids_match(p, c) }
 
 where the constants are the interned ids of every constant node and
@@ -35,8 +35,9 @@ scores are bit-identical floats, not merely close.  The engine
 therefore aligns one representative per refine key and copies
 ``(λ, trimmed length)`` to the other members; members re-enter the
 pipeline as :class:`~repro.engine.clustering.LazyClusterEntry` rows
-carrying their own concrete node ids (reconstructed from their slot
-fillers), so everything downstream — ψ/χ set intersections, candidate
+carrying their own concrete node ids (reconstructed once per index
+epoch from their slot fillers by :class:`repro.index.columns.PathColumns`),
+so everything downstream — ψ/χ set intersections, candidate
 buckets, final answers — sees the member's true labels.  Rankings are
 asserted bit-identical to unquotiented scoring across shard counts,
 worker modes and two-stage modes by ``benchmarks/bench_quotient.py``.
@@ -121,45 +122,46 @@ class QuotientContext:
     """
 
     __slots__ = ("_lookup", "_ids_match", "_constants", "_features",
-                 "members", "reps")
+                 "_interned", "members", "reps")
 
     def __init__(self, lookup, ids_match, constants: tuple):
         self._lookup = lookup
         self._ids_match = ids_match
         self._constants = constants
         #: param id -> frozenset of matched query constants, memoised
-        #: across every candidate of the cluster.
+        #: across every candidate of the cluster.  Equal features are
+        #: one object (almost always the empty one), so comparing two
+        #: refine keys is a run of identity checks.
         self._features: "dict[int, frozenset]" = {}
+        self._interned: "dict[frozenset, frozenset]" = {}
         self.members = 0
         self.reps = 0
 
     def key_of(self, gid: int):
-        """The candidate's refine key, or ``None`` when its shard has
-        no usable quotient (→ score it exhaustively)."""
+        """The candidate's refine key — its class identity followed by
+        the feature of each slot filler — or ``None`` when its shard
+        has no usable quotient (→ score it exhaustively)."""
         found = self._lookup(gid)
         if found is None:
             return None
         quotient, row = found
-        pattern = quotient.patterns[quotient.class_ids[row]]
         features = self._features
-        feats = []
+        key = [quotient.class_keys[quotient.class_ids[row]]]
         for param in quotient.params[row]:
             feature = features.get(param)
             if feature is None:
-                ids_match = self._ids_match
-                feature = frozenset(
-                    constant for constant in self._constants
-                    if ids_match(param, constant))
-                features[param] = feature
-            feats.append(feature)
-        return (pattern.tobytes(), tuple(feats))
+                feature = self._feature(param)
+            key.append(feature)
+        return tuple(key)
 
-    def member_node_ids(self, gid: int, plen: int):
-        """The member's own first ``plen`` node label ids (its concrete
-        slot fillers — downstream ψ/χ must see real labels, never the
-        representative's)."""
-        quotient, row = self._lookup(gid)
-        return quotient.member_node_ids(row, plen)
+    def _feature(self, param: int) -> frozenset:
+        ids_match = self._ids_match
+        feature = frozenset([constant for constant in self._constants
+                             if ids_match(param, constant)])
+        if feature:     # the empty frozenset is already one object
+            feature = self._interned.setdefault(feature, feature)
+        self._features[param] = feature
+        return feature
 
 
 class QuotientResolver:

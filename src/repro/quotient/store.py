@@ -97,7 +97,7 @@ class ShardQuotient:
     """
 
     __slots__ = ("epoch", "offsets", "class_ids", "params", "patterns",
-                 "row_of")
+                 "class_keys", "row_of")
 
     def __init__(self, epoch: int, offsets, class_ids, params, patterns):
         self.epoch = epoch
@@ -105,6 +105,10 @@ class ShardQuotient:
         self.class_ids = class_ids
         self.params = params
         self.patterns = patterns
+        #: Content-defined identity of each class (its pattern bytes,
+        #: rendered once): equal across shards for equal patterns,
+        #: which is what lets refine keys span shards.
+        self.class_keys = [pattern.tobytes() for pattern in patterns]
         self.row_of = {offset: row for row, offset in enumerate(offsets)}
 
     def __len__(self) -> int:
@@ -114,13 +118,13 @@ class ShardQuotient:
     def class_count(self) -> int:
         return len(self.patterns)
 
-    def member_node_ids(self, row: int, plen: int) -> array:
+    def member_node_ids(self, row: int, plen: int) -> tuple:
         """The first ``plen`` node label ids of row ``row``,
         reconstructed from its class pattern and slot fillers (node
         ``i`` sits at interleaved position ``2 * i``)."""
         pattern = self.patterns[self.class_ids[row]]
         params = self.params[row]
-        return array("i", (params[pattern[2 * i]] for i in range(plen)))
+        return tuple([params[slot] for slot in pattern[:2 * plen:2]])
 
     @classmethod
     def from_view(cls, view, offsets, epoch: int) -> "ShardQuotient":
@@ -152,7 +156,8 @@ class ShardQuotient:
                 patterns.append(pattern)
             class_ids.append(class_id)
             params_list.append(params)
-        return cls(epoch, list(offsets), class_ids, params_list, patterns)
+        return cls(epoch, array("q", offsets), class_ids, params_list,
+                   patterns)
 
     @classmethod
     def from_index(cls, index, epoch: int) -> "ShardQuotient":
@@ -213,7 +218,7 @@ class ShardQuotient:
                     f"{path}: non-canonical slot pattern")
             patterns.append(pattern)
             widths.append(width)
-        offsets = []
+        offsets = array("q")
         class_ids = array("I")
         params_list: "list[array]" = []
         for _ in range(rows):

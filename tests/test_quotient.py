@@ -17,12 +17,18 @@ The load-bearing claims, in test order:
   source untouched; tmp debris from a crashed quotient write is swept
   at index open;
 - the ``sama index`` verbs build, skip, and rebuild the files, and the
-  serving stats surface reports compression.
+  serving stats surface reports compression;
+- the per-epoch column store (``repro.index.columns``) answers exactly
+  what a decoded path would, with and without a loaded quotient, holds
+  only rows queries touched, belongs to one engine, and is dropped —
+  with answers still right — the moment the index epoch moves.
 """
 
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.engine.sama import EngineConfig, SamaEngine
@@ -452,3 +458,146 @@ class TestSurface:
             assert service.stats_payload()["quotient"] is None
         finally:
             service.close()
+
+
+# ---------------------------------------------------------------------------
+# the per-epoch column store: same facts as a decoded path, engine-owned,
+# gone when the epoch moves
+
+
+class TestPathColumns:
+    @pytest.fixture(scope="class")
+    def lubm_dir(self, tmp_path_factory):
+        from repro.datasets import dataset
+
+        directory = str(tmp_path_factory.mktemp("columns") / "idx")
+        index, _stats = build_index(dataset("lubm").build(600, seed=5),
+                                    directory)
+        build_quotients(index)
+        index.close()
+        return directory
+
+    @pytest.fixture(scope="class")
+    def engines(self, lubm_dir):
+        """One engine deriving rows from quotient classes, one from
+        decoded paths."""
+        with_quotient = SamaEngine.open(lubm_dir)
+        without = SamaEngine.open(lubm_dir,
+                                  config=EngineConfig(quotient="off"))
+        assert with_quotient.quotient_resolver() is not None
+        assert without.quotient_resolver() is None
+        yield with_quotient, without
+        with_quotient.close()
+        without.close()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pick=st.integers(min_value=0), cut=st.integers(min_value=0))
+    def test_rows_equal_the_decoded_prefix(self, engines, pick, cut):
+        for engine in engines:
+            index = engine.index
+            offsets = index.all_offsets()
+            gid = offsets[pick % len(offsets)]
+            path = index.path_at(gid)
+            plen = 1 + cut % path.length
+            want = tuple(path.prefix(plen).label_ids)
+            columns = engine.path_columns()
+            assert columns.node_ids(gid, plen) == want
+            uid, id_set = columns.row(gid, plen)
+            assert id_set == frozenset(want)
+            # Shared, not rebuilt: the same object on every read, and a
+            # uid no other row of the path has.
+            assert columns.row(gid, plen) == (uid, id_set)
+            assert columns.row(gid, plen)[1] is id_set
+            if plen > 1:
+                assert columns.row(gid, plen - 1)[0] != uid
+            for label_id, node in zip(want, path.nodes):
+                assert columns.name(label_id) == str(node)
+
+    def test_store_holds_only_touched_rows(self, lubm_dir):
+        from repro.datasets import lubm_queries
+
+        engine = SamaEngine.open(lubm_dir)
+        try:
+            assert len(engine.path_columns()) == 0     # fills lazily
+            touched = set()
+            for spec in lubm_queries()[:6]:
+                clusters = engine.clusters(engine.prepare(spec.sparql))
+                touched.update((entry.offset, entry.path_length)
+                               for cluster in clusters
+                               for entry in cluster.entries)
+            assert 0 < len(engine.path_columns()) <= len(touched)
+            # Entries hold the store's objects, never copies.
+            columns = engine.path_columns()
+            for cluster in clusters:
+                for entry in cluster.entries[:20]:
+                    uid, id_set = columns.row(entry.offset,
+                                              entry.path_length)
+                    assert entry.id_set is id_set and entry.uid == uid
+        finally:
+            engine.close()
+
+    def test_two_engines_share_no_rows(self, lubm_dir):
+        from repro.datasets import lubm_queries
+
+        first = SamaEngine.open(lubm_dir)
+        second = SamaEngine.open(lubm_dir)
+        try:
+            first.query(lubm_queries()[1].sparql, k=5)
+            assert len(first.path_columns()) > 0
+            assert first.path_columns() is not second.path_columns()
+            assert len(second.path_columns()) == 0
+        finally:
+            first.close()
+            second.close()
+
+    def test_static_epoch_bump_drops_the_store(self, lubm_dir):
+        from repro.datasets import lubm_queries
+
+        engine = SamaEngine.open(lubm_dir)
+        try:
+            text = lubm_queries()[1].sparql
+            before = TestEngine._ranking(engine, text)
+            stale = engine.path_columns()
+            assert len(stale) > 0
+            engine.index.epoch += 1     # what an update round does
+            assert engine.path_columns() is not stale
+            assert len(engine.path_columns()) == 0
+            # The quotient file is now a stale epoch: per-path scoring,
+            # rows derived from decoded paths, same answers.
+            assert engine.quotient_resolver() is None
+            assert TestEngine._ranking(engine, text) == before
+        finally:
+            engine.close()
+
+    def test_live_updates_drop_the_store_and_answers_stay_right(
+            self, tmp_path):
+        from repro.datasets import dataset, lubm_queries
+        from repro.datasets.lubm import MEMBER_OF, UB
+
+        graph = dataset("lubm").build(400, seed=2)
+        index = IncrementalIndex(graph, str(tmp_path / "live"))
+        engine = SamaEngine(index)
+        text = lubm_queries()[1].sparql
+        try:
+            engine.query(text, k=5)
+            member = next(triple for triple in graph.triples()
+                          if triple.predicate == MEMBER_OF)
+            rounds = [
+                lambda: index.add_triples(
+                    [(UB.NewStudent, MEMBER_OF, member.object)]),
+                lambda: index.remove_triple(*member),
+            ]
+            for write in rounds:
+                stale = engine.path_columns()
+                assert len(stale) > 0
+                epoch = index.epoch
+                write()
+                assert index.epoch > epoch
+                assert engine.path_columns() is not stale
+                assert len(engine.path_columns()) == 0
+                fresh = SamaEngine(index)      # its own, empty store
+                assert (TestEngine._ranking(engine, text)
+                        == TestEngine._ranking(fresh, text))
+        finally:
+            engine.close()
