@@ -12,6 +12,9 @@ query phase; this package is the online phase grown into a service:
   index updates invalidate exactly the affected entries;
 - :mod:`repro.serving.canonical` — alpha-renaming + pattern-order
   normalisation behind those keys;
+- :mod:`repro.serving.wire` — what both front ends must agree on:
+  ``Content-Length`` and request-document validation, the error
+  mapping, the 200 body;
 - :mod:`repro.serving.http` / :mod:`repro.serving.client` — a
   stdlib-only JSON-over-HTTP front end (``POST /query``,
   ``GET /healthz``, ``GET /stats``, ``GET /metrics`` in Prometheus

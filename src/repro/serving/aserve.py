@@ -34,6 +34,14 @@ north star asks for:
   throttled before it can occupy serving capacity that other tenants
   paid for.
 
+A request whose answer is already cached leaves this path early
+rather than taking another one: a text the serving engine's request
+memo knows is fingerprinted on the loop thread, ``submit`` hands back
+a future that is already done, and its pre-rendered body is written
+out — no executor hop, no single-flight future, no ``json.dumps``.
+Drain check, tenant quota, serving counters and the epoch check still
+run on every request.
+
 Connections beyond ``max_connections`` are refused immediately with a
 ``503`` + ``Connection: close`` (bounded backlog: overload becomes a
 fast typed signal, never an unbounded accept queue), and every
@@ -53,11 +61,11 @@ import json
 import threading
 import time
 
-from ..obs import Sample, get_registry
-from ..resilience.errors import (InvalidQueryError, OverloadedError,
-                                 ParseError, QuotaExceededError, ReproError)
-from .http import MAX_BODY_BYTES
+from ..obs import Sample
+from ..resilience.errors import QuotaExceededError
 from .service import ServingEngine
+from .wire import (MAX_BODY_BYTES, content_length, failure_response,
+                   parse_query_document, response_body)
 
 #: Upper bound on the request head (request line + headers).
 MAX_HEAD_BYTES = 16 << 10
@@ -175,6 +183,9 @@ class SingleFlight:
         self._inflight: "dict[str, asyncio.Future]" = {}
         self.leaders = 0
         self.coalesced = 0
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._inflight
 
     def lead_or_follow(self, key: str) -> "tuple[bool, asyncio.Future]":
         """(is_leader, future) for ``key``; leaders must later resolve
@@ -423,8 +434,8 @@ class AsyncServingServer:
         """The keep-alive loop: one request per iteration."""
         while True:
             try:
-                head = await asyncio.wait_for(
-                    reader.readuntil(b"\r\n\r\n"), self.read_timeout_s)
+                async with asyncio.timeout(self.read_timeout_s):
+                    head = await reader.readuntil(b"\r\n\r\n")
             except asyncio.IncompleteReadError as exc:
                 if exc.partial:
                     # Bytes arrived but the head never completed: the
@@ -438,7 +449,7 @@ class AsyncServingServer:
                     "message": f"request head over {MAX_HEAD_BYTES} bytes",
                 }, close=True)
                 return
-            except asyncio.TimeoutError:
+            except TimeoutError:
                 self.connections.timeouts += 1
                 await self._respond(writer, 408, {
                     "error": "RequestTimeout",
@@ -461,7 +472,7 @@ class AsyncServingServer:
         """Answer one framed request; True to keep the connection."""
         self.connections.requests += 1
         try:
-            request_line, headers = _parse_head(head)
+            request_line, headers, lengths = _parse_head(head)
             method, path, version = request_line
         except ValueError as exc:
             self.connections.framing_close += 1
@@ -484,11 +495,12 @@ class AsyncServingServer:
             return False
 
         try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
+            length = content_length(lengths)
+        except ValueError as exc:
+            # Where the body ends is unknown: never reuse the connection.
+            self.connections.framing_close += 1
             await self._respond(writer, 400, {
-                "error": "BadRequest",
-                "message": "malformed Content-Length"}, close=True)
+                "error": "BadRequest", "message": str(exc)}, close=True)
             return False
         if length > MAX_BODY_BYTES:
             # Oversized: never read (or skip) the body — close instead.
@@ -500,12 +512,12 @@ class AsyncServingServer:
         body = b""
         if length > 0:
             try:
-                body = await asyncio.wait_for(reader.readexactly(length),
-                                              self.read_timeout_s)
+                async with asyncio.timeout(self.read_timeout_s):
+                    body = await reader.readexactly(length)
             except asyncio.IncompleteReadError:
                 self.connections.framing_close += 1
                 return False
-            except asyncio.TimeoutError:
+            except TimeoutError:
                 self.connections.timeouts += 1
                 await self._respond(writer, 408, {
                     "error": "RequestTimeout",
@@ -550,13 +562,12 @@ class AsyncServingServer:
                 "error": "NotFound", "message": path}, close=not keep_alive)
             return keep_alive
         try:
-            document = _parse_query_document(body)
+            query, k, deadline_ms = parse_query_document(body)
         except ValueError as exc:
             await self._respond(writer, 400, {
                 "error": "BadRequest", "message": str(exc)},
                 close=not keep_alive)
             return keep_alive
-        query, k, deadline_ms = document
 
         tenant = headers.get("x-api-key", "").strip() or "anonymous"
         try:
@@ -576,107 +587,82 @@ class AsyncServingServer:
                 close=not keep_alive)
             return keep_alive
 
-        status, payload, raw = await self._answer(query, k, deadline_ms)
-        if raw is not None:
-            await self._respond_raw(writer, status, raw,
-                                    content_type=_JSON,
-                                    close=not keep_alive)
-        else:
-            extra = {}
-            if status == 503:
-                extra["Retry-After"] = ("5" if self.serving.draining
-                                        else "1")
-            await self._respond(writer, status, payload, headers=extra,
+        status, extra, raw = await self._answer(query, k, deadline_ms)
+        await self._respond_raw(writer, status, raw, headers=extra,
                                 close=not keep_alive)
         return keep_alive
 
     async def _answer(self, query, k, deadline_ms
-                      ) -> "tuple[int, dict | None, bytes | None]":
-        """(status, json payload, pre-serialised body) for one query.
+                      ) -> "tuple[int, dict | None, bytes]":
+        """(status, extra headers, serialised body) for one query.
 
-        The leader of a single-flight group serialises its 200 response
-        once and every follower returns those bytes verbatim — that is
-        what makes coalesced responses bit-identical.
+        A text the request memo knows is fingerprinted right here (a
+        dictionary lookup); only an unknown one pays the executor hop
+        for its parse and canonicalisation.  The leader of a
+        single-flight group serialises its 200 response once and every
+        follower returns those bytes verbatim — that is what makes
+        coalesced responses bit-identical.
         """
-        loop = asyncio.get_running_loop()
+        serving = self.serving
         try:
-            fingerprint = await loop.run_in_executor(
-                None, self.serving.fingerprint, query, k)
-        except (ParseError, InvalidQueryError) as exc:
-            message = (exc.one_line() if isinstance(exc, ParseError)
-                       else str(exc))
-            return 400, {"error": type(exc).__name__,
-                         "message": message}, None
+            if query in serving.memo:
+                fingerprint = serving.fingerprint(query, k)
+            else:
+                loop = asyncio.get_running_loop()
+                fingerprint = await loop.run_in_executor(
+                    None, serving.fingerprint, query, k)
         except Exception as exc:
-            return 500, {"error": "InternalError",
-                         "message": type(exc).__name__}, None
+            return failure_response(exc, serving.draining)
 
         # Explicit per-request deadlines bypass coalescing: the leader's
         # budget is not the follower's, and a degraded ranking must not
         # be replayed to a caller that asked with a healthier one.
-        coalescable = deadline_ms is None
-        if coalescable:
-            is_leader, future = self.flight.lead_or_follow(fingerprint.key)
-            if not is_leader:
-                self._waiters_total.inc()
-                try:
-                    return await asyncio.shield(future)
-                except asyncio.CancelledError:
-                    raise
-                except BaseException:
-                    # The leader failed; followers fall through and try
-                    # on their own (the failure may have been transient
-                    # admission, not the query).
-                    return await self._compute(fingerprint, k, deadline_ms)
+        coalesce = deadline_ms is None
+        if coalesce and fingerprint.key in self.flight:
+            _, future = self.flight.lead_or_follow(fingerprint.key)
+            self._waiters_total.inc()
             try:
-                result = await self._compute(fingerprint, k, deadline_ms)
-            except BaseException as exc:
-                self.flight.finish(fingerprint.key, future, error=exc)
+                return await asyncio.shield(future)
+            except asyncio.CancelledError:
                 raise
-            self.flight.finish(fingerprint.key, future, result=result)
-            return result
-        return await self._compute(fingerprint, k, deadline_ms)
+            except BaseException:
+                # The leader failed; followers fall through and try
+                # on their own (the failure may have been transient
+                # admission, not the query).
+                coalesce = False
+        return await self._compute(fingerprint, k, deadline_ms, coalesce)
 
-    async def _compute(self, fingerprint, k, deadline_ms
-                       ) -> "tuple[int, dict | None, bytes | None]":
+    async def _compute(self, fingerprint, k, deadline_ms, coalesce: bool
+                       ) -> "tuple[int, dict | None, bytes]":
+        """Submit, and lead a single-flight group only for a computation.
+
+        ``submit`` answers a cached request with a future that is
+        already done: that one is read here and now — no single-flight
+        future, no hop through the loop's thread-safe callback queue.
+        Nothing awaits between :meth:`_answer`'s in-flight check and
+        the ``lead_or_follow`` below, so a leader is still unique.
+        """
+        serving = self.serving
+        key, leading = fingerprint.key, None
         try:
-            engine_future = self.serving.submit(
-                fingerprint.graph, k, deadline_ms=deadline_ms,
-                fingerprint=fingerprint)
-        except OverloadedError as exc:
-            return 503, {
-                "error": "OverloadedError", "message": str(exc),
-                "in_flight": exc.in_flight, "capacity": exc.capacity,
-                "draining": self.serving.draining}, None
-        except (ParseError, InvalidQueryError) as exc:
-            message = (exc.one_line() if isinstance(exc, ParseError)
-                       else str(exc))
-            return 400, {"error": type(exc).__name__,
-                         "message": message}, None
-        except ReproError as exc:
-            return 500, {"error": type(exc).__name__,
-                         "message": str(exc)}, None
+            engine_future = serving.submit(
+                None, k, deadline_ms=deadline_ms, fingerprint=fingerprint)
+            if engine_future.done():
+                result = engine_future.result()
+            else:
+                if coalesce:
+                    _, leading = self.flight.lead_or_follow(key)
+                result = await asyncio.wrap_future(engine_future)
+            response = 200, None, response_body(result)
         except Exception as exc:
-            return 500, {"error": "InternalError",
-                         "message": type(exc).__name__}, None
-        try:
-            result = await asyncio.wrap_future(engine_future)
-        except (ParseError, InvalidQueryError) as exc:
-            message = (exc.one_line() if isinstance(exc, ParseError)
-                       else str(exc))
-            return 400, {"error": type(exc).__name__,
-                         "message": message}, None
-        except ReproError as exc:
-            return 500, {"error": type(exc).__name__,
-                         "message": str(exc)}, None
-        except Exception as exc:
-            return 500, {"error": "InternalError",
-                         "message": type(exc).__name__}, None
-        payload = dict(result.payload)
-        payload["cached"] = result.cached
-        payload["latency_ms"] = round(result.latency_ms, 3)
-        raw = json.dumps(payload).encode("utf-8")
-        return 200, None, raw
+            response = failure_response(exc, serving.draining)
+        except BaseException as exc:
+            if leading is not None:
+                self.flight.finish(key, leading, error=exc)
+            raise
+        if leading is not None:
+            self.flight.finish(key, leading, result=response)
+        return response
 
     # -- responses ----------------------------------------------------------
 
@@ -704,10 +690,15 @@ class AsyncServingServer:
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         try:
             writer.write(head + body)
-            await asyncio.wait_for(writer.drain(), self.write_timeout_s)
+            transport = writer.transport
+            # A response the kernel took whole needs no drain; a closing
+            # transport still does, to learn of the reset that closed it.
+            if transport.is_closing() or transport.get_write_buffer_size():
+                async with asyncio.timeout(self.write_timeout_s):
+                    await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             self._disconnects.inc()
-        except asyncio.TimeoutError:
+        except TimeoutError:
             self.connections.timeouts += 1
             raise ConnectionResetError("write timeout") from None
 
@@ -782,8 +773,14 @@ _REASONS = {
 }
 
 
-def _parse_head(head: bytes) -> "tuple[tuple[str, str, str], dict]":
-    """(request line, lower-cased header map) or ``ValueError``."""
+def _parse_head(head: bytes
+                ) -> "tuple[tuple[str, str, str], dict, list[str]]":
+    """(request line, lower-cased header map, every ``Content-Length``
+    value in order) or ``ValueError``.
+
+    The map keeps the last of a repeated header, which is harmless for
+    every header but the one that frames the body — hence the list.
+    """
     try:
         text = head.decode("latin-1")
     except UnicodeDecodeError:
@@ -796,35 +793,19 @@ def _parse_head(head: bytes) -> "tuple[tuple[str, str, str], dict]":
     if version not in ("HTTP/1.1", "HTTP/1.0"):
         raise ValueError(f"unsupported protocol {version!r}")
     headers: "dict[str, str]" = {}
+    lengths: "list[str]" = []
     for line in lines[1:]:
         if not line:
             continue
         name, sep, value = line.partition(":")
         if not sep:
             raise ValueError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    return (method, path, version), headers
-
-
-def _parse_query_document(body: bytes) -> "tuple[str, int | None, float | None]":
-    """Validate the POST /query body; shared shape with the threaded
-    front end (same messages, same 400 conditions)."""
-    if not body:
-        raise ValueError("empty request body")
-    document = json.loads(body.decode("utf-8"))
-    if not isinstance(document, dict):
-        raise ValueError("request body must be a JSON object")
-    query = document.get("query")
-    if not isinstance(query, str) or not query.strip():
-        raise ValueError("'query' must be non-empty SPARQL text")
-    k = document.get("k")
-    if k is not None and (not isinstance(k, int) or k < 1):
-        raise ValueError("'k' must be a positive integer")
-    deadline_ms = document.get("deadline_ms")
-    if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or deadline_ms < 0):
-        raise ValueError("'deadline_ms' must be a number >= 0")
-    return query, k, deadline_ms
+        name = name.strip().lower()
+        value = value.strip(" \t")   # optional whitespace is SP / HTAB only
+        headers[name] = value
+        if name == "content-length":
+            lengths.append(value)
+    return (method, path, version), headers, lengths
 
 
 def serve_async(engine_or_serving, host: str = "127.0.0.1",

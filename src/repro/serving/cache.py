@@ -29,6 +29,7 @@ are evicted around it.
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -75,6 +76,20 @@ class CachedResult:
     size_bytes: int
     epoch: "int | tuple"       # scalar epoch, or per-shard vector (sharded)
     key: str = field(repr=False, default="")
+    #: ``payload`` as JSON bytes, kept from the first hit onwards so a
+    #: hit renders nothing; an entry that is never hit never holds it.
+    body: "bytes | None" = field(repr=False, default=None)
+
+    def rendered(self) -> bytes:
+        """The JSON bytes of ``payload`` (rendered once, then kept).
+
+        Two threads racing on the first hit both render the same bytes;
+        the last store wins and nothing is lost.
+        """
+        body = self.body
+        if body is None:
+            body = self.body = json.dumps(self.payload).encode("utf-8")
+        return body
 
 
 class ResultCache:

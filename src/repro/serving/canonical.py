@@ -66,7 +66,13 @@ def cache_key(query, k: int, epoch: int, mode: str = "off") -> str:
     by construction, but approximate mode may not — keying the cache
     by mode guarantees staged and exhaustive results never alias, even
     across a config flip on a reused cache."""
-    return f"epoch={epoch}|k={k}|mode={mode}|{canonical_form(query)}"
+    return key_of_form(canonical_form(query), k, epoch, mode)
+
+
+def key_of_form(form: str, k: int, epoch, mode: str = "off") -> str:
+    """:func:`cache_key` for a query whose canonical form is already
+    known (the serving engine's request memo keeps forms by text)."""
+    return f"epoch={epoch}|k={k}|mode={mode}|{form}"
 
 
 def _pattern_set(query) -> list[Triple]:

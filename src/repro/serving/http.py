@@ -26,12 +26,9 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..resilience.errors import (InvalidQueryError, OverloadedError,
-                                 ParseError, ReproError)
 from .service import ServingEngine
-
-#: Hard cap on accepted request bodies (a query, not a dataset).
-MAX_BODY_BYTES = 1 << 20
+from .wire import (MAX_BODY_BYTES, content_length, failure_response,
+                   parse_query_document, response_body)
 
 
 class ServingRequestHandler(BaseHTTPRequestHandler):
@@ -61,10 +58,15 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: dict,
                    headers: "dict[str, str] | None" = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send_body(status, json.dumps(payload).encode("utf-8"),
+                        headers=headers)
+
+    def _send_body(self, status: int, body: bytes,
+                   content_type: str = "application/json",
+                   headers: "dict[str, str] | None" = None) -> None:
         try:
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
@@ -81,6 +83,16 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
             # handler thread must survive to serve the next connection.
             self._note_disconnect()
 
+    def _declared_length(self) -> int:
+        """The request's ``Content-Length`` (absent → 0).  A malformed
+        or self-contradicting one closes the connection — where the
+        body ends is unknown — and raises ``ValueError``."""
+        try:
+            return content_length(self.headers.get_all("Content-Length"))
+        except ValueError:
+            self.close_connection = True
+            raise
+
     def _read_raw_body(self) -> bytes:
         """The declared request body, read *fully* (or ``ValueError``).
 
@@ -92,12 +104,8 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         truncated body closes the connection, because the framing can
         no longer be trusted.
         """
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except (TypeError, ValueError):
-            self.close_connection = True
-            raise ValueError("missing or malformed Content-Length")
-        if length <= 0:
+        length = self._declared_length()
+        if length == 0:
             raise ValueError("empty request body")
         if length > MAX_BODY_BYTES:
             # Never read (or drain) an oversized body — the connection
@@ -128,11 +136,10 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         drained here, or the connection is marked to close.
         """
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except (TypeError, ValueError):
-            self.close_connection = True
+            length = self._declared_length()
+        except ValueError:
             return
-        if length <= 0:
+        if length == 0:
             return
         if length > MAX_BODY_BYTES:
             self.close_connection = True
@@ -144,13 +151,6 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
                 self.close_connection = True
                 return
             remaining -= len(chunk)
-
-    def _read_body(self) -> dict:
-        raw = self._read_raw_body()
-        document = json.loads(raw.decode("utf-8"))
-        if not isinstance(document, dict):
-            raise ValueError("request body must be a JSON object")
-        return document
 
     # -- endpoints ---------------------------------------------------------
 
@@ -166,16 +166,9 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         elif self.path == "/stats":
             self._send_json(200, self.serving.stats_payload())
         elif self.path == "/metrics":
-            body = self.serving.render_metrics().encode("utf-8")
-            try:
-                self.send_response(200)
-                self.send_header("Content-Type",
-                                 "text/plain; version=0.0.4; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-            except (BrokenPipeError, ConnectionResetError):
-                self._note_disconnect()
+            self._send_body(
+                200, self.serving.render_metrics().encode("utf-8"),
+                content_type="text/plain; version=0.0.4; charset=utf-8")
         else:
             self._send_json(404, {"error": "NotFound", "message": self.path})
 
@@ -187,50 +180,20 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": "NotFound", "message": self.path})
             return
         try:
-            document = self._read_body()
-            query = document.get("query")
-            if not isinstance(query, str) or not query.strip():
-                raise ValueError("'query' must be non-empty SPARQL text")
-            k = document.get("k")
-            if k is not None and (not isinstance(k, int) or k < 1):
-                raise ValueError("'k' must be a positive integer")
-            deadline_ms = document.get("deadline_ms")
-            if deadline_ms is not None and (
-                    not isinstance(deadline_ms, (int, float))
-                    or deadline_ms < 0):
-                raise ValueError("'deadline_ms' must be a number >= 0")
-        except (ValueError, json.JSONDecodeError) as exc:
+            query, k, deadline_ms = parse_query_document(
+                self._read_raw_body())
+        except ValueError as exc:  # JSON and UTF-8 errors included
             self._send_json(400, {"error": "BadRequest", "message": str(exc)})
             return
 
         try:
             result = self.serving.query(query, k=k, deadline_ms=deadline_ms)
-        except OverloadedError as exc:
-            draining = self.serving.draining
-            self._send_json(503, {
-                "error": "OverloadedError", "message": str(exc),
-                "in_flight": exc.in_flight, "capacity": exc.capacity,
-                "draining": draining,
-            }, headers={"Retry-After": "5" if draining else "1"})
+        except Exception as exc:
+            status, headers, body = failure_response(
+                exc, self.serving.draining)
+            self._send_body(status, body, headers=headers)
             return
-        except (ParseError, InvalidQueryError) as exc:
-            message = (exc.one_line() if isinstance(exc, ParseError)
-                       else str(exc))
-            self._send_json(400, {"error": type(exc).__name__,
-                                  "message": message})
-            return
-        except ReproError as exc:
-            self._send_json(500, {"error": type(exc).__name__,
-                                  "message": str(exc)})
-            return
-        except Exception as exc:  # never leak a traceback to the wire
-            self._send_json(500, {"error": "InternalError",
-                                  "message": type(exc).__name__})
-            return
-        payload = dict(result.payload)
-        payload["cached"] = result.cached
-        payload["latency_ms"] = round(result.latency_ms, 3)
-        self._send_json(200, payload)
+        self._send_body(200, response_body(result))
 
 
 class ServingServer:

@@ -7,6 +7,11 @@ label dictionary — and dispatches queries across a bounded worker
 pool, the shape the paper's §5 online/offline split implies for a
 production deployment.
 
+A request the service has seen before is cheap before it gets that
+far: a bounded :class:`RequestMemo` maps raw query text to canonical
+form, so a repeated text is fingerprinted without being parsed, and a
+cache entry keeps its rendered JSON from its first hit on.
+
 Three mechanisms make it safe under load:
 
 - **Admission control.**  At most ``workers + max_queue`` requests are
@@ -31,18 +36,20 @@ Three mechanisms make it safe under load:
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from ..engine.sama import SamaEngine
 from ..obs import Sample, SlowQueryLog, get_registry, start_trace
 from ..resilience.budget import PartialResult
 from ..resilience.errors import OverloadedError
 from .cache import CachedResult, ResultCache
-from .canonical import cache_key
+from .canonical import canonical_form, key_of_form
 
 #: Latency samples kept for the p50/p95 estimates on ``/stats``.
 LATENCY_WINDOW = 4096
@@ -73,7 +80,73 @@ class ServingConfig:
     slow_query_log: "str | None" = None
 
 
-@dataclass(eq=False)
+#: Byte bound of a :class:`RequestMemo`.  Every entry is charged the
+#: exact ``sys.getsizeof`` of its two strings plus
+#: :data:`MEMO_ENTRY_OVERHEAD` for its ``OrderedDict`` slot, so the
+#: memo's worst case is this constant — 1 MiB — whatever the texts
+#: look like (≈ 1300 entries at the 300-character texts of the LUBM
+#: workload).  A text that alone would take more than 1/64 of it
+#: (16 KiB) is not memoised.
+MEMO_MAX_BYTES = 1 << 20
+MEMO_ENTRY_OVERHEAD = 128
+
+
+class RequestMemo:
+    """Bounded LRU from raw query text to its canonical form.
+
+    The canonical form is a pure function of the text, so an entry is
+    never stale: epoch, ``k`` and retrieval mode are appended per
+    request (:func:`~repro.serving.canonical.key_of_form`).  Strings
+    only — no parsed graph is kept — and a text that fails to parse is
+    never stored, so it gets its diagnostic every time.
+    """
+
+    def __init__(self):
+        self.hits = 0
+        self.misses = 0
+        self._forms: "OrderedDict[str, str]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _cost(text: str, form: str) -> int:
+        return sys.getsizeof(text) + sys.getsizeof(form) + MEMO_ENTRY_OVERHEAD
+
+    def __contains__(self, text: str) -> bool:
+        # Uncounted and unlocked (dict membership is atomic): the
+        # asyncio front end asks this to decide where to fingerprint.
+        return text in self._forms
+
+    def __len__(self) -> int:
+        return len(self._forms)
+
+    @property
+    def current_bytes(self) -> int:
+        return self._bytes
+
+    def get(self, text: str) -> "str | None":
+        with self._lock:
+            form = self._forms.get(text)
+            if form is None:
+                self.misses += 1
+                return None
+            self._forms.move_to_end(text)
+            self.hits += 1
+            return form
+
+    def put(self, text: str, form: str) -> None:
+        cost = self._cost(text, form)
+        if cost > MEMO_MAX_BYTES // 64:
+            return
+        with self._lock:
+            if text in self._forms:
+                return
+            self._forms[text] = form
+            self._bytes += cost
+            while self._bytes > MEMO_MAX_BYTES:
+                self._bytes -= self._cost(*self._forms.popitem(last=False))
+
+
 class RequestFingerprint:
     """The canonical identity of one request, computed once.
 
@@ -83,13 +156,34 @@ class RequestFingerprint:
     request can coalesce onto an in-flight computation, then hand it
     back to :meth:`ServingEngine.submit` so the query is only
     canonicalised once per request.
+
+    ``graph`` is the coerced :class:`QueryGraph`.  When the request
+    memo already knew the text nothing was parsed to build the
+    fingerprint, and the graph is parsed on first access — which for a
+    served request happens inside the worker task and only when the
+    result cache missed.
     """
 
-    graph: "object"            # the coerced QueryGraph
-    k: int
-    key: str
-    epoch_key: "int | tuple"   # scalar epoch or per-shard vector
-    epoch: int                 # monotone scalar (vector sum when sharded)
+    __slots__ = ("k", "key", "form", "epoch_key", "epoch", "_graph",
+                 "_parse")
+
+    def __init__(self, k: int, key: str, form: str,
+                 epoch_key: "int | tuple", epoch: int, graph=None,
+                 parse=None):
+        self.k = k
+        self.key = key
+        self.form = form            # canonical text, epoch/k/mode-free
+        self.epoch_key = epoch_key  # scalar epoch or per-shard vector
+        self.epoch = epoch          # monotone scalar (vector sum if sharded)
+        self._graph = graph
+        self._parse = parse         # () -> QueryGraph, when graph is None
+
+    @property
+    def graph(self):
+        graph = self._graph
+        if graph is None:
+            graph = self._graph = self._parse()
+        return graph
 
 
 @dataclass
@@ -102,6 +196,9 @@ class ServedResult:
     latency_ms: float
     epoch: int
     k: int
+    #: ``payload`` as JSON bytes when the serving engine already has
+    #: them (a cache hit, or a miss it rendered to size its entry).
+    body: "bytes | None" = None
 
     @property
     def complete(self) -> bool:
@@ -232,6 +329,7 @@ class ServingEngine:
             raise ValueError("max_queue must be >= 0")
         self.capacity = self.config.workers + self.config.max_queue
         self.cache = ResultCache(self.config.cache_bytes)
+        self.memo = RequestMemo()
         self.stats = ServingStats()
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers,
@@ -323,15 +421,31 @@ class ServingEngine:
         Front ends that deduplicate (the asyncio single-flight layer)
         call this first, key their in-flight map by ``.key``, and pass
         the fingerprint to :meth:`submit` so canonicalisation happens
-        once per request, not twice.
+        once per request, not twice.  For a text the request memo
+        knows this is a dictionary lookup and a string format —
+        nothing is lexed, parsed or canonicalised.
         """
         k = self.config.default_k if k is None else k
-        graph = self.engine._coerce_query(query)
-        epoch_key = self.epoch_key
+        return self._fingerprint(query, k, self.epoch_key)
+
+    def _fingerprint(self, query, k: int,
+                     epoch_key: "int | tuple") -> RequestFingerprint:
+        """Fingerprint ``query`` — or re-key a stale fingerprint, whose
+        canonical form and graph carry over — at ``epoch_key``."""
+        if isinstance(query, RequestFingerprint):
+            form, graph, parse = query.form, query._graph, query._parse
+        elif (isinstance(query, str)
+              and (form := self.memo.get(query)) is not None):
+            graph, parse = None, partial(self.engine._coerce_query, query)
+        else:
+            graph, parse = self.engine._coerce_query(query), None
+            form = canonical_form(graph)
+            if isinstance(query, str):
+                self.memo.put(query, form)
         epoch = epoch_key if isinstance(epoch_key, int) else sum(epoch_key)
-        key = cache_key(graph, k, epoch_key, self._retrieval_mode())
-        return RequestFingerprint(graph=graph, k=k, key=key,
-                                  epoch_key=epoch_key, epoch=epoch)
+        key = key_of_form(form, k, epoch_key, self._retrieval_mode())
+        return RequestFingerprint(k, key, form, epoch_key, epoch,
+                                  graph=graph, parse=parse)
 
     def submit(self, query, k: "int | None" = None, *,
                deadline_ms: "float | None" = None,
@@ -344,8 +458,8 @@ class ServingEngine:
         Cache hits are answered inline on the caller's thread — they
         cost a dictionary lookup and are never shed.  ``fingerprint``
         (from :meth:`fingerprint`) is reused when it still matches the
-        requested ``k`` and the current epoch; a stale one is simply
-        recomputed.
+        requested ``k`` and the current epoch, a stale one is re-keyed;
+        either way ``query`` is not looked at.
         """
         if self._closed:
             raise RuntimeError("serving engine is closed")
@@ -378,23 +492,16 @@ class ServingEngine:
             # by entries no future request can reach.
             self.cache.drop_stale_epochs(epoch_key)
 
-        fresh = (fingerprint is not None and fingerprint.k == k
-                 and fingerprint.epoch_key == epoch_key)
-        if fresh:
-            graph = fingerprint.graph
-            key = fingerprint.key if self.cache.max_bytes else ""
-        else:
-            # No (or stale) fingerprint: canonicalise here.  A stale
-            # one means the epoch moved since the front end computed it
-            # — the fresh key keeps the entry from being filed (or
-            # looked up) under the dead epoch.  Without a cache there
-            # is nothing to key, so the canonical form is never built.
-            graph = (fingerprint.graph if fingerprint is not None
-                     else self.engine._coerce_query(query))
-            key = (cache_key(graph, k, epoch_key, self._retrieval_mode())
-                   if self.cache.max_bytes else "")
-
-        if key:
+        if self.cache.max_bytes:
+            if (fingerprint is None or fingerprint.k != k
+                    or fingerprint.epoch_key != epoch_key):
+                # No fingerprint, or a stale one: the epoch moved since
+                # the front end computed it, and the fresh key keeps
+                # the entry from being filed (or looked up) under the
+                # dead epoch.
+                fingerprint = self._fingerprint(fingerprint or query, k,
+                                                epoch_key)
+            key = fingerprint.key
             entry = self.cache.get(key)
             if entry is not None:
                 latency = (time.perf_counter() - started) * 1000.0
@@ -403,8 +510,17 @@ class ServingEngine:
                 future: "Future[ServedResult]" = Future()
                 future.set_result(ServedResult(
                     answers=entry.answers, payload=entry.payload,
-                    cached=True, latency_ms=latency, epoch=epoch, k=k))
+                    cached=True, latency_ms=latency, epoch=epoch, k=k,
+                    body=entry.rendered()))
                 return future
+        else:
+            # Without a cache there is nothing to key, so the canonical
+            # form is never built.
+            key = ""
+        # A memo-known text has not been parsed yet: the worker does it
+        # (fingerprint.graph), off the caller's thread.
+        source = (fingerprint if fingerprint is not None
+                  else self.engine._coerce_query(query))
 
         if not self._admission.acquire(blocking=False):
             self.stats.note_shed()
@@ -421,7 +537,7 @@ class ServingEngine:
             else:
                 deadline_ms = min(deadline_ms, self.config.queue_deadline_ms)
         try:
-            return self._pool.submit(self._serve, graph, k, deadline_ms,
+            return self._pool.submit(self._serve, source, k, deadline_ms,
                                      key, epoch, epoch_key, started)
         except BaseException:
             with self._flight_lock:
@@ -434,10 +550,12 @@ class ServingEngine:
         """Answer one request synchronously (submit + wait)."""
         return self.submit(query, k, deadline_ms=deadline_ms).result()
 
-    def _serve(self, graph, k: int, deadline_ms: "float | None",
+    def _serve(self, source, k: int, deadline_ms: "float | None",
                key: str, epoch: int, epoch_key: "int | tuple",
                started: float) -> ServedResult:
         try:
+            graph = (source.graph if isinstance(source, RequestFingerprint)
+                     else source)
             if self.slow_log is not None:
                 # Capture the per-stage breakdown so a slow line says
                 # where the time went, not just that it went.
@@ -450,14 +568,17 @@ class ServingEngine:
                                             deadline_ms=deadline_ms)
                 stages_ms = None
             payload = answers_payload(answers, k, epoch)
+            body = None
             if key and answers.complete and self.epoch_key == epoch_key:
                 # Complete results only: a degraded ranking must not be
                 # replayed to callers with healthier budgets.  The
                 # epoch re-check keeps a result computed during an
                 # update from being filed under the pre-update key.
-                size = len(json.dumps(payload).encode("utf-8"))
+                # The bytes that size the entry go out with this
+                # response; the entry renders its own on a first hit.
+                body = json.dumps(payload).encode("utf-8")
                 self.cache.put(CachedResult(
-                    answers=answers, payload=payload, size_bytes=size,
+                    answers=answers, payload=payload, size_bytes=len(body),
                     epoch=epoch_key, key=key))
             latency = (time.perf_counter() - started) * 1000.0
             self.stats.record(latency, degraded=answers.degraded)
@@ -471,7 +592,7 @@ class ServingEngine:
                     stages_ms=stages_ms)
             return ServedResult(answers=answers, payload=payload,
                                 cached=False, latency_ms=latency,
-                                epoch=epoch, k=k)
+                                epoch=epoch, k=k, body=body)
         except Exception:
             self.stats.record((time.perf_counter() - started) * 1000.0,
                               error=True)
@@ -530,6 +651,12 @@ class ServingEngine:
                 "bytes": self.cache.current_bytes,
                 "max_bytes": self.cache.max_bytes,
             },
+            "request_memo": {
+                "entries": len(self.memo),
+                "bytes": self.memo.current_bytes,
+                "hits": self.memo.hits,
+                "misses": self.memo.misses,
+            },
             "obs": self.registry.snapshot(),
         }
 
@@ -580,6 +707,18 @@ class ServingEngine:
                      self.cache.current_bytes)
         yield Sample("sama_result_cache_entries", "gauge",
                      "Entries currently cached", len(self.cache))
+        yield Sample("sama_request_memo_entries", "gauge",
+                     "Query texts whose canonical form is memoised",
+                     len(self.memo))
+        yield Sample("sama_request_memo_bytes", "gauge",
+                     "Bytes charged to the request memo",
+                     self.memo.current_bytes)
+        yield Sample("sama_request_memo_hits_total", "counter",
+                     "Requests fingerprinted without parsing their text",
+                     self.memo.hits)
+        yield Sample("sama_request_memo_misses_total", "counter",
+                     "Requests whose text had to be parsed and canonicalised",
+                     self.memo.misses)
 
         index = self.engine.index
         pool = getattr(index, "cache_stats", None)

@@ -180,6 +180,56 @@ class TestKeepAliveFraming:
         finally:
             sock.close()
 
+    @pytest.mark.parametrize("declared", ["-3", "+5", "1_0", "٧"])
+    def test_non_digit_content_length_is_400_and_closed(self, server,
+                                                        declared):
+        """``int()`` took all of these; ``-3`` read no body and left it
+        on the wire to be parsed as the next request."""
+        sock, handle = _connect(server)
+        try:
+            sock.sendall(b"POST /query HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: " + declared.encode("utf-8")
+                         + b"\r\n\r\n" + QUERY_BODY + _post(QUERY_BODY))
+            status, headers, body = _read_response(handle)
+            assert status == 400
+            assert b"malformed Content-Length" in body
+            assert headers.get("connection") == "close"
+            assert handle.read(1) == b"", \
+                "the unframed bytes were served as a request"
+        finally:
+            sock.close()
+
+    def test_conflicting_content_lengths_are_400_and_closed(self, server):
+        """Two different lengths: the last one used to win silently."""
+        before = (server.connections.framing_close
+                  if server.frontend == "asyncio" else None)
+        sock, handle = _connect(server)
+        try:
+            sock.sendall(b"POST /query HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: 5\r\n"
+                         + f"Content-Length: {len(QUERY_BODY)}".encode()
+                         + b"\r\n\r\n" + QUERY_BODY)
+            status, headers, body = _read_response(handle)
+            assert status == 400
+            assert b"conflicting Content-Length" in body
+            assert headers.get("connection") == "close"
+            assert handle.read(1) == b""
+        finally:
+            sock.close()
+        if before is not None:
+            assert server.connections.framing_close == before + 1
+
+    def test_agreeing_repeated_content_length_is_served(self, server):
+        sock, handle = _connect(server)
+        try:
+            length = f"Content-Length: {len(QUERY_BODY)}\r\n".encode()
+            sock.sendall(b"POST /query HTTP/1.1\r\nHost: t\r\n" + length
+                         + length + b"\r\n" + QUERY_BODY + _post(QUERY_BODY))
+            assert _read_response(handle)[0] == 200
+            assert _read_response(handle)[0] == 200
+        finally:
+            sock.close()
+
 
 class TestClientDisconnect:
     def test_disconnect_mid_response_counts_and_survives(

@@ -1,0 +1,471 @@
+"""The hit path of ``repro.serving``: request memo, inline hits,
+pre-rendered bodies — and the request validation both front ends share.
+
+A cached answer must cost what a lookup costs *without* changing what
+is answered: the memo may neither split nor merge cache entries, a hit
+body is byte-identical to the ``json.dumps`` rendering it replaces,
+and every check a request used to pass (drain, parse errors, epoch
+invalidation, single-flight for first-time requests) still runs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import signal
+import socket
+import string
+import subprocess
+import sys
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cli import main
+from repro.engine import SamaEngine
+from repro.index.incremental import IncrementalIndex
+from repro.rdf import ntriples
+from repro.rdf.sparql import parse_select
+from repro.rdf.terms import Literal
+from repro.resilience import OverloadedError, ParseError
+from repro.resilience.budget import PartialResult
+from repro.serving import (ServedResult, ServingConfig, ServingEngine,
+                           cache_key, serve, serve_async)
+from repro.serving.service import MEMO_MAX_BYTES, RequestMemo
+from repro.serving.wire import (content_length, parse_query_document,
+                                response_body)
+
+from .test_aserve import _connect, _post, _read_response
+from .test_canonical import _renamed, bgps
+
+GOV = "http://example.org/govtrack/"
+QUERY = (f'PREFIX gov: <{GOV}> '
+         'SELECT ?v WHERE { ?v gov:gender "Male" . }')
+Q1_TEXT = (f"SELECT ?v3 WHERE {{ <{GOV}CarlaBunes> <{GOV}sponsor> ?v1 ."
+           f" ?v1 <{GOV}aTo> ?v2 . ?v2 <{GOV}subject> 'Health Care' ."
+           f" ?v3 <{GOV}sponsor> ?v2 . ?v3 <{GOV}gender> 'Male' . }}")
+
+
+def _reference(result: ServedResult) -> bytes:
+    """The 200 body as both front ends rendered it before the splice."""
+    payload = dict(result.payload)
+    payload["cached"] = result.cached
+    payload["latency_ms"] = round(result.latency_ms, 3)
+    return json.dumps(payload).encode("utf-8")
+
+
+# -- the memo neither splits nor merges cache entries -------------------------
+
+
+class _Index:
+    epoch = 0
+    path_count = 0
+
+
+class _ParsingEngine:
+    """What ``ServingEngine.fingerprint`` touches, with the real parser."""
+
+    def __init__(self):
+        self.index = _Index()
+
+    def _coerce_query(self, query):
+        return (parse_select(query).graph() if isinstance(query, str)
+                else query)
+
+    def close(self):
+        pass
+
+
+def _sparql(triples, rng: random.Random) -> str:
+    """``triples`` as SELECT text with seeded whitespace between tokens."""
+    def gap():
+        return rng.choice([" ", "  ", "\n", "\t", " \n  "])
+    body = gap().join(f"{s.n3()}{gap()}{p.n3()}{gap()}{o.n3()}{gap()}."
+                      for s, p, o in triples)
+    return f"SELECT{gap()}*{gap()}WHERE{gap()}{{{gap()}{body}{gap()}}}"
+
+
+class TestMemoisedKey:
+    @settings(max_examples=120, deadline=None)
+    @given(bgps(), st.integers(min_value=0, max_value=2**32),
+           st.integers(min_value=1, max_value=50))
+    def test_memoised_key_is_the_cache_key(self, triples, seed, k):
+        """Renamed, reordered, re-spaced: different texts, one entry —
+        and a memo-known text's key is exactly ``cache_key`` of its
+        parse, at the epoch of the request."""
+        rng = random.Random(seed)
+        texts = [_sparql(triples, rng),
+                 _sparql(_renamed(triples, seed), rng)]
+        serving = ServingEngine(_ParsingEngine(), ServingConfig(workers=1))
+        try:
+            for epoch in (0, 3):
+                serving.engine.index.epoch = epoch
+                keys = set()
+                for text in texts:
+                    expected = cache_key(parse_select(text).graph(), k,
+                                         epoch, serving._retrieval_mode())
+                    for _ in range(2):      # second time from the memo
+                        assert serving.fingerprint(text, k).key == expected
+                    keys.add(expected)
+                assert len(keys) == 1, "equivalent texts split the cache"
+            assert len(serving.memo) == len(set(texts))
+            assert serving.memo.misses == len(set(texts))
+        finally:
+            serving.close()
+
+    def test_memo_known_fingerprint_parses_lazily(self, govtrack_engine):
+        serving = ServingEngine(govtrack_engine, ServingConfig(workers=1))
+        try:
+            first = serving.fingerprint(QUERY, 5)
+            assert first._graph is not None       # parsed to canonicalise
+            again = serving.fingerprint(QUERY, 5)
+            assert again.key == first.key and again._graph is None
+            assert sorted(again.graph.triples()) \
+                == sorted(first.graph.triples())
+            # A parsed query never touches the memo (the benchmark's
+            # stepped path hands one in).
+            select = parse_select(QUERY)
+            assert serving.fingerprint(select, 5).key == first.key
+            assert (serving.memo.hits, serving.memo.misses) == (1, 1)
+        finally:
+            serving.close(close_engine=False)
+
+    def test_unparseable_text_never_enters_the_memo(self, govtrack_engine):
+        serving = ServingEngine(govtrack_engine, ServingConfig(workers=1))
+        broken = "SELECT ?x WHERE { broken"
+        try:
+            for _ in range(3):
+                with pytest.raises(ParseError):
+                    serving.fingerprint(broken, 5)
+                with pytest.raises(ParseError):
+                    serving.query(broken, 5)
+            assert broken not in serving.memo and len(serving.memo) == 0
+            assert serving.memo.misses == 6
+        finally:
+            serving.close(close_engine=False)
+
+    def test_memo_stays_inside_its_byte_bound(self):
+        memo = RequestMemo()
+        for i in range(10_000):
+            memo.put(f"SELECT * WHERE {{ ?x <http://x/p{i}> ?y . }}" * 3,
+                     f"?_0 <http://x/p{i}> ?_1\n" * 3)
+            assert memo.current_bytes <= MEMO_MAX_BYTES
+        assert 0 < len(memo) < 10_000
+        # Least recently used went first; the newest text is still known.
+        assert f"SELECT * WHERE {{ ?x <http://x/p{9_999}> ?y . }}" * 3 in memo
+        assert memo.get("SELECT * WHERE { ?x <http://x/p0> ?y . }" * 3) is None
+        # A text too large to share the memo with 63 others is not
+        # kept at all — sized by what it takes (4 bytes a character
+        # here), not by its length.
+        before = memo.current_bytes
+        memo.put("\U0001F600" * 20_000, "form")
+        assert memo.current_bytes == before
+
+
+# -- bodies ------------------------------------------------------------------
+
+
+class TestRenderedBodies:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+           st.booleans(),
+           st.dictionaries(st.text(string.printable + "é☃", max_size=6),
+                           st.one_of(st.integers(), st.booleans(),
+                                     st.text(max_size=8),
+                                     st.lists(st.floats(allow_nan=False,
+                                                        allow_infinity=False),
+                                              max_size=3)),
+                           max_size=4),
+           st.booleans())
+    def test_splice_equals_json_dumps(self, latency, cached, payload,
+                                      prerendered):
+        result = ServedResult(
+            answers=PartialResult([]), payload=payload, cached=cached,
+            latency_ms=latency, epoch=0, k=1,
+            body=(json.dumps(payload).encode("utf-8")
+                  if prerendered else None))
+        assert response_body(result) == _reference(result)
+
+    def test_miss_first_hit_and_later_hits(self, govtrack_engine):
+        serving = ServingEngine(govtrack_engine, ServingConfig(workers=2))
+        try:
+            results = [serving.query(Q1_TEXT, 5) for _ in range(3)]
+            assert [r.cached for r in results] == [False, True, True]
+            for result in results:
+                assert result.body is not None
+                assert response_body(result) == _reference(result)
+            # Rendered on the first hit, the same object on the next.
+            assert results[1].body is results[2].body
+        finally:
+            serving.close(close_engine=False)
+
+    def test_uncached_result_still_renders(self, govtrack_engine):
+        serving = ServingEngine(govtrack_engine, ServingConfig(
+            workers=1, cache_bytes=0))
+        try:
+            result = serving.query(Q1_TEXT, 5)
+            assert result.body is None and not result.cached
+            assert response_body(result) == _reference(result)
+        finally:
+            serving.close(close_engine=False)
+
+    @pytest.mark.parametrize("frontend", [serve, serve_async])
+    def test_wire_bodies_are_the_json_dumps_bytes(self, govtrack_engine,
+                                                  frontend):
+        serving = ServingEngine(govtrack_engine, ServingConfig(workers=2))
+        http = frontend(serving, port=0).serve_background()
+        try:
+            sock, handle = _connect(http)
+            try:
+                body = json.dumps({"query": Q1_TEXT, "k": 5}).encode()
+                sock.sendall(_post(body) * 3)
+                replies = [_read_response(handle) for _ in range(3)]
+            finally:
+                sock.close()
+        finally:
+            http.shutdown(close_engine=False)
+        documents = [json.loads(raw) for _, _, raw in replies]
+        assert [status for status, _, _ in replies] == [200] * 3
+        assert [doc["cached"] for doc in documents] == [False, True, True]
+        for (_, _, raw), document in zip(replies, documents):
+            # json.dumps of the parsed document, key order kept, is what
+            # the front ends used to send.
+            assert json.dumps(document).encode("utf-8") == raw
+            assert list(document)[-2:] == ["cached", "latency_ms"]
+
+
+# -- the inline hit path keeps every check -----------------------------------
+
+
+@pytest.fixture
+def warmed(govtrack_engine):
+    """An asyncio server that has answered ``QUERY`` once, with the
+    loop's executor submissions counted."""
+    serving = ServingEngine(govtrack_engine, ServingConfig(workers=2))
+    http = serve_async(serving, port=0).serve_background()
+    hops = []
+    run_in_executor = http._loop.run_in_executor
+
+    def counted(*args):
+        hops.append(args)
+        return run_in_executor(*args)
+
+    http._loop.run_in_executor = counted
+    http.hops = hops
+    sock, handle = _connect(http)
+    try:
+        sock.sendall(_post(json.dumps({"query": QUERY, "k": 5}).encode()))
+        status, _, body = _read_response(handle)
+        assert status == 200 and json.loads(body)["cached"] is False
+        yield http, sock, handle
+    finally:
+        sock.close()
+        http.shutdown(close_engine=False)
+
+
+class TestInlineHitPath:
+    HITS = 50
+
+    def test_hits_take_no_executor_hop_and_lead_nothing(self, warmed):
+        http, sock, handle = warmed
+        serving = http.serving
+        # The cold request hopped once to be parsed; it led a group
+        # unless its tiny computation finished before it could.
+        leaders = http.flight.leaders
+        assert len(http.hops) == 1 and leaders <= 1
+        request = _post(json.dumps({"query": QUERY, "k": 5}).encode())
+        for _ in range(self.HITS):
+            sock.sendall(request)
+            status, _, body = _read_response(handle)
+            assert status == 200 and json.loads(body)["cached"] is True
+        assert len(http.hops) == 1, "a memo-known text crossed to a thread"
+        assert http.flight.leaders == leaders, \
+            "a hit led a single-flight group"
+        assert http.flight.coalesced == 0
+        assert serving.memo.hits == self.HITS
+        stats = http.stats_payload()
+        assert stats["cache"]["hits"] == self.HITS
+        assert stats["requests"] == stats["served"] == self.HITS + 1
+        assert stats["request_memo"] == {
+            "entries": 1, "bytes": serving.memo.current_bytes,
+            "hits": self.HITS, "misses": 1}
+        assert stats["latency_p50_ms"] is not None
+        metrics = serving.render_metrics()
+        assert f"sama_request_memo_hits_total {self.HITS}" in metrics
+        assert "sama_request_memo_misses_total 1" in metrics
+        assert "sama_request_memo_entries 1" in metrics
+        assert "sama_request_memo_bytes " in metrics
+
+    def test_unparseable_text_is_400_every_time(self, warmed):
+        http, sock, handle = warmed
+        broken = "SELECT ?x WHERE { broken"
+        request = _post(json.dumps({"query": broken}).encode())
+        for _ in range(3):
+            sock.sendall(request)
+            status, _, body = _read_response(handle)
+            assert status == 400
+            assert "1:19" in json.loads(body)["message"]
+        assert broken not in http.serving.memo
+        assert len(http.serving.memo) == 1
+
+    def test_draining_refuses_a_cached_request_before_the_cache(
+            self, warmed):
+        http, sock, handle = warmed
+        serving = http.serving
+        hits = serving.cache.stats_snapshot().hits
+        serving.start_drain()
+        sock.sendall(_post(json.dumps({"query": QUERY, "k": 5}).encode()))
+        status, headers, body = _read_response(handle)
+        assert status == 503 and headers["retry-after"] == "5"
+        assert json.loads(body)["draining"] is True
+        assert serving.cache.stats_snapshot().hits == hits
+        assert serving.stats.snapshot().drain_rejected == 1
+        with pytest.raises(OverloadedError):
+            serving.query(QUERY, 5)
+
+    def test_memo_known_text_after_an_update_is_a_fresh_miss(
+            self, tmp_path, govtrack):
+        index = IncrementalIndex(govtrack.copy(), str(tmp_path / "inc"))
+        serving = ServingEngine(SamaEngine(index), ServingConfig(workers=2))
+        try:
+            before = serving.query(Q1_TEXT, 10)
+            assert serving.query(Q1_TEXT, 10).cached is True
+            index.add_triples([
+                (GOV + "NewPerson", GOV + "sponsor", GOV + "B1432"),
+                (GOV + "NewPerson", GOV + "gender", Literal("Male")),
+            ])
+            after = serving.query(Q1_TEXT, 10)
+            assert after.cached is False
+            assert after.epoch > before.epoch
+            assert any("NewPerson" in row["bindings"].get("?v3", "")
+                       for row in after.payload["answers"])
+            # The text was parsed for the first request only: the memo
+            # answered the form both later times, the epoch made the key.
+            assert (serving.memo.misses, serving.memo.hits) == (1, 2)
+            assert serving.query(Q1_TEXT, 10).cached is True
+        finally:
+            serving.close()
+
+
+# -- request validation, one copy for both front ends -------------------------
+
+
+class TestQueryDocument:
+    @pytest.mark.parametrize("document, message", [
+        ({"query": QUERY, "k": True}, "'k' must be a positive integer"),
+        ({"query": QUERY, "k": False}, "'k' must be a positive integer"),
+        ({"query": QUERY, "k": 2.0}, "'k' must be a positive integer"),
+        ({"query": QUERY, "deadline_ms": True},
+         "'deadline_ms' must be a number >= 0"),
+    ])
+    def test_booleans_are_not_numbers(self, document, message):
+        with pytest.raises(ValueError, match=message):
+            parse_query_document(json.dumps(document).encode())
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1e999"])
+    def test_non_finite_deadlines_are_rejected(self, literal):
+        body = ('{"query": %s, "deadline_ms": %s}'
+                % (json.dumps(QUERY), literal)).encode()
+        with pytest.raises(ValueError, match="'deadline_ms' must be"):
+            parse_query_document(body)
+
+    def test_valid_documents_pass(self):
+        body = json.dumps({"query": QUERY, "k": 3, "deadline_ms": 0.5})
+        assert parse_query_document(body.encode()) == (QUERY, 3, 0.5)
+        assert parse_query_document(
+            json.dumps({"query": QUERY}).encode()) == (QUERY, None, None)
+
+    @pytest.mark.parametrize("frontend", [serve, serve_async])
+    def test_both_front_ends_answer_400(self, govtrack_engine, frontend):
+        serving = ServingEngine(govtrack_engine, ServingConfig(workers=2))
+        http = frontend(serving, port=0).serve_background()
+        bodies = [b'{"query": %s, "k": true}' % json.dumps(QUERY).encode(),
+                  b'{"query": %s, "deadline_ms": true}'
+                  % json.dumps(QUERY).encode(),
+                  b'{"query": %s, "deadline_ms": NaN}'
+                  % json.dumps(QUERY).encode()]
+        try:
+            sock, handle = _connect(http)
+            try:
+                sock.sendall(b"".join(_post(body) for body in bodies))
+                replies = [_read_response(handle) for _ in bodies]
+            finally:
+                sock.close()
+            assert [status for status, _, _ in replies] == [400] * 3
+            assert all(json.loads(raw)["error"] == "BadRequest"
+                       for _, _, raw in replies)
+            assert len(serving.cache) == 0, "a refused document ran"
+        finally:
+            http.shutdown(close_engine=False)
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("value", ["1_0", "+5", "-3", " 7 ", "7 ",
+                                       "١٢", "0x10", "1e2", ""])
+    def test_only_ascii_digits(self, value):
+        with pytest.raises(ValueError, match="malformed Content-Length"):
+            content_length([value])
+
+    def test_absent_is_zero_and_agreeing_repeats_pass(self):
+        assert content_length(None) == 0 and content_length([]) == 0
+        assert content_length(["42"]) == 42
+        assert content_length(["42", "42"]) == 42
+
+    def test_conflicting_repeats_are_refused(self):
+        with pytest.raises(ValueError, match="conflicting Content-Length"):
+            content_length(["5", "42"])
+
+
+# -- no process outlives a served session -------------------------------------
+
+
+def test_sigterm_with_idle_keepalive_connections_exits_clean(tmp_path,
+                                                             govtrack):
+    """``sama serve --frontend asyncio`` as a child, two idle keep-alive
+    connections that have each served a hit, SIGTERM: exit 0 within
+    five seconds and both sockets at EOF."""
+    data = tmp_path / "gov.nt"
+    ntriples.write_file(govtrack.triples(), data)
+    directory = str(tmp_path / "idx")
+    assert main(["index", str(data), directory]) == 0
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "serve", directory,
+         "--frontend", "asyncio", "--port", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True)
+    sockets = []
+    try:
+        banner = child.stdout.readline()
+        assert " on http://" in banner, banner
+        host, port = banner.split(" on http://", 1)[1].split()[0].rsplit(
+            ":", 1)
+        request = _post(json.dumps({"query": QUERY, "k": 5}).encode())
+        for _ in range(2):
+            sock = socket.create_connection((host, int(port)), timeout=30)
+            sockets.append(sock)
+            handle = sock.makefile("rb")
+            for _ in range(2):
+                sock.sendall(request)
+                status, _, body = _read_response(handle)
+                assert status == 200
+        assert json.loads(body)["cached"] is True
+        child.send_signal(signal.SIGTERM)
+        started = time.monotonic()
+        assert child.wait(timeout=5) == 0
+        assert time.monotonic() - started < 5
+        for sock in sockets:
+            sock.settimeout(5)
+            assert sock.recv(1) == b"", "connection left open"
+    finally:
+        for sock in sockets:
+            sock.close()
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        child.stdout.close()
