@@ -44,7 +44,7 @@ from ..resilience.budget import Budget, PartialResult
 from ..resilience.errors import QueryTimeout
 from ..scoring.weights import PAPER_WEIGHTS, ScoringWeights
 from .answers import Answer
-from .clustering import AlignmentMemo, Cluster, build_clusters
+from .clustering import SCATTER_THRESHOLD, Cluster, build_clusters
 from .forest import PathForest
 from .preprocess import PreparedQuery, prepare_query, validate_query_graph
 from .search import SearchConfig, SearchResult, top_k
@@ -59,14 +59,10 @@ class EngineConfig:
     controls thesaurus widening during index retrieval.  The defaults
     reproduce the prototype's behaviour (WordNet-backed matching).
 
-    ``workers`` sizes the worker pool used to parallelise clustering's
-    candidate alignment (``None`` defers to ``SAMA_WORKERS`` /
-    ``os.cpu_count()``; 1 or 0 forces serial).  ``fast_path`` gates the
-    dense-ID hot path as a whole — interned χ/ψ intersections, the
-    per-query alignment memo, transcript-free alignments, parallel
-    clustering.  Rankings and scores are identical either way; the
-    switch exists for A/B benchmarking (``benchmarks/bench_hotpath.py``)
-    and equivalence tests, not for production use.
+    ``workers`` sizes the shared thread pool that dispatches the
+    per-shard scatter tasks of clustering over a sharded index and
+    parallel path extraction (``None`` defers to ``SAMA_WORKERS`` /
+    ``os.cpu_count()``; 1 or 0 forces serial).
     """
 
     weights: ScoringWeights = field(default_factory=ScoringWeights.paper)
@@ -79,7 +75,6 @@ class EngineConfig:
     max_cluster_size: "int | None" = 4_000
     search: SearchConfig = field(default_factory=SearchConfig)
     workers: "int | None" = None
-    fast_path: bool = True
     #: Straggler hedging over sharded indexes: a scatter-gather shard
     #: task still running after this many milliseconds is dispatched a
     #: second time and the first result wins.  ``None`` disables
@@ -135,6 +130,10 @@ class SamaEngine:
         if self.config.quotient not in ("auto", "off"):
             raise ValueError(f"quotient must be 'auto' or 'off', "
                              f"got {self.config.quotient!r}")
+        # An invalid string fails here, not from shard_pool() on every
+        # query; ``None`` defers to SAMA_WORKER_MODE, read per query.
+        if self.config.worker_mode is not None:
+            resolve_worker_mode(self.config.worker_mode)
         self.thesaurus = thesaurus if thesaurus is not None else default_thesaurus()
         self.matcher = self._build_matcher()
         self.last_result: "SearchResult | None" = None
@@ -238,29 +237,13 @@ class SamaEngine:
 
     def clusters(self, prepared: PreparedQuery,
                  budget: "Budget | None" = None) -> list[Cluster]:
-        """Clustering (step 2) for an already prepared query.
-
-        On the fast path a fresh per-query :class:`AlignmentMemo`
-        deduplicates alignments across the query's paths, transcripts
-        are skipped (the cluster stage only reads counts), and
-        candidate alignment fans out onto the shared worker pool when
-        pools are large enough.  With ``fast_path=False`` everything
-        runs serial and transcript-recording — the pre-interning
-        behaviour, kept for A/B measurement.
-        """
-        if self.config.fast_path:
-            executor = shared_executor(self.config.workers)
-            memo: AlignmentMemo = AlignmentMemo()
-            transcript = False
-        else:
-            executor = None
-            memo = AlignmentMemo.disabled()
-            transcript = True
-        from .clustering import SCATTER_THRESHOLD
+        """Clustering (step 2) for an already prepared query: the
+        retrieve → filter → charge → score → merge pipeline of
+        :func:`~repro.engine.clustering.build_clusters`, wired to this
+        engine's per-epoch state and execution mode."""
         scatter_threshold = (self.config.scatter_threshold
                              if self.config.scatter_threshold is not None
                              else SCATTER_THRESHOLD)
-        proc_pool = self.shard_pool() if self.config.fast_path else None
         with span("cluster"):
             return build_clusters(prepared, self.index,
                                   weights=self.config.weights,
@@ -268,16 +251,12 @@ class SamaEngine:
                                   semantic_lookup=self.config.semantic_lookup,
                                   max_cluster_size=self.config.max_cluster_size,
                                   budget=budget,
-                                  memo=memo,
-                                  executor=executor,
+                                  executor=shared_executor(self.config.workers),
                                   scatter_threshold=scatter_threshold,
                                   hedge_ms=self.config.hedge_ms,
-                                  proc_pool=proc_pool,
-                                  transcript=transcript,
+                                  proc_pool=self.shard_pool(),
                                   sketch_filter=self.sketch_filter(),
-                                  quotient=(self.quotient_resolver()
-                                            if self.config.fast_path
-                                            else None),
+                                  quotient=self.quotient_resolver(),
                                   columns=self.path_columns())
 
     def query(self, query, k: "int | None" = None, *,
@@ -344,8 +323,6 @@ class SamaEngine:
         search_config = self.config.search
         if k is not None:
             search_config = replace(search_config, k=k)
-        if not self.config.fast_path and search_config.interned:
-            search_config = replace(search_config, interned=False)
         with span("search"):
             result = top_k(prepared, clusters, weights=self.config.weights,
                            config=search_config, budget=budget)

@@ -66,12 +66,6 @@ class SearchConfig:
     far more than finding the answers; patience trades the guarantee
     for a hard latency bound (forced emissions are counted on the
     result).  ``None`` disables it.
-
-    ``interned`` lets χ/ψ intersect the dense label-id sets attached by
-    the index's :class:`~repro.index.labels.LabelInterner` instead of
-    Term sets.  Rankings and scores are identical either way (interning
-    is injective); the flag exists so benchmarks and equivalence tests
-    can run the pre-interning path.
     """
 
     k: int = 10
@@ -80,7 +74,6 @@ class SearchConfig:
     dedupe: bool = True
     sibling_limit: "int | None" = 64
     patience: "int | None" = 250
-    interned: bool = True
 
 
 @dataclass
@@ -120,14 +113,19 @@ class SearchResult:
 
 
 class _JoinSpace:
-    """Shared immutable context of one top-k search."""
+    """Shared immutable context of one top-k search.
+
+    χ/ψ intersect whatever the entries carry: the dense label-id sets
+    of an interned index (``entry.id_set``), or Term sets where an
+    entry has none (the live ``IncrementalIndex``).  Interning is
+    injective, so rankings and scores are identical in both spaces.
+    """
 
     def __init__(self, prepared: PreparedQuery, clusters: list[Cluster],
-                 weights: ScoringWeights, interned: bool = True):
+                 weights: ScoringWeights):
         self.prepared = prepared
         self.clusters = clusters
         self.weights = weights
-        self.interned = interned
         self.order = _join_order(prepared, clusters)
         # position_of[cluster index] = depth at which it is decided.
         self.position_of = {cluster: depth
@@ -156,13 +154,9 @@ class _JoinSpace:
             # on both sides carries them (mixed spaces would intersect
             # to nothing and overstate the floor).  The maximum is over
             # the *distinct* sets — trimmed prefixes repeat heavily.
-            sets_i = sets_j = None
-            if interned:
-                sets_i = {e.id_set for e in sample_i}
-                sets_j = {e.id_set for e in sample_j}
-                if None in sets_i or None in sets_j:
-                    sets_i = sets_j = None
-            if sets_i is None:
+            sets_i = {e.id_set for e in sample_i}
+            sets_j = {e.id_set for e in sample_j}
+            if None in sets_i or None in sets_j:
                 sets_i = {e.node_label_set() for e in sample_i}
                 sets_j = {e.node_label_set() for e in sample_j}
             cap = _max_common(sets_i, sets_j)
@@ -213,9 +207,8 @@ class _JoinSpace:
         buckets = self._buckets.get(cluster_index)
         if buckets is None:
             buckets = self._buckets[cluster_index] = {}
-            interned = self.interned
             for rank, entry in enumerate(self.clusters[cluster_index].entries):
-                keys = entry.id_set if interned else None
+                keys = entry.id_set
                 if keys is None:
                     keys = entry.node_label_set()
                 for key in keys:
@@ -257,10 +250,9 @@ class _JoinSpace:
         return cached
 
     def chi_operands(self, entry_a, entry_b) -> tuple[frozenset, frozenset]:
-        if self.interned:
-            ids_a, ids_b = entry_a.id_set, entry_b.id_set
-            if ids_a is not None and ids_b is not None:
-                return ids_a, ids_b
+        ids_a, ids_b = entry_a.id_set, entry_b.id_set
+        if ids_a is not None and ids_b is not None:
+            return ids_a, ids_b
         return entry_a.node_label_set(), entry_b.node_label_set()
 
     def psi_of_pair(self, entry: "ClusterEntry | None",
@@ -352,8 +344,7 @@ def top_k(prepared: PreparedQuery, clusters: list[Cluster],
     if not clusters:
         return SearchResult(answers=[], exhausted=True)
 
-    space = _JoinSpace(prepared, clusters, weights,
-                       interned=config.interned)
+    space = _JoinSpace(prepared, clusters, weights)
     depth_total = len(clusters)
     tie = itertools.count()
 
@@ -540,18 +531,16 @@ def _candidates_of(space: _JoinSpace, state: _PartialState,
         # anchor entry without ids (foreign path) falls back to the
         # generic chain.  Floats are combined in the same order as
         # increments(), so both paths produce bit-identical costs.
-        anchor_sets: "list | None" = None
-        if space.interned:
-            anchor_sets = []
-            for other_entry, penalty in anchors:
-                if other_entry is None:
-                    anchor_sets.append((None, penalty))
-                    continue
-                ids = other_entry.id_set
-                if ids is None:
-                    anchor_sets = None
-                    break
-                anchor_sets.append((ids, penalty))
+        anchor_sets: "list | None" = []
+        for other_entry, penalty in anchors:
+            if other_entry is None:
+                anchor_sets.append((None, penalty))
+                continue
+            ids = other_entry.id_set
+            if ids is None:
+                anchor_sets = None
+                break
+            anchor_sets.append((ids, penalty))
         scored = []
         if anchor_sets is not None:
             # Most pool entries share no node with any anchor: one test
@@ -628,7 +617,7 @@ def _evaluation_pool(space: _JoinSpace, cluster_index: int,
     anchor_labels = set()
     for entry, _penalty in anchors:
         if entry is not None:
-            keys = entry.id_set if space.interned else None
+            keys = entry.id_set
             if keys is None:
                 keys = entry.node_label_set()
             anchor_keys.append((entry, keys))

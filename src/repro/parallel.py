@@ -3,10 +3,10 @@
 Two kinds of parallelism live here:
 
 - the process-wide **thread pool** (:func:`shared_executor`) used by
-  path extraction, clustering's chunked alignment, and thread-mode
-  scatter-gather dispatch.  Threads are the right tool when the work
-  overlaps I/O (page reads, simulated storage latency) — the GIL only
-  serializes the pure-Python parts;
+  path extraction and thread-mode scatter-gather dispatch.  Threads
+  are the right tool when the work overlaps I/O (page reads,
+  simulated storage latency) — the GIL only serializes the
+  pure-Python parts;
 
 - the **per-shard process pool** (:class:`ProcessShardPool`) behind
   ``EngineConfig(worker_mode="procs")``: long-lived, spawn-safe worker
@@ -122,8 +122,8 @@ def shared_executor(workers: "int | None" = None) -> "ThreadPoolExecutor | None"
 
     A regrow *retires* the old pool instead of shutting it down: a
     caller that grabbed the executor before the regrow may still hold
-    futures from it and submit follow-up work (hedge dispatches, the
-    next chunk of a cluster) mid-query, and ``shutdown()`` would turn
+    futures from it and submit follow-up work (hedge dispatches)
+    mid-query, and ``shutdown()`` would turn
     those submits into ``RuntimeError``.  Retired pools idle at zero
     cost once drained and are reaped at interpreter exit.
     """
@@ -154,12 +154,6 @@ def _shutdown() -> None:  # pragma: no cover - interpreter teardown
 
 
 atexit.register(_shutdown)
-
-
-def chunked(items, chunk_size: int):
-    """Split ``items`` (a sequence) into consecutive chunks."""
-    return [items[start:start + chunk_size]
-            for start in range(0, len(items), chunk_size)]
 
 
 # -- process-pool execution mode ------------------------------------------------

@@ -26,8 +26,7 @@ from ..rdf.graph import DataGraph
 from .model import Path
 
 #: Roots below which ``parallel=True`` extraction stays serial: pool
-#: dispatch costs more than walking a handful of roots inline (the
-#: crossover is measured by ``benchmarks/bench_hotpath.py``).
+#: dispatch costs more than walking a handful of roots inline.
 PARALLEL_MIN_ROOTS = 8
 
 

@@ -34,9 +34,10 @@ weighted sum of those integers evaluated in one fixed order — so the
 scores are bit-identical floats, not merely close.  The engine
 therefore aligns one representative per refine key and copies
 ``(λ, trimmed length)`` to the other members; members re-enter the
-pipeline as :class:`~repro.engine.clustering.LazyClusterEntry` rows
-carrying their own concrete node ids (reconstructed once per index
-epoch from their slot fillers by :class:`repro.index.columns.PathColumns`),
+pipeline as ``(λ, gid, trimmed length)`` rows whose
+:class:`~repro.engine.clustering.ClusterEntry` carries their own
+concrete node ids (reconstructed once per index epoch from their slot
+fillers by :class:`repro.index.columns.PathColumns`),
 so everything downstream — ψ/χ set intersections, candidate
 buckets, final answers — sees the member's true labels.  Rankings are
 asserted bit-identical to unquotiented scoring across shard counts,

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.datasets import lubm_queries
 from repro.engine.clustering import build_clusters, missing_path_penalty
 from repro.engine.preprocess import prepare_query
 from repro.paths.model import path_of
 from repro.rdf.graph import QueryGraph
+from repro.quotient import QuotientIndex, QuotientResolver
 from repro.rdf.terms import Literal
+from repro.resilience.budget import Budget, DegradationCause
 
 
 @pytest.fixture
@@ -106,3 +109,35 @@ class TestClusterMechanics:
         for cluster in govtrack_engine.clusters(prepared):
             for entry in cluster.entries:
                 assert entry.score <= cluster.missing_penalty
+
+
+class TestClassOfOne:
+    """A candidate without a refine key is a class of one: the quotient
+    path over an index with no ``quotient.bin`` *is* the plain path."""
+
+    @pytest.mark.parametrize("max_candidates", [None, 65, 200, 1000])
+    def test_keyless_quotient_rows_and_charges_match_plain(
+            self, lubm_engine, max_candidates):
+        index = lubm_engine.index
+        assert lubm_engine.quotient_resolver() is None  # no quotient.bin
+        keyless = QuotientResolver(
+            index, QuotientIndex([None], lambda gid: (0, gid)),
+            lubm_engine.matcher)
+        spec = next(s for s in lubm_queries() if s.qid == "Q5")
+        prepared = lubm_engine.prepare(spec.graph)
+
+        def run(quotient):
+            budget = Budget(max_candidates=max_candidates)
+            clusters = build_clusters(
+                prepared, index, matcher=lubm_engine.matcher, budget=budget,
+                quotient=quotient)
+            rows = [[(entry.score, entry.offset, entry.path_length)
+                     for entry in cluster.entries] for cluster in clusters]
+            return rows, budget.candidates, budget.reasons
+
+        plain_rows, plain_charged, plain_reasons = run(None)
+        assert (plain_rows, plain_charged, plain_reasons) == run(keyless)
+        assert any(plain_rows)
+        tripped = DegradationCause.CLUSTER_TRUNCATION in {
+            reason.cause for reason in plain_reasons}
+        assert tripped == (max_candidates is not None)

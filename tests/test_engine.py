@@ -88,6 +88,14 @@ class TestConfiguration:
         semantic.close()
         exact.close()
 
+    def test_invalid_worker_mode_rejected_at_construction(self,
+                                                          govtrack_engine):
+        """Regression: ``worker_mode="proc"`` used to construct fine and
+        then raise from ``shard_pool()`` on every query."""
+        with pytest.raises(ValueError, match="worker_mode"):
+            SamaEngine(govtrack_engine.index,
+                       EngineConfig(worker_mode="proc"))
+
     def test_custom_weights_change_scores(self, govtrack, q2):
         heavy = SamaEngine.from_graph(govtrack, config=EngineConfig(
             weights=ScoringWeights(node_mismatch=10.0)))

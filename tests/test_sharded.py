@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import dataset, lubm_queries
 from repro.engine import EngineConfig, SamaEngine
-from repro.engine.clustering import AlignmentMemo, build_clusters
+from repro.engine.clustering import build_clusters
 from repro.index import (IndexCorruptError, PathIndex, ShardedIndex,
                          build_index, build_sharded_index, is_sharded_dir,
                          reshard, shard_of, signature_hash)
@@ -205,10 +205,10 @@ class TestRankingDeterminism:
                     prepared_sharded = sharded.prepare(query)
                     serial = build_clusters(
                         prepared_plain, plain.index,
-                        matcher=plain.matcher, memo=AlignmentMemo())
+                        matcher=plain.matcher)
                     scattered = build_clusters(
                         prepared_sharded, sharded.index,
-                        matcher=sharded.matcher, memo=AlignmentMemo(),
+                        matcher=sharded.matcher,
                         executor=executor, scatter_threshold=1)
                     assert len(serial) == len(scattered)
                     for want, got in zip(serial, scattered):

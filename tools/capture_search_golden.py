@@ -40,7 +40,7 @@ def capture(workdir: str) -> dict:
     resharded.close()
     golden = {}
     # workers=2 on the resharded layout engages thread scatter-gather
-    # (every entry a LazyClusterEntry) whatever the machine's CPU count.
+    # whatever the machine's CPU count.
     for layout, directory, workers in (("shards1", single, 1),
                                        ("shards2", double, 2)):
         for quotient in ("auto", "off"):
