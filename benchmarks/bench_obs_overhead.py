@@ -37,7 +37,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import obs  # noqa: E402
 from repro.datasets import dataset, lubm_queries  # noqa: E402
 from repro.engine import SamaEngine  # noqa: E402
-from repro.serving import ServingConfig, ServingEngine, serve  # noqa: E402
+from repro.serving import (ServingConfig, ServingEngine,  # noqa: E402
+                           serve_async)
 
 #: Same workload subset as ``bench_fig6_response_time.py``.
 QUERY_IDS = ["Q1", "Q2", "Q3", "Q5", "Q7"]
@@ -138,7 +139,7 @@ def check_metrics_endpoint(triples: int, k: int, seed: int = 0) -> list:
             engine = SamaEngine.from_graph(graph, directory=directory)
             serving = ServingEngine(engine, ServingConfig(workers=2,
                                                           default_k=k))
-            server = serve(serving, port=0).serve_background()
+            server = serve_async(serving, port=0).serve_background()
             try:
                 for spec in queries[:2]:
                     payload = json.dumps({"query": spec.sparql,

@@ -29,9 +29,9 @@ label-equality-pattern classes so queries align once per class); the
 historical spelling
 ``sama index DATA DIR`` still works as an alias for ``build``.  ``sama serve`` keeps one
 hot engine resident behind the JSON/HTTP API of
-:mod:`repro.serving.http`; ``sama bench-serve`` drives it with
-concurrent in-process clients and reports throughput and cache
-effectiveness.  ``sama profile`` answers one query under a trace and
+:mod:`repro.serving.aserve`; ``sama bench-serve`` drives the same
+serving engine with concurrent in-process clients and reports
+throughput and cache effectiveness.  ``sama profile`` answers one query under a trace and
 prints the per-stage time/count breakdown (DESIGN.md §9).
 """
 
@@ -71,6 +71,19 @@ def _load_graph(path: str, fmt: "str | None") -> DataGraph:
     return DataGraph.from_triples(triples, name=path)
 
 
+def _quotient_pass(index) -> None:
+    """Write ``quotient.bin`` beside every shard of ``index`` and say
+    what it compressed."""
+    from .quotient import QuotientIndex, build_quotients
+
+    build_quotients(index)
+    quotients = QuotientIndex.for_index(index)
+    if quotients is not None:
+        print(f"quotient: {quotients.path_count} paths in "
+              f"{quotients.class_count} equivalence class(es) "
+              f"({quotients.compression_ratio:.1f}x compression)")
+
+
 def _cmd_index_build(args) -> int:
     graph = _load_graph(args.data, args.format)
     print(f"loaded {graph.edge_count()} triples, "
@@ -85,14 +98,7 @@ def _cmd_index_build(args) -> int:
         print(f"partitioned into {index.shard_count} shards "
               f"({counts} paths)")
     if not args.no_quotient:
-        from .quotient import QuotientIndex, build_quotients
-
-        build_quotients(index)
-        quotients = QuotientIndex.for_index(index)
-        if quotients is not None:
-            print(f"quotient: {quotients.path_count} paths in "
-                  f"{quotients.class_count} equivalence class(es) "
-                  f"({quotients.compression_ratio:.1f}x compression)")
+        _quotient_pass(index)
     index.close()
     print(f"indexed {stats.path_count} paths in "
           f"{format_seconds(stats.build_seconds)} "
@@ -107,7 +113,14 @@ def _cmd_index_build(args) -> int:
 
 def _cmd_index_reshard(args) -> int:
     from .index.sharded import reshard
+    from .index.sidecar import present
+    from .quotient import QUOTIENT_FILE
+    from .sketch import SKETCH_FILE
 
+    # The rewrite renumbers every offset, so no sidecar survives it:
+    # what the source carried decides what the destination is owed.
+    had_quotient = present(args.index_dir, QUOTIENT_FILE)
+    had_sketch = present(args.index_dir, SKETCH_FILE)
     index = reshard(args.index_dir, args.shards, output=args.output)
     try:
         destination = args.output or args.index_dir
@@ -115,6 +128,11 @@ def _cmd_index_reshard(args) -> int:
               f"{index.shard_count} shard(s), {index.path_count} paths")
         for shard_no, shard in enumerate(index.shards):
             print(f"  shard {shard_no:02d}: {shard.path_count} paths")
+        if had_quotient:
+            _quotient_pass(index)
+        if had_sketch:
+            print(f"sketch files do not survive a reshard; rerun "
+                  f"'sama index sketch {destination}' to rebuild")
     finally:
         index.close()
     return 0
@@ -212,7 +230,6 @@ def _cmd_serve(args) -> int:
 
     from .serving import ServingConfig, ServingEngine
     from .serving.aserve import serve_async
-    from .serving.http import serve
 
     serving_workers, worker_mode = _parse_workers(args.workers)
     config = EngineConfig(matcher_level=args.matcher,
@@ -243,26 +260,21 @@ def _cmd_serve(args) -> int:
         queue_deadline_ms=args.queue_deadline_ms,
         slow_query_ms=args.slow_query_ms,
         slow_query_log=args.slow_query_log))
-    if args.frontend == "asyncio":
-        api_keys = (set(filter(None, args.api_keys.split(",")))
-                    if args.api_keys else None)
-        server = serve_async(
-            serving, host=args.host, port=args.port,
-            max_connections=args.max_connections,
-            tenant_rate=args.tenant_rate, tenant_burst=args.tenant_burst,
-            api_keys=api_keys, verbose=args.verbose)
-        # Bind now so the printed URL shows the real port (port=0 picks
-        # a free one); serve_forever below just blocks.
-        server.serve_background()
-    else:
-        server = serve(serving, host=args.host, port=args.port,
-                       verbose=args.verbose)
+    api_keys = (set(filter(None, args.api_keys.split(",")))
+                if args.api_keys else None)
+    server = serve_async(
+        serving, host=args.host, port=args.port,
+        max_connections=args.max_connections,
+        tenant_rate=args.tenant_rate, tenant_burst=args.tenant_burst,
+        api_keys=api_keys, verbose=args.verbose)
+    # Bind now so the printed URL shows the real port (port=0 picks
+    # a free one); serve_forever below just blocks.
+    server.serve_background()
     mode_note = f", shard workers: {worker_mode}" if worker_mode else ""
     quota_note = (f", quota {args.tenant_rate:g}/s×{args.tenant_burst:g}"
-                  if args.frontend == "asyncio"
-                  and args.tenant_rate is not None else "")
+                  if args.tenant_rate is not None else "")
     print(f"serving {args.index_dir} on {server.url} "
-          f"({args.frontend} front end, {serving_workers} workers"
+          f"(asyncio front end, {serving_workers} workers"
           f"{mode_note}, queue {args.max_queue}, "
           f"cache {args.cache_mb} MiB{quota_note})")
     print("endpoints: POST /query, GET /healthz, GET /stats, "
@@ -278,8 +290,8 @@ def _cmd_serve(args) -> int:
 
     def _drain_and_stop(signum, frame):
         # The handler must return promptly (it runs on the main thread,
-        # which serve_forever needs back to exit its accept loop), so
-        # the drain runs on a helper thread: admission flips to 503
+        # which serve_forever needs back to see the stop), so the
+        # drain runs on a helper thread: admission flips to 503
         # immediately, in-flight requests get drain_s to finish, then
         # the listener stops and serve_forever returns below.
         if state["drainer"] is not None:
@@ -728,19 +740,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="quotient-compressed scoring when persisted "
                             "quotient.bin files match the index epoch "
                             "(default auto; compression shows on /stats)")
-    serve.add_argument("--frontend", choices=["threads", "asyncio"],
-                       default="threads",
-                       help="HTTP front end: 'threads' (one OS thread per "
-                            "connection) or 'asyncio' (event loop with "
+    serve.add_argument("--frontend", choices=["asyncio"], default="asyncio",
+                       help="the one HTTP front end (event loop with "
                             "keep-alive, single-flight coalescing of "
                             "identical in-flight queries, and per-tenant "
-                            "quotas)")
+                            "quotas); the flag does nothing and is parsed "
+                            "only because benchmarks/e2e passes it")
     serve.add_argument("--max-connections", type=int, default=1024,
-                       help="asyncio front end: concurrent connections "
-                            "before new ones are refused with 503 "
-                            "(default 1024)")
+                       help="concurrent connections before new ones are "
+                            "refused with 503 (default 1024)")
     serve.add_argument("--tenant-rate", type=float, default=None,
-                       help="asyncio front end: per-tenant admission rate "
+                       help="per-tenant admission rate "
                             "in requests/second (token bucket keyed by "
                             "X-API-Key; over-quota requests get 429 + "
                             "Retry-After; default: no quota)")

@@ -520,16 +520,15 @@ def compact_directory(directory, output=None) -> CompactionReport:
     ``output`` set the source directory stays authoritative and keeps
     its valid sidecars; the fresh copy simply starts without any.
     """
-    from ..quotient.store import invalidate_quotients
-    from ..sketch.store import invalidate_sketches
+    from ..quotient.store import QUOTIENT_FILE
+    from ..sketch.store import SKETCH_FILE
+    from .sidecar import invalidate
 
     directory = os.fspath(directory)
     manifest = _read_manifest(directory)
     in_place = output is None
-    sketches_invalidated = (invalidate_sketches(directory)
-                            if in_place else 0)
-    quotients_invalidated = (invalidate_quotients(directory)
-                             if in_place else 0)
+    invalidated = (invalidate(directory, (SKETCH_FILE, QUOTIENT_FILE))
+                   if in_place else {})
     store = PageStore(os.path.join(directory, "paths.log"),
                       page_size=manifest["page_size"])
     records = RecordFile(store, BufferPool(store))
@@ -576,5 +575,7 @@ def compact_directory(directory, output=None) -> CompactionReport:
                             dead_bytes=manifest["dead_bytes"],
                             old_log_bytes=old_log_bytes,
                             new_log_bytes=new_log_bytes,
-                            sketches_invalidated=sketches_invalidated,
-                            quotients_invalidated=quotients_invalidated)
+                            sketches_invalidated=invalidated.get(
+                                SKETCH_FILE, 0),
+                            quotients_invalidated=invalidated.get(
+                                QUOTIENT_FILE, 0))

@@ -1,4 +1,4 @@
-"""Per-shard quotient files: build, persist, validate, invalidate.
+"""The per-shard quotient file format.
 
 Each index directory (or each ``shard-NN/`` of a sharded index) may
 carry a ``quotient.bin`` collapsing its stored paths into
@@ -31,20 +31,19 @@ stored path carrying its class id and its concrete slot fillers
 (``params``) — the multiplicity of a class is its row count and the
 compact gid list is the rows pointing at it.  The file is written via
 :func:`repro.storage.atomic.atomic_write_bytes` and carries the shard
-**epoch** at build time, exactly like ``sketch.bin``: loaders treat a
-missing, corrupt, or stale-epoch file as *no quotient* and fall back
-to scoring every path exhaustively, and
-:func:`invalidate_quotients` deletes the files eagerly after rewrites
-that renumber offsets (compaction, resharding).
+**epoch** at build time, exactly like ``sketch.bin``: building per
+shard, the load-or-``None`` epoch check (stale ⇒ score every path
+exhaustively) and eager invalidation after rewrites are the shared
+sidecar lifecycle of :mod:`repro.index.sidecar`, bound to this format
+at the bottom of the module.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from array import array
 
-from ..sketch.store import _shard_surfaces
+from ..index.sidecar import Sidecar, SidecarFormatError
 from ..storage.atomic import atomic_write_bytes
 
 #: File name of a shard's persisted quotient, next to its paths.log.
@@ -60,12 +59,8 @@ _CLASS = struct.Struct("<H")
 _ROW = struct.Struct("<QI")
 
 
-class QuotientFormatError(Exception):
+class QuotientFormatError(SidecarFormatError):
     """A quotient file that is not a valid QTN1 artifact."""
-
-
-def quotient_path(directory: str) -> str:
-    return os.path.join(directory, QUOTIENT_FILE)
 
 
 def _pattern_of(sequence) -> "tuple[array, array]":
@@ -243,82 +238,9 @@ class ShardQuotient:
         return cls(epoch, offsets, class_ids, params_list, patterns)
 
 
-def build_quotients(index) -> "list[str]":
-    """Build and persist a quotient file per (healthy) shard of
-    ``index``; returns the written paths.  Works for a plain
-    :class:`~repro.index.pathindex.PathIndex` and a
-    :class:`~repro.index.sharded.ShardedIndex`; each file is keyed by
-    its shard's current epoch so later compaction or incremental
-    rounds orphan it."""
-    written = []
-    for directory, shard_no, epoch in _shard_surfaces(index):
-        source = index if shard_no is None else index.shards[shard_no]
-        quotient = ShardQuotient.from_index(source, epoch)
-        target = quotient_path(directory)
-        quotient.save(target)
-        written.append(target)
-    return written
-
-
-def load_shard_quotient(directory: str, expected_epoch: int,
-                        ) -> "ShardQuotient | None":
-    """Load one shard's quotient, or ``None`` when it is absent,
-    corrupt, or built against a different epoch (stale ⇒ score every
-    path exhaustively)."""
-    path = quotient_path(directory)
-    try:
-        quotient = ShardQuotient.load(path)
-    except FileNotFoundError:
-        return None
-    except (QuotientFormatError, OSError):
-        return None
-    if quotient.epoch != expected_epoch:
-        return None
-    return quotient
-
-
-def load_quotients(index) -> "list[ShardQuotient | None] | None":
-    """Load every shard quotient of ``index``, aligned with its shards.
-
-    Returns ``None`` when no shard has a usable quotient at all;
-    otherwise a list with ``None`` holes for shards that must score
-    exhaustively (quarantined, stale, missing)."""
-    from ..index.sharded import ShardedIndex
-
-    if isinstance(index, ShardedIndex):
-        slots: "list[ShardQuotient | None]" = [None] * index.shard_count
-        for directory, shard_no, epoch in _shard_surfaces(index):
-            slots[shard_no] = load_shard_quotient(directory, epoch)
-    else:
-        slots = [None]
-        for directory, _shard_no, epoch in _shard_surfaces(index):
-            slots[0] = load_shard_quotient(directory, epoch)
-    if not any(slot is not None for slot in slots):
-        return None
-    return slots
-
-
-def invalidate_quotients(directory: str) -> int:
-    """Delete persisted quotients under ``directory`` (top level and
-    any ``shard-NN/``); returns how many files were removed.  Called
-    after rewrites that renumber offsets — compaction, resharding —
-    where waiting for the epoch check would leave dead bytes on
-    disk."""
-    removed = 0
-    candidates = [quotient_path(directory)]
-    try:
-        entries = sorted(os.listdir(directory))
-    except OSError:
-        entries = []
-    for entry in entries:
-        if entry.startswith("shard-"):
-            candidates.append(quotient_path(os.path.join(directory, entry)))
-    for path in candidates:
-        try:
-            os.remove(path)
-        except FileNotFoundError:
-            continue
-        except OSError:
-            continue
-        removed += 1
-    return removed
+_SIDECAR = Sidecar(QUOTIENT_FILE, ShardQuotient)
+quotient_path = _SIDECAR.path
+build_quotients = _SIDECAR.build
+load_shard_quotient = _SIDECAR.load_shard
+load_quotients = _SIDECAR.load
+invalidate_quotients = _SIDECAR.invalidate

@@ -12,18 +12,15 @@ query phase; this package is the online phase grown into a service:
   index updates invalidate exactly the affected entries;
 - :mod:`repro.serving.canonical` — alpha-renaming + pattern-order
   normalisation behind those keys;
-- :mod:`repro.serving.wire` — what both front ends must agree on:
+- :mod:`repro.serving.wire` — the rules of the wire:
   ``Content-Length`` and request-document validation, the error
   mapping, the 200 body;
-- :mod:`repro.serving.http` / :mod:`repro.serving.client` — a
-  stdlib-only JSON-over-HTTP front end (``POST /query``,
+- :mod:`repro.serving.aserve` — the HTTP front end (``POST /query``,
   ``GET /healthz``, ``GET /stats``, ``GET /metrics`` in Prometheus
-  text format) and its client helper;
-- :mod:`repro.serving.aserve` — the asyncio front end for
-  thousand-connection workloads: HTTP/1.1 keep-alive with strict
-  framing, bounded connection backlog, single-flight coalescing of
-  identical in-flight queries, and per-tenant token-bucket quotas
-  (``sama serve --frontend asyncio``).
+  text format; stdlib ``asyncio`` only): HTTP/1.1 keep-alive with
+  strict framing, bounded connection backlog, single-flight coalescing
+  of identical in-flight queries, and per-tenant token-bucket quotas;
+- :mod:`repro.serving.client` — its stdlib client helper.
 
 CLI: ``sama serve INDEX_DIR`` and ``sama bench-serve INDEX_DIR``.
 """
@@ -33,7 +30,6 @@ from .aserve import (AsyncServingServer, SingleFlight, TenantQuotas,
 from .cache import CachedResult, ResultCache, ResultCacheStats
 from .canonical import cache_key, canonical_form
 from .client import ServingClient, ServingClientError
-from .http import ServingRequestHandler, ServingServer, serve
 from .service import (RequestFingerprint, ServedResult, ServingConfig,
                       ServingEngine, ServingStats, StatsSnapshot,
                       answers_payload)
@@ -41,9 +37,7 @@ from .service import (RequestFingerprint, ServedResult, ServingConfig,
 __all__ = [
     "AsyncServingServer", "CachedResult", "RequestFingerprint",
     "ResultCache", "ResultCacheStats", "ServedResult", "ServingClient",
-    "ServingClientError", "ServingConfig", "ServingEngine",
-    "ServingRequestHandler", "ServingServer", "ServingStats",
+    "ServingClientError", "ServingConfig", "ServingEngine", "ServingStats",
     "SingleFlight", "StatsSnapshot", "TenantQuotas", "TokenBucket",
-    "answers_payload", "cache_key", "canonical_form", "serve",
-    "serve_async",
+    "answers_payload", "cache_key", "canonical_form", "serve_async",
 ]

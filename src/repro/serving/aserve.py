@@ -1,10 +1,20 @@
-"""The asyncio HTTP/1.1 front end: keep-alive, single-flight, quotas.
+"""The HTTP/1.1 front end: keep-alive, single-flight, quotas.
 
-The threaded front end (:mod:`repro.serving.http`) holds one OS thread
-per connection — fine for tens of clients, hopeless for thousands.
-This module serves the same four endpoints from a single event loop
-(stdlib ``asyncio`` only), with three additions the ROADMAP's serving
-north star asks for:
+Endpoints::
+
+    POST /query    {"query": "SELECT ...", "k": 10, "deadline_ms": 500}
+    GET  /healthz  liveness + index epoch
+    GET  /stats    cache hit rate, in-flight, p50/p95 latency, shed count
+    GET  /metrics  Prometheus text exposition (stage histograms, counters)
+
+Errors map onto HTTP through :func:`repro.serving.wire.failure_response`;
+a tripped deadline is not one — the service degrades to a partial
+result, reported in the 200 body.
+
+One event loop (stdlib ``asyncio`` only) holds every connection, so a
+slow client holds a socket, not a thread; the query work is bounded by
+the serving engine's worker pool and admission control.  On top of
+that:
 
 - **Correct HTTP/1.1 framing under keep-alive.**  Requests are read
   with explicit ``Content-Length`` framing (bodies via
@@ -17,10 +27,10 @@ north star asks for:
 - **Single-flight deduplication.**  N concurrent requests for the same
   canonical-form × k × epoch key trigger *one* engine computation; the
   other N−1 await the leader's ``asyncio.Future`` and receive the
-  byte-identical response body.  Under hot-query traffic (the 61.8×
-  warm-cache result of ``BENCH_serving.json``) this removes the cold
-  stampede the cache alone cannot: the cache only helps *after* the
-  first computation finishes, single-flight helps *while* it runs.
+  byte-identical response body.  Under hot-query traffic this removes
+  the cold stampede the cache alone cannot: the cache only helps
+  *after* the first computation finishes, single-flight helps *while*
+  it runs.
   Requests carrying an explicit per-request ``deadline_ms`` bypass
   coalescing — a degraded result computed under the leader's budget
   must not be shared with callers that asked for a different one.
@@ -48,16 +58,17 @@ fast typed signal, never an unbounded accept queue), and every
 connection gets per-read/per-write timeouts so a slow-loris client
 holds neither a worker nor the loop.
 
-The public surface mirrors :class:`~repro.serving.http.ServingServer`
+The loop runs on its own thread behind a synchronous lifecycle
 (``serve_background`` / ``serve_forever`` / ``shutdown`` /
-``graceful_shutdown``), so ``sama serve --frontend asyncio`` and the
-SIGTERM drain path are drop-in.
+``graceful_shutdown``), which is what ``sama serve`` and its SIGTERM
+drain path call.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
 
@@ -228,9 +239,9 @@ class AsyncServingServer:
     """A :class:`ServingEngine` behind an asyncio HTTP/1.1 listener.
 
     The event loop runs on a dedicated thread so the public lifecycle
-    API is synchronous and interchangeable with
-    :class:`~repro.serving.http.ServingServer` — the CLI, the tests
-    and the SIGTERM drain path treat both front ends identically.
+    API is synchronous: ``port=0`` picks a free port, on :attr:`port`
+    once :meth:`serve_background` has returned; :meth:`shutdown` stops
+    the loop, drains the engine's workers and closes the index.
     """
 
     def __init__(self, serving: ServingEngine, host: str = "127.0.0.1",
@@ -306,11 +317,8 @@ class AsyncServingServer:
     def serve_forever(self) -> None:
         """CLI path: start in the background, block until shutdown."""
         self.serve_background()
-        try:
-            while not self._stopped.wait(timeout=0.2):
-                pass
-        except KeyboardInterrupt:
-            raise
+        while not self._stopped.wait(timeout=0.2):
+            pass
 
     def _run_loop(self) -> None:
         loop = asyncio.new_event_loop()
@@ -378,12 +386,13 @@ class AsyncServingServer:
 
     def graceful_shutdown(self, drain_deadline_s: "float | None" = None,
                           close_engine: bool = True) -> bool:
-        """SIGTERM parity with the threaded server: drain, then stop.
+        """SIGTERM path: drain, then stop the listener and close.
 
         New requests are refused with 503 + ``Retry-After`` the moment
         the drain starts (the listener stays up so load balancers see
         ``/healthz`` flip); in-flight requests get ``drain_deadline_s``
-        to finish before the loop stops.
+        to finish before the loop stops.  Returns whether the drain
+        completed inside the deadline.
         """
         drained = self.serving.drain(drain_deadline_s)
         self.shutdown(close_engine=close_engine)
@@ -479,6 +488,9 @@ class AsyncServingServer:
             await self._respond(writer, 400, {
                 "error": "BadRequest", "message": str(exc)}, close=True)
             return False
+        if self.verbose:
+            peer = writer.get_extra_info("peername") or ("-",)
+            print(f'{peer[0]} "{method} {path} {version}"', file=sys.stderr)
 
         # HTTP/1.1 defaults to keep-alive; 1.0 must opt in.
         connection = headers.get("connection", "").lower()

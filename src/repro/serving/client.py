@@ -1,7 +1,7 @@
 """A tiny stdlib client for the serving HTTP API.
 
-Used by ``sama bench-serve``, the CI smoke job, and tests; also a
-reasonable starting point for applications::
+Used by the tests; also a reasonable starting point for
+applications::
 
     from repro.serving import ServingClient
 
@@ -68,8 +68,7 @@ class ServingClient:
         data = None
         headers = {"Accept": "application/json"}
         if self.api_key:
-            # Tenant identity for the asyncio front end's quotas; the
-            # threaded front end ignores it.
+            # Tenant identity for the front end's quotas.
             headers["X-API-Key"] = self.api_key
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")

@@ -1,10 +1,9 @@
-"""What the two HTTP front ends share about the wire.
+"""The rules of the wire, apart from the socket code that applies them.
 
-:mod:`repro.serving.http` (threads) and :mod:`repro.serving.aserve`
-(asyncio) read requests differently but must agree byte for byte on
-what they accept and what they send: one ``Content-Length`` rule, one
-``POST /query`` document validator, one mapping from a failed request
-to its status and error document, and one rendering of a 200 body.
+What :mod:`repro.serving.aserve` accepts and what it sends: one
+``Content-Length`` rule, one ``POST /query`` document validator, one
+mapping from a failed request to its status and error document, and
+one rendering of a 200 body.
 """
 
 from __future__ import annotations

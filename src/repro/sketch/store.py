@@ -1,4 +1,4 @@
-"""Per-shard sketch files: build, persist, validate, invalidate.
+"""The per-shard sketch file format.
 
 Each index directory (or each ``shard-NN/`` of a sharded index) may
 carry a ``sketch.bin`` holding one row per stored path, in the shard's
@@ -12,22 +12,19 @@ The file is written through :func:`repro.storage.atomic.atomic_write_bytes`
 — the same tmp-fsync-rename path every other artifact uses — so a
 crash mid-build leaves either the old sketch or none, never a torn one.
 
-The header records the shard **epoch** at build time.  Loaders compare
-it against the live epoch (``ShardedIndex.epoch_vector`` per shard,
-``PathIndex.epoch`` otherwise) and treat any mismatch as *no sketch*:
-compaction renumbers offsets and incremental rounds add paths, so a
-stale sketch must fall back to exhaustive recall rather than serve
-wrong candidates.  :func:`invalidate_sketches` deletes sketch files
-eagerly after such rewrites; the epoch check is the backstop for
-writers that forget.
+The header records the shard **epoch** at build time; building per
+shard, the load-or-``None`` epoch check (stale ⇒ exhaustive recall)
+and eager invalidation after rewrites are the shared sidecar lifecycle
+of :mod:`repro.index.sidecar`, bound to this format at the bottom of
+the module.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from array import array
 
+from ..index.sidecar import Sidecar, SidecarFormatError
 from ..storage.atomic import atomic_write_bytes
 from .minhash import SketchParams, band_keys, coefficients, signature
 
@@ -42,12 +39,8 @@ _HEADER = struct.Struct("<4sHHHHQqQ")
 _ROW = struct.Struct("<QIHH")
 
 
-class SketchFormatError(Exception):
+class SketchFormatError(SidecarFormatError):
     """A sketch file that is not a valid SKH1 artifact."""
-
-
-def sketch_path(directory: str) -> str:
-    return os.path.join(directory, SKETCH_FILE)
 
 
 class ShardSketch:
@@ -202,61 +195,16 @@ class ShardSketch:
                    signatures)
 
 
-def _shard_surfaces(index):
-    """Yield ``(directory, shard index or None, live epoch)`` for every
-    healthy persistence surface of ``index``.
-
-    Quarantined shards are skipped: their page store is gone, their
-    offsets route nowhere, and rebuilding after recovery produces a
-    fresh-epoch sketch anyway.
-    """
-    from ..index.sharded import ShardedIndex, shard_dir
-
-    if isinstance(index, ShardedIndex):
-        epochs = index.epoch_vector
-        for shard_no, shard in enumerate(index.shards):
-            if getattr(shard, "quarantined", False):
-                continue
-            yield (shard_dir(index.directory, shard_no), shard_no,
-                   epochs[shard_no])
-    else:
-        directory = getattr(index, "directory", None)
-        if directory:
-            yield directory, None, getattr(index, "epoch", 0)
+_SIDECAR = Sidecar(SKETCH_FILE, ShardSketch)
+sketch_path = _SIDECAR.path
+load_shard_sketch = _SIDECAR.load_shard
+invalidate_sketches = _SIDECAR.invalidate
 
 
 def build_sketches(index, params: "SketchParams | None" = None) -> "list[str]":
-    """Build and persist a sketch file per (healthy) shard of ``index``.
-
-    Returns the written paths.  Works for a plain :class:`PathIndex`
-    and a :class:`ShardedIndex`; each file is keyed by its shard's
-    current epoch so later compaction or incremental rounds orphan it.
-    """
-    params = params or SketchParams()
-    written = []
-    for directory, shard_no, epoch in _shard_surfaces(index):
-        source = index if shard_no is None else index.shards[shard_no]
-        sketch = ShardSketch.from_index(source, params, epoch)
-        target = sketch_path(directory)
-        sketch.save(target)
-        written.append(target)
-    return written
-
-
-def load_shard_sketch(directory: str, expected_epoch: int,
-                      ) -> "ShardSketch | None":
-    """Load one shard's sketch, or ``None`` when it is absent, corrupt,
-    or built against a different epoch (stale ⇒ exhaustive recall)."""
-    path = sketch_path(directory)
-    try:
-        sketch = ShardSketch.load(path)
-    except FileNotFoundError:
-        return None
-    except (SketchFormatError, OSError):
-        return None
-    if sketch.epoch != expected_epoch:
-        return None
-    return sketch
+    """Build and persist a sketch file per (healthy) shard of ``index``
+    (see :meth:`repro.index.sidecar.Sidecar.build`)."""
+    return _SIDECAR.build(index, params or SketchParams())
 
 
 def load_sketches(index) -> "list[ShardSketch | None] | None":
@@ -270,44 +218,9 @@ def load_sketches(index) -> "list[ShardSketch | None] | None":
     parameter set; stragglers from a partial rebuild with different
     params are dropped to ``None``.
     """
-    from ..index.sharded import ShardedIndex
-
-    if isinstance(index, ShardedIndex):
-        slots: "list[ShardSketch | None]" = [None] * index.shard_count
-        for directory, shard_no, epoch in _shard_surfaces(index):
-            slots[shard_no] = load_shard_sketch(directory, epoch)
-    else:
-        slots = [None]
-        for directory, _shard_no, epoch in _shard_surfaces(index):
-            slots[0] = load_shard_sketch(directory, epoch)
-    loaded = [sketch for sketch in slots if sketch is not None]
-    if not loaded:
+    slots = _SIDECAR.load(index)
+    if slots is None:
         return None
-    canonical = loaded[0].params
+    canonical = next(sketch for sketch in slots if sketch is not None).params
     return [sketch if sketch is None or sketch.params == canonical else None
             for sketch in slots]
-
-
-def invalidate_sketches(directory: str) -> int:
-    """Delete persisted sketches under ``directory`` (top level and any
-    ``shard-NN/``); returns how many files were removed.  Called after
-    rewrites that renumber offsets — compaction, resharding — where
-    waiting for the epoch check would leave dead bytes on disk."""
-    removed = 0
-    candidates = [sketch_path(directory)]
-    try:
-        entries = sorted(os.listdir(directory))
-    except OSError:
-        entries = []
-    for entry in entries:
-        if entry.startswith("shard-"):
-            candidates.append(sketch_path(os.path.join(directory, entry)))
-    for path in candidates:
-        try:
-            os.remove(path)
-        except FileNotFoundError:
-            continue
-        except OSError:
-            continue
-        removed += 1
-    return removed

@@ -1,13 +1,9 @@
-"""The asyncio front end + the HTTP/1.1 framing regression suite.
-
-Covers the serving-layer bugfix batch and the new front end:
+"""The HTTP front end + the HTTP/1.1 framing regression suite.
 
 - **keep-alive framing**: a 400 (bad JSON), a 404 POST with a body,
   and a short-read (chunked-delivery) client must all leave the
   connection correctly framed — the next pipelined request on the same
-  socket is answered normally on *both* front ends (regression: the
-  threaded handler used to leave unread body bytes to be parsed as the
-  next request line);
+  socket is answered normally;
 - **write-boundary resilience**: a client that disconnects before
   reading its response must not crash the handler — the server keeps
   serving and counts ``sama_client_disconnects_total``;
@@ -16,8 +12,7 @@ Covers the serving-layer bugfix batch and the new front end:
   byte-identical response bodies;
 - **tenant quotas**: token-bucket admission per ``X-API-Key``, 429 +
   ``Retry-After`` when empty, per-tenant counters on ``/stats``;
-- **bounded backlog** and lifecycle parity (drain) of the asyncio
-  server.
+- **bounded backlog** and the drain lifecycle.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ import pytest
 
 from repro.resilience import QuotaExceededError
 from repro.serving import (ServingClient, ServingConfig, ServingEngine,
-                           SingleFlight, TenantQuotas, TokenBucket, serve,
+                           SingleFlight, TenantQuotas, TokenBucket,
                            serve_async)
 
 QUERY = ('PREFIX gov: <http://example.org/govtrack/> '
@@ -79,16 +74,12 @@ def _connect(server) -> "tuple[socket.socket, object]":
     return sock, sock.makefile("rb")
 
 
-@pytest.fixture(scope="module", params=["threads", "asyncio"])
-def server(request, govtrack_engine):
-    """One of the two front ends over the same engine — every framing
-    test runs against both."""
+# The one param keeps the ``[asyncio]`` ids these tests are known by.
+@pytest.fixture(scope="module", params=["asyncio"])
+def server(govtrack_engine):
+    """One server shared by every framing test."""
     serving = ServingEngine(govtrack_engine, ServingConfig(workers=2))
-    if request.param == "asyncio":
-        http = serve_async(serving, port=0).serve_background()
-    else:
-        http = serve(serving, port=0).serve_background()
-    http.frontend = request.param
+    http = serve_async(serving, port=0).serve_background()
     yield http
     http.shutdown(close_engine=False)
 
@@ -124,8 +115,8 @@ class TestKeepAliveFraming:
             == json.loads(statuses[2][2])["answers"]
 
     def test_post_404_with_body_keeps_connection_usable(self, server):
-        """A POST to an unknown path used to leave its body unread —
-        under keep-alive those bytes desynced the next request."""
+        """A POST to an unknown path must not leave its body unread —
+        under keep-alive those bytes would desync the next request."""
         sock, handle = _connect(server)
         try:
             sock.sendall(_post(QUERY_BODY, path="/nope")
@@ -140,8 +131,7 @@ class TestKeepAliveFraming:
 
     def test_short_read_client_is_not_truncated(self, server):
         """A slow client delivering the body in pieces must not produce
-        a spurious 400 (regression: a single ``rfile.read(length)``
-        returned short and truncated the JSON)."""
+        a spurious 400 from a short read that truncates the JSON."""
         head = _post(QUERY_BODY)[:-len(QUERY_BODY)]
         sock, handle = _connect(server)
         try:
@@ -201,8 +191,7 @@ class TestKeepAliveFraming:
 
     def test_conflicting_content_lengths_are_400_and_closed(self, server):
         """Two different lengths: the last one used to win silently."""
-        before = (server.connections.framing_close
-                  if server.frontend == "asyncio" else None)
+        before = server.connections.framing_close
         sock, handle = _connect(server)
         try:
             sock.sendall(b"POST /query HTTP/1.1\r\nHost: t\r\n"
@@ -216,8 +205,7 @@ class TestKeepAliveFraming:
             assert handle.read(1) == b""
         finally:
             sock.close()
-        if before is not None:
-            assert server.connections.framing_close == before + 1
+        assert server.connections.framing_close == before + 1
 
     def test_agreeing_repeated_content_length_is_served(self, server):
         sock, handle = _connect(server)
@@ -232,8 +220,7 @@ class TestKeepAliveFraming:
 
 
 class TestClientDisconnect:
-    def test_disconnect_mid_response_counts_and_survives(
-            self, govtrack_engine):
+    def test_asyncio_disconnect_mid_response_counts(self, govtrack_engine):
         """The client vanishes while its query runs; the write fails
         with a reset, the handler survives, the counter increments, and
         the server answers the next request normally."""
@@ -247,7 +234,7 @@ class TestClientDisconnect:
             return inner(query, k=k, **kwargs)
 
         serving.engine = _EngineProxy(govtrack_engine, gated_query)
-        http = serve(serving, port=0).serve_background()
+        http = serve_async(serving, port=0).serve_background()
         counter = serving.registry.counter("sama_client_disconnects_total")
         before = counter.value
         try:
@@ -269,46 +256,8 @@ class TestClientDisconnect:
                 assert time.monotonic() < deadline, \
                     "disconnect was never counted"
                 time.sleep(0.02)
-            # The server is still alive and framing correctly.
             client = ServingClient(http.url, timeout=30)
             assert client.health()["status"] == "ok"
-            assert client.query(QUERY, k=3)["complete"] is True
-        finally:
-            gate.set()
-            http.shutdown(close_engine=False)
-
-    def test_asyncio_disconnect_mid_response_counts(self, govtrack_engine):
-        serving = ServingEngine(govtrack_engine, ServingConfig(
-            workers=1, cache_bytes=0))
-        gate = threading.Event()
-        inner = govtrack_engine.query
-
-        def gated_query(query, k=None, **kwargs):
-            assert gate.wait(timeout=30)
-            return inner(query, k=k, **kwargs)
-
-        serving.engine = _EngineProxy(govtrack_engine, gated_query)
-        http = serve_async(serving, port=0).serve_background()
-        counter = serving.registry.counter("sama_client_disconnects_total")
-        before = counter.value
-        try:
-            sock = socket.create_connection((http.host, http.port),
-                                            timeout=30)
-            sock.sendall(_post(QUERY_BODY))
-            for _ in range(200):
-                if serving.in_flight >= 1:
-                    break
-                time.sleep(0.01)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                            struct.pack("ii", 1, 0))
-            sock.close()
-            gate.set()
-            deadline = time.monotonic() + 30
-            while counter.value < before + 1:
-                assert time.monotonic() < deadline, \
-                    "disconnect was never counted"
-                time.sleep(0.02)
-            client = ServingClient(http.url, timeout=30)
             assert client.query(QUERY, k=3)["complete"] is True
         finally:
             gate.set()
@@ -564,6 +513,15 @@ class TestAsyncLifecycle:
                        for name in samples)
         finally:
             http.shutdown(close_engine=False)
+
+    def test_verbose_logs_each_request_line(self, govtrack_engine, capsys):
+        serving = ServingEngine(govtrack_engine, ServingConfig(workers=2))
+        http = serve_async(serving, port=0, verbose=True).serve_background()
+        try:
+            ServingClient(http.url, timeout=30).health()
+        finally:
+            http.shutdown(close_engine=False)
+        assert '"GET /healthz HTTP/1.1"' in capsys.readouterr().err
 
     def test_get_unknown_path_404_keeps_connection(self, govtrack_engine):
         serving = ServingEngine(govtrack_engine, ServingConfig(workers=2))

@@ -30,7 +30,7 @@ from repro.resilience.errors import (OverloadedError, StorageError,
                                      TransientStorageError)
 from repro.resilience.health import CLOSED, HALF_OPEN, OPEN, QUARANTINED
 from repro.resilience.retry import DEFAULT_RETRY, JITTERED_RETRY, RetryPolicy
-from repro.serving import ServingConfig, ServingEngine
+from repro.serving import ServingConfig, ServingEngine, serve_async
 from repro.storage.atomic import atomic_write_json, sweep_tmp_debris
 
 SHARDS = 4
@@ -626,11 +626,9 @@ class TestGracefulDrain:
         import urllib.error
         import urllib.request
 
-        from repro.serving.http import serve
-
         engine = open_engine(chaos_dir)
         serving = ServingEngine(engine, ServingConfig(workers=2))
-        server = serve(serving, port=0).serve_background()
+        server = serve_async(serving, port=0).serve_background()
         try:
             with urllib.request.urlopen(f"{server.url}/healthz",
                                         timeout=5) as response:
@@ -652,11 +650,9 @@ class TestGracefulDrain:
             server.shutdown()
 
     def test_graceful_shutdown_drains_then_closes(self, chaos_dir, q1):
-        from repro.serving.http import serve
-
         engine = open_engine(chaos_dir)
         serving = ServingEngine(engine, ServingConfig(workers=2))
-        server = serve(serving, port=0).serve_background()
+        server = serve_async(serving, port=0).serve_background()
         assert server.graceful_shutdown(drain_deadline_s=5.0)
         # The engine underneath is released with it.
         with pytest.raises(RuntimeError):

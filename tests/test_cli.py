@@ -59,6 +59,62 @@ class TestIndex:
         assert "indexed" in capsys.readouterr().out
 
 
+class TestReshard:
+    def test_reshard_rebuilds_the_quotient_it_found(self, built_index,
+                                                    tmp_path, capsys):
+        """Resharding renumbers every offset, so the source's
+        ``quotient.bin`` cannot be copied — and must not be lost."""
+        from repro.engine import SamaEngine
+        from repro.index.sharded import ShardedIndex, shard_dir
+        from repro.quotient import load_shard_quotient
+
+        dest = str(tmp_path / "idx4")
+        assert main(["index", "sketch", built_index]) == 0
+        capsys.readouterr()
+        assert main(["index", "reshard", built_index, "--shards", "4",
+                     "--output", dest]) == 0
+        out = capsys.readouterr().out
+        assert "quotient: 14 paths in" in out
+        assert f"rerun 'sama index sketch {dest}'" in out
+        with ShardedIndex.open(dest) as index:
+            for shard_no, epoch in enumerate(index.epoch_vector):
+                assert load_shard_quotient(shard_dir(dest, shard_no),
+                                           epoch) is not None
+        engine = SamaEngine.open(dest)
+        try:
+            assert engine.quotient_resolver() is not None
+        finally:
+            engine.close()
+
+    def test_reshard_without_sidecars_adds_none(self, data_file, tmp_path,
+                                                capsys):
+        source, dest = str(tmp_path / "bare"), str(tmp_path / "bare2")
+        assert main(["index", "build", data_file, source,
+                     "--no-quotient"]) == 0
+        capsys.readouterr()
+        assert main(["index", "reshard", source, "--shards", "2",
+                     "--output", dest]) == 0
+        out = capsys.readouterr().out
+        assert "quotient" not in out and "sketch" not in out
+        assert not list(tmp_path.glob("bare2/shard-*/quotient.bin"))
+
+
+class TestServeFlags:
+    def test_frontend_has_one_value_and_it_is_the_default(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["serve", "d"]).frontend == "asyncio"
+        assert parser.parse_args(
+            ["serve", "d", "--frontend", "asyncio"]).frontend == "asyncio"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "d", "--frontend", "threads"])
+
+    def test_no_second_server_is_importable(self):
+        with pytest.raises(ImportError):
+            from repro.serving import serve  # noqa: F401
+
+
 class TestQuery:
     def test_inline_query(self, built_index, capsys):
         assert main(["query", built_index, "-e", QUERY]) == 0

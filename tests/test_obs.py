@@ -19,7 +19,7 @@ from repro.obs import (DEFAULT_LATENCY_BUCKETS, MetricsRegistry,
                        NullRegistry, Sample, SlowQueryLog, configure,
                        enabled, get_registry, parse_prometheus, span,
                        start_trace)
-from repro.serving import ServingConfig, ServingEngine, serve
+from repro.serving import ServingConfig, ServingEngine, serve_async
 
 QUERY = ('PREFIX gov: <http://example.org/govtrack/> '
          'SELECT ?v WHERE { ?v gov:gender "Male" . }')
@@ -239,7 +239,7 @@ class TestSlowQueryLog:
 @pytest.fixture
 def server(govtrack_engine):
     serving = ServingEngine(govtrack_engine, ServingConfig(workers=2))
-    http = serve(serving, port=0).serve_background()
+    http = serve_async(serving, port=0).serve_background()
     yield http
     http.shutdown(close_engine=False)
 

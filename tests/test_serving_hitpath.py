@@ -1,5 +1,5 @@
 """The hit path of ``repro.serving``: request memo, inline hits,
-pre-rendered bodies — and the request validation both front ends share.
+pre-rendered bodies — and the request validation of the wire.
 
 A cached answer must cost what a lookup costs *without* changing what
 is answered: the memo may neither split nor merge cache entries, a hit
@@ -33,7 +33,7 @@ from repro.rdf.terms import Literal
 from repro.resilience import OverloadedError, ParseError
 from repro.resilience.budget import PartialResult
 from repro.serving import (ServedResult, ServingConfig, ServingEngine,
-                           cache_key, serve, serve_async)
+                           cache_key, serve_async)
 from repro.serving.service import MEMO_MAX_BYTES, RequestMemo
 from repro.serving.wire import (content_length, parse_query_document,
                                 response_body)
@@ -50,7 +50,7 @@ Q1_TEXT = (f"SELECT ?v3 WHERE {{ <{GOV}CarlaBunes> <{GOV}sponsor> ?v1 ."
 
 
 def _reference(result: ServedResult) -> bytes:
-    """The 200 body as both front ends rendered it before the splice."""
+    """The 200 body as ``json.dumps`` renders it, without the splice."""
     payload = dict(result.payload)
     payload["cached"] = result.cached
     payload["latency_ms"] = round(result.latency_ms, 3)
@@ -212,7 +212,8 @@ class TestRenderedBodies:
         finally:
             serving.close(close_engine=False)
 
-    @pytest.mark.parametrize("frontend", [serve, serve_async])
+    # The one param keeps the ``[serve_async]`` id this test is known by.
+    @pytest.mark.parametrize("frontend", [serve_async])
     def test_wire_bodies_are_the_json_dumps_bytes(self, govtrack_engine,
                                                   frontend):
         serving = ServingEngine(govtrack_engine, ServingConfig(workers=2))
@@ -232,7 +233,7 @@ class TestRenderedBodies:
         assert [doc["cached"] for doc in documents] == [False, True, True]
         for (_, _, raw), document in zip(replies, documents):
             # json.dumps of the parsed document, key order kept, is what
-            # the front ends used to send.
+            # the front end used to send.
             assert json.dumps(document).encode("utf-8") == raw
             assert list(document)[-2:] == ["cached", "latency_ms"]
 
@@ -350,7 +351,7 @@ class TestInlineHitPath:
             serving.close()
 
 
-# -- request validation, one copy for both front ends -------------------------
+# -- request validation ------------------------------------------------------
 
 
 class TestQueryDocument:
@@ -379,7 +380,8 @@ class TestQueryDocument:
         assert parse_query_document(
             json.dumps({"query": QUERY}).encode()) == (QUERY, None, None)
 
-    @pytest.mark.parametrize("frontend", [serve, serve_async])
+    # The one param keeps the ``[serve_async]`` id this test is known by.
+    @pytest.mark.parametrize("frontend", [serve_async])
     def test_both_front_ends_answer_400(self, govtrack_engine, frontend):
         serving = ServingEngine(govtrack_engine, ServingConfig(workers=2))
         http = frontend(serving, port=0).serve_background()
@@ -425,7 +427,7 @@ class TestContentLength:
 
 def test_sigterm_with_idle_keepalive_connections_exits_clean(tmp_path,
                                                              govtrack):
-    """``sama serve --frontend asyncio`` as a child, two idle keep-alive
+    """``sama serve`` as a child, two idle keep-alive
     connections that have each served a hit, SIGTERM: exit 0 within
     five seconds and both sockets at EOF."""
     data = tmp_path / "gov.nt"
@@ -436,13 +438,14 @@ def test_sigterm_with_idle_keepalive_connections_exits_clean(tmp_path,
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     child = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro.cli", "serve", directory,
-         "--frontend", "asyncio", "--port", "0"],
+         "--port", "0"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True)
     sockets = []
     try:
         banner = child.stdout.readline()
-        assert " on http://" in banner, banner
+        assert " on http://" in banner and "asyncio front end" in banner, \
+            banner
         host, port = banner.split(" on http://", 1)[1].split()[0].rsplit(
             ":", 1)
         request = _post(json.dumps({"query": QUERY, "k": 5}).encode())

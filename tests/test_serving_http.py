@@ -1,8 +1,8 @@
 """End-to-end tests for the JSON-over-HTTP serving front end.
 
-A real :class:`ThreadingHTTPServer` on an ephemeral port, exercised
-through :class:`ServingClient` — the same path ``sama bench-serve``
-and the CI smoke job take.
+A real :class:`AsyncServingServer` on an ephemeral port, exercised
+through :class:`ServingClient`; the framing, single-flight and quota
+tests of the same server are in ``test_aserve.py``.
 """
 
 import json
@@ -13,7 +13,7 @@ import pytest
 
 from repro.resilience import OverloadedError
 from repro.serving import (ServingClient, ServingClientError, ServingConfig,
-                           ServingEngine, serve)
+                           ServingEngine, serve_async)
 
 QUERY = ('PREFIX gov: <http://example.org/govtrack/> '
          'SELECT ?v WHERE { ?v gov:gender "Male" . }')
@@ -23,7 +23,7 @@ QUERY = ('PREFIX gov: <http://example.org/govtrack/> '
 def server(govtrack_engine):
     """A background HTTP server on an ephemeral port."""
     serving = ServingEngine(govtrack_engine, ServingConfig(workers=2))
-    http = serve(serving, port=0).serve_background()
+    http = serve_async(serving, port=0).serve_background()
     yield http
     http.shutdown(close_engine=False)
 
@@ -119,7 +119,7 @@ class TestOverloadOverHTTP:
             return inner(query, k=k, **kwargs)
 
         serving.engine = _EngineProxy(govtrack_engine, gated_query)
-        http = serve(serving, port=0).serve_background()
+        http = serve_async(serving, port=0).serve_background()
         client = ServingClient(http.url, timeout=30)
         try:
             blocker = threading.Thread(
@@ -130,9 +130,12 @@ class TestOverloadOverHTTP:
                 if serving.in_flight >= 1:
                     break
                 deadline.wait(0.01)
+            # Another k: the identical request would coalesce onto the
+            # blocked one instead of asking for a slot of its own.
             with pytest.raises(OverloadedError) as excinfo:
-                client.query(QUERY, k=2)
+                client.query(QUERY, k=3)
             assert excinfo.value.capacity == 1
+            assert excinfo.value.__cause__.headers["Retry-After"] == "1"
             gate.set()
             blocker.join(timeout=30)
         finally:
