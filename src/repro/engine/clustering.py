@@ -91,16 +91,16 @@ class ClusterEntry:
     than hashing tuples millions of times).  ``id_set`` is the χ
     operand: the frozenset of the prefix's interned node label ids —
     the very object :class:`~repro.index.columns.PathColumns` keeps for
-    the epoch, never a per-query copy — or ``None`` when the index
-    carries no interned ids (the live ``IncrementalIndex``).
+    the epoch, never a per-query copy.  Every index interns its labels,
+    so every entry has one.
 
     The row is what ranking needs, and most entries of a large cluster
-    are never looked at again: with an id set the top-k search joins
-    whole clusters (χ operands, candidate buckets) without touching the
+    are never looked at again: the top-k search joins whole clusters
+    (χ operands, candidate buckets) on id sets without touching the
     page store.  ``path`` and ``alignment`` are seeded when whoever
     scored the candidate held them, and otherwise decoded / re-aligned
-    on first use — only for the entries that become answers, explain
-    output, or (without id sets) pool selections.
+    on first use — only for the entries that become answers or explain
+    output.
     """
 
     __slots__ = ("offset", "score", "uid", "id_set", "_plen", "_context",
@@ -142,25 +142,17 @@ class ClusterEntry:
         return (self.offset, self._plen)
 
     # The search reads paths through these entry-level accessors (never
-    # ``entry.path.X`` directly), so an entry with an id set answers
-    # from its shared column without decoding the path.
+    # ``entry.path.X`` directly), so an entry answers from its shared
+    # column without decoding the path.
 
     @property
     def path_length(self) -> int:
         return self._plen
 
-    def node_label_set(self) -> frozenset:
-        if self.id_set is not None:
-            lookup = self._context.index.interner.lookup
-            return frozenset(lookup(label_id) for label_id in self.id_set)
-        return self.path.node_label_set()
-
-    def label_name(self, key) -> str:
-        """Lexical form of one of this entry's bucket keys (interned
-        node label id or label) — the rarest-label tie-break."""
-        if isinstance(key, int):
-            return self._context.columns.name(key)
-        return str(key)
+    def label_name(self, label_id: int) -> str:
+        """Lexical form of one of this entry's bucket keys (an interned
+        node label id) — the rarest-label tie-break."""
+        return self._context.columns.name(label_id)
 
     def __str__(self):
         return f"{self.path} [{self.score:g}]"

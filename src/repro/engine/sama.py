@@ -412,8 +412,6 @@ class SamaEngine:
                 return self._sketch_filter
             self._sketch_epoch = epoch_key
             self._sketch_filter = None
-            if getattr(index, "interner", None) is None:
-                return None     # in-memory indexes carry no sketches
             from ..obs import get_registry
             from ..sketch import SketchIndex, TwoStageFilter
             sketches = SketchIndex.for_index(index)
@@ -486,9 +484,8 @@ class SamaEngine:
 
     def _load_quotients(self):
         index = self.index
-        if (self.config.quotient == "off"
-                or getattr(index, "interner", None) is None):
-            return None         # in-memory indexes carry no quotients
+        if self.config.quotient == "off":
+            return None
         from ..obs import get_registry
         from ..quotient import QuotientIndex, QuotientResolver
         quotients = QuotientIndex.for_index(index)

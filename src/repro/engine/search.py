@@ -31,7 +31,6 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from ..paths.intersection import chi
 from ..resilience.budget import Budget, DegradationCause, DegradationReason
 from ..scoring.weights import PAPER_WEIGHTS, ScoringWeights
 from .answers import Answer
@@ -115,10 +114,10 @@ class SearchResult:
 class _JoinSpace:
     """Shared immutable context of one top-k search.
 
-    χ/ψ intersect whatever the entries carry: the dense label-id sets
-    of an interned index (``entry.id_set``), or Term sets where an
-    entry has none (the live ``IncrementalIndex``).  Interning is
-    injective, so rankings and scores are identical in both spaces.
+    χ/ψ intersect the dense label-id sets the entries carry
+    (``entry.id_set``) — the one key space of every index, built or
+    live.  Interning is injective, so ``|a ∩ b|`` over ids is the
+    paper's ``|χ|`` over node labels.
     """
 
     def __init__(self, prepared: PreparedQuery, clusters: list[Cluster],
@@ -148,18 +147,10 @@ class _JoinSpace:
             if not entries_i or not entries_j:
                 self.edge_floor[(i, j)] = penalty
                 continue
-            sample_i = entries_i[:_FLOOR_SAMPLE]
-            sample_j = entries_j[:_FLOOR_SAMPLE]
-            # One key space per edge: ids only when every sampled path
-            # on both sides carries them (mixed spaces would intersect
-            # to nothing and overstate the floor).  The maximum is over
-            # the *distinct* sets — trimmed prefixes repeat heavily.
-            sets_i = {e.id_set for e in sample_i}
-            sets_j = {e.id_set for e in sample_j}
-            if None in sets_i or None in sets_j:
-                sets_i = {e.node_label_set() for e in sample_i}
-                sets_j = {e.node_label_set() for e in sample_j}
-            cap = _max_common(sets_i, sets_j)
+            # The maximum is over the *distinct* sets — trimmed
+            # prefixes repeat heavily.
+            cap = _max_common({e.id_set for e in entries_i[:_FLOOR_SAMPLE]},
+                              {e.id_set for e in entries_j[:_FLOOR_SAMPLE]})
             self.edge_floor[(i, j)] = penalty / cap if cap else penalty
         self.min_lambda = [
             cluster.entries[0].score if cluster.entries
@@ -188,7 +179,7 @@ class _JoinSpace:
         # that depth's settled edges) — states sharing those share the
         # list, which this cache exploits.
         self._candidate_cache: dict[tuple, tuple[tuple, tuple, tuple]] = {}
-        # Per-cluster inverted index: node label key → entry ranks, used
+        # Per-cluster inverted index: node label id → entry ranks, used
         # to find the entries that *intersect* an anchor path without
         # scanning the whole cluster.  Built lazily per cluster.
         self._buckets: dict[int, dict] = {}
@@ -198,20 +189,14 @@ class _JoinSpace:
         self.psi_evaluations = 0
 
     def buckets_of(self, cluster_index: int) -> dict:
-        """Inverted index of one cluster: label key → entry ranks.
-
-        Keys are interned label ids when the cluster's paths carry them
+        """Inverted index of one cluster: node label id → entry ranks
         (C-speed int hashing, read straight off the shared id-set
-        column), the Term labels otherwise.
-        """
+        column)."""
         buckets = self._buckets.get(cluster_index)
         if buckets is None:
             buckets = self._buckets[cluster_index] = {}
             for rank, entry in enumerate(self.clusters[cluster_index].entries):
-                keys = entry.id_set
-                if keys is None:
-                    keys = entry.node_label_set()
-                for key in keys:
+                for key in entry.id_set:
                     bucket = buckets.get(key)
                     if bucket is None:
                         buckets[key] = [rank]
@@ -244,27 +229,9 @@ class _JoinSpace:
             else uid_b * self._uid_stride + uid_a
         cached = self._pair_cache.get(key)
         if cached is None:
-            labels_a, labels_b = self.chi_operands(entry_a, entry_b)
-            cached = len(labels_a & labels_b)
+            cached = len(entry_a.id_set & entry_b.id_set)
             self._pair_cache[key] = cached
         return cached
-
-    def chi_operands(self, entry_a, entry_b) -> tuple[frozenset, frozenset]:
-        ids_a, ids_b = entry_a.id_set, entry_b.id_set
-        if ids_a is not None and ids_b is not None:
-            return ids_a, ids_b
-        return entry_a.node_label_set(), entry_b.node_label_set()
-
-    def psi_of_pair(self, entry: "ClusterEntry | None",
-                    other: "ClusterEntry | None",
-                    penalty: float) -> tuple[float, bool]:
-        """(ψ of one IG edge, whether the pair is broken)."""
-        if entry is None or other is None:
-            return penalty, True
-        common = self.common_nodes(entry, other)
-        if common == 0:
-            return penalty, True
-        return penalty / common, False
 
 
 def _max_common(sets_i, sets_j) -> int:
@@ -506,77 +473,46 @@ def _candidates_of(space: _JoinSpace, state: _PartialState,
         return cached
     space.candidate_lists += 1
 
-    def increments(entry: "ClusterEntry | None", base: float,
-                   ) -> tuple[float, int]:
-        psi_total = 0.0
-        broken_total = 0
-        for other_entry, penalty in anchors:
-            psi, is_broken = space.psi_of_pair(entry, other_entry, penalty)
-            psi_total += psi
-            broken_total += is_broken
-        return base + psi_total, broken_total
-
+    # A missing or disjoint side pays an edge's full penalty; summed
+    # left to right like the per-edge loop below, so an all-broken row
+    # costs bit-for-bit what that loop would give it.
+    all_broken = 0.0
+    for _entry, penalty in anchors:
+        all_broken += penalty
+    edge_count = len(anchors)
     if not cluster.entries:
-        cost, broken = increments(None, cluster.missing_penalty)
-        scored = [(cost, broken, _MISSING)]
+        scored = [(cluster.missing_penalty + all_broken, edge_count,
+                   _MISSING)]
     else:
         ranks = _evaluation_pool(space, cluster_index, anchors, limit)
-        space.psi_evaluations += len(ranks) * len(anchors)
+        space.psi_evaluations += len(ranks) * edge_count
         entries = cluster.entries
-        # Interned fast path: the ψ of every settled edge is an int-set
-        # intersection, inlined here — the generic increments() chain
-        # (psi_of_pair → common_nodes → chi_operands) costs several
-        # Python calls and a pair-cache probe per pair, which dominates
-        # this loop on large pools.  Anchor id-sets are hoisted; an
-        # anchor entry without ids (foreign path) falls back to the
-        # generic chain.  Floats are combined in the same order as
-        # increments(), so both paths produce bit-identical costs.
-        anchor_sets: "list | None" = []
-        for other_entry, penalty in anchors:
-            if other_entry is None:
-                anchor_sets.append((None, penalty))
-                continue
-            ids = other_entry.id_set
-            if ids is None:
-                anchor_sets = None
-                break
-            anchor_sets.append((ids, penalty))
+        # The ψ of every settled edge is an int-set intersection,
+        # inlined here with the anchor id sets hoisted: a call chain
+        # and a pair-cache probe per pair would dominate this loop on
+        # large pools.
+        anchor_sets = [(entry.id_set if entry is not None else None, penalty)
+                       for entry, penalty in anchors]
+        # Most pool entries share no node with any anchor: one test
+        # against the anchors' union prices them all-broken.
+        anchor_union = frozenset().union(
+            *[ids for ids, _penalty in anchor_sets if ids is not None])
         scored = []
-        if anchor_sets is not None:
-            # Most pool entries share no node with any anchor: one test
-            # against the anchors' union prices them all-broken, with the
-            # same left-to-right float sum as the per-edge loop below.
-            anchor_union = frozenset().union(
-                *[ids for ids, _penalty in anchor_sets if ids is not None])
-            all_broken = 0.0
-            for _ids, penalty in anchor_sets:
-                all_broken += penalty
-            edge_count = len(anchor_sets)
-            for rank in ranks:
-                entry = entries[rank]
-                ids = entry.id_set
-                if ids is None:
-                    cost, broken = increments(entry, entry.score)
-                    scored.append((cost, broken, rank))
-                    continue
-                if ids.isdisjoint(anchor_union):
-                    scored.append((entry.score + all_broken, edge_count,
-                                   rank))
-                    continue
-                psi_total = 0.0
-                broken = 0
-                for other_ids, penalty in anchor_sets:
-                    if other_ids is None or ids.isdisjoint(other_ids):
-                        psi_total += penalty
-                        broken += 1
-                    else:
-                        psi_total += penalty / len(ids & other_ids)
-                scored.append((entry.score + psi_total, broken, rank))
-        else:
-            for rank in ranks:
-                entry = entries[rank]
-                cost, broken = increments(entry, entry.score)
-                scored.append((cost, broken, rank))
+        for rank in ranks:
+            entry = entries[rank]
+            ids = entry.id_set
+            if ids.isdisjoint(anchor_union):
+                scored.append((entry.score + all_broken, edge_count, rank))
+                continue
+            psi_total = 0.0
+            broken = 0
+            for other_ids, penalty in anchor_sets:
+                if other_ids is None or ids.isdisjoint(other_ids):
+                    psi_total += penalty
+                    broken += 1
+                else:
+                    psi_total += penalty / len(ids & other_ids)
+            scored.append((entry.score + psi_total, broken, rank))
         if limit is None or len(scored) <= 2 * limit:
             scored.sort()
             if limit is not None:
@@ -612,28 +548,24 @@ def _evaluation_pool(space: _JoinSpace, cluster_index: int,
     pool: list[int] = []
     seen: set[int] = set()
     buckets = space.buckets_of(cluster_index)
-    #: ``(anchor entry, its bucket keys)`` — who spells a label's name.
-    anchor_keys = []
+    #: The anchor entries — who spells a label's name.
+    anchor_entries = [entry for entry, _penalty in anchors
+                      if entry is not None]
     anchor_labels = set()
-    for entry, _penalty in anchors:
-        if entry is not None:
-            keys = entry.id_set
-            if keys is None:
-                keys = entry.node_label_set()
-            anchor_keys.append((entry, keys))
-            anchor_labels |= keys
+    for entry in anchor_entries:
+        anchor_labels |= entry.id_set
 
     def rarity(label):
-        for entry, keys in anchor_keys:
-            if label in keys:
+        for entry in anchor_entries:
+            if label in entry.id_set:
                 return len(buckets[label]), entry.label_name(label)
 
     # Rarest labels first: a label shared with few entries pinpoints
     # the genuinely related candidates (specific entities), while a
     # label shared with thousands (class nodes) carries no signal.
-    # The tie-break is the label's lexical form in both key spaces, so
-    # interned and Term-based runs pool identical candidates (resolved
-    # for these few anchor labels only, never per entry).
+    # The tie-break is the label's lexical form, not its id, so the
+    # pool does not depend on interning order (resolved for these few
+    # anchor labels only, never per entry).
     for label in sorted((label for label in anchor_labels
                          if label in buckets), key=rarity):
         for rank in buckets[label]:

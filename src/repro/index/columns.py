@@ -11,10 +11,14 @@ candidate caches key on.  Cluster entries hold these sets, never copies.
 
 Rows fill lazily — from the loaded quotient's ``patterns``/``params``
 (no record decode), else from the decoded path's ``label_ids`` — so
-the store holds only rows queries touched; an index without interned
-ids (the live ``IncrementalIndex``) gets ``None`` sets and stays on
-Term sets.  A row costs its set, an int key and a dict slot (label-id
-ints are shared): 3.5 MiB if every path of LUBM 8000 is touched.
+the store holds only rows queries touched.  Every index the engine
+runs on (``PathIndex``, ``ShardedIndex``, the live ``IncrementalIndex``)
+owns an ``interner`` and attaches ``label_ids`` to every path it hands
+out, so a row always has a set: there is one key space for χ/ψ.  A live
+index keeps that true under writes because ids are append-only — the
+writer interns, readers only look up.  A row costs its set, an int key
+and a dict slot (label-id ints are shared): 3.5 MiB if every path of
+LUBM 8000 is touched.
 Nothing is keyed by anything a query brings: the engine owns one store
 per epoch key and drops it when the epoch moves.
 """
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 #: ``uid = gid << _PLEN_BITS | plen``: unique per row, needs no table.
 _PLEN_BITS = 10
-_UNSET = object()
 
 
 class PathColumns:
@@ -36,7 +39,7 @@ class PathColumns:
         #: ``gid -> (shard quotient, row) | None`` of the loaded
         #: :class:`~repro.quotient.resolve.QuotientIndex`, if any.
         self._lookup = quotients.lookup if quotients is not None else None
-        self._sets: "dict[int, frozenset | None]" = {}
+        self._sets: "dict[int, frozenset]" = {}
         self._ints: "dict[int, int]" = {}
         self._names: "dict[int, str]" = {}
 
@@ -45,7 +48,7 @@ class PathColumns:
 
     def row(self, gid: int, plen: int, node_ids=None) -> tuple:
         """``(uid, node label id set)`` of the first ``plen`` nodes of
-        stored path ``gid`` (the set is ``None`` without interned ids).
+        stored path ``gid``.
 
         ``node_ids`` lets a caller that already holds the ids (a decoded
         path, a worker's shipped column) found the row without a second
@@ -54,27 +57,25 @@ class PathColumns:
         if plen >> _PLEN_BITS:
             raise ValueError(f"prefix of {plen} nodes overflows the uid")
         uid = gid << _PLEN_BITS | plen
-        id_set = self._sets.get(uid, _UNSET)
-        if id_set is _UNSET:
+        kept = self._sets.get(uid)
+        if kept is None:
             if node_ids is None:
                 node_ids = self.node_ids(gid, plen)
-            if node_ids is not None:
-                # One int object per label id across all rows; of two
-                # racing queries' sets, setdefault keeps one.
-                shared = self._ints.setdefault
-                node_ids = frozenset([shared(i, i) for i in node_ids])
-            id_set = self._sets.setdefault(uid, node_ids)
-        return uid, id_set
+            # One int object per label id across all rows; of two
+            # racing queries' sets, setdefault keeps one.
+            shared = self._ints.setdefault
+            kept = self._sets.setdefault(
+                uid, frozenset([shared(i, i) for i in node_ids]))
+        return uid, kept
 
     def node_ids(self, gid: int, plen: int):
         """The first ``plen`` node label ids of stored path ``gid``, in
-        node order (``None`` without interned ids) — derived, not kept."""
+        node order — derived, not kept."""
         found = self._lookup(gid) if self._lookup is not None else None
         if found is not None:
             quotient, row = found
             return quotient.member_node_ids(row, plen)
-        label_ids = self._index.path_at(gid).label_ids
-        return tuple(label_ids[:plen]) if label_ids is not None else None
+        return tuple(self._index.path_at(gid).label_ids[:plen])
 
     def name(self, label_id: int) -> str:
         """Lexical form of an interned label (the bucket tie-break)."""

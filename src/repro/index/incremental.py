@@ -4,7 +4,8 @@ The paper's index is built offline and its §7 lists "optimization
 techniques to speed-up the creation and the update of the index" as
 future work.  This module implements the update half: an
 :class:`IncrementalIndex` keeps a data graph and its path index in
-sync under triple insertions without rebuilding from scratch.
+sync under triple insertions and removals without rebuilding from
+scratch.
 
 The invalidation rule is root-based.  Inserting an edge ``u → v`` can
 only change source-to-sink paths that pass through ``u`` (including
@@ -19,12 +20,14 @@ exactly the paths whose root can reach ``u`` in the updated graph, so:
 3. re-extract paths from those roots over the updated graph and append
    them to the (unsealed) record log.
 
-Graphs without sources (hub-promoted roots) fall back to a full
+Removing ``u → v`` follows the same rule over the graph without the
+edge.  Graphs without sources (hub-promoted roots) fall back to a full
 re-extraction: hub identity is a global property, so locality is lost
 — the fallback is correct, just not incremental (reported via stats).
 
 The class exposes the same lookup surface as
-:class:`~repro.index.pathindex.PathIndex`, so a
+:class:`~repro.index.pathindex.PathIndex` — ``interner`` and the
+``label_ids`` on every path it hands out included — so a
 :class:`~repro.engine.sama.SamaEngine` runs on it unchanged.
 """
 
@@ -88,11 +91,21 @@ class IncrementalIndex:
                  shards: int = 1, hash_seed: int = 0):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        self._init(graph, directory, limits,
+                   thesaurus if thesaurus is not None else default_thesaurus(),
+                   page_size, shards, hash_seed, LabelInterner(),
+                   epochs=[0] * shards, extract=True)
+
+    def _init(self, graph: DataGraph, directory, limits: ExtractionLimits,
+              thesaurus: Thesaurus, page_size: int, shards: int,
+              hash_seed: int, interner: LabelInterner, epochs: "list[int]",
+              extract: bool) -> None:
+        """Every field of the index — the constructor and :meth:`compact`
+        both come through here."""
         self.graph = graph
         self.directory = directory
         self.limits = limits
-        self.thesaurus = thesaurus if thesaurus is not None \
-            else default_thesaurus()
+        self.thesaurus = thesaurus
         self.stats = UpdateStats()
         os.makedirs(directory, exist_ok=True)
         store = PageStore(os.path.join(os.fspath(directory), "paths.log"),
@@ -106,6 +119,12 @@ class IncrementalIndex:
         self._offsets_by_root: dict[int, set[int]] = {}
         self._decoded: dict[int, Path] = {}
         self._hub_mode = not graph.sources() and graph.node_count() > 0
+        #: The label dictionary: every stored path carries ``label_ids``
+        #: from it (the χ operand of the search, like any built index),
+        #: and shard routing hashes the same ids.  Ids are append-only,
+        #: so a stored row never changes; only the writer — an update
+        #: round — assigns new ones, readers only look labels up.
+        self.interner = interner
         #: Logical shards for epoch accounting: each stored path is
         #: routed by the same stable label-signature hash the on-disk
         #: :class:`~repro.index.sharded.ShardedIndex` uses, and an
@@ -114,14 +133,14 @@ class IncrementalIndex:
         #: update invalidates per-shard instead of flushing globally.
         self.shards = shards
         self.hash_seed = hash_seed
-        self._epochs = [0] * shards
+        self._epochs = epochs
         self._shard_by_offset: dict[int, int] = {}
-        self._route_interner = LabelInterner()
         #: Shards touched by the update round in progress (None when
         #: no round is open — construction-time extraction bumps
         #: nothing: epoch 0 is the freshly built index).
         self._touched: "set[int] | None" = None
-        self._extract_roots(self.graph.path_roots())
+        if extract:
+            self._extract_roots(self.graph.path_roots())
 
     @property
     def epoch(self) -> int:
@@ -164,11 +183,11 @@ class IncrementalIndex:
         self._sink_index.add(path.sink, offset)
         for label in set(path.nodes) | set(path.edges):
             self._contains_index.add(label, offset)
-        self._decoded[offset] = path
+        self._decoded[offset] = self.interner.intern_path(path)
         owner = 0
         if self.shards > 1:
             from .sharded import shard_of
-            owner = shard_of(path, self._route_interner, self.shards,
+            owner = shard_of(path, self.interner, self.shards,
                              self.hash_seed)
         self._shard_by_offset[offset] = owner
         if self._touched is not None:
@@ -207,27 +226,7 @@ class IncrementalIndex:
         self.stats.triples_added += 1
         if self.graph.edge_count() == edge_count_before:
             return  # duplicate triple: nothing changed
-        self._begin_round()
-        try:
-            if self._hub_mode or not self.graph.sources():
-                # Hub-promoted roots are global; rebuild everything.
-                self._hub_mode = not self.graph.sources()
-                self._full_rebuild()
-                return
-
-            after_sources = set(self.graph.sources())
-            # Roots that can reach ``src`` in the updated graph...
-            affected = self._roots_reaching(src, after_sources)
-            # ...plus any root that appeared or disappeared with this
-            # edge (``dst`` may have stopped being a source; ``src``
-            # may be new).
-            affected |= (after_sources - before_sources)
-            vanished = before_sources - after_sources
-            for root in vanished | affected:
-                self._invalidate_root(root)
-            self._extract_roots(sorted(affected))
-        finally:
-            self._commit_round()
+        self._repair(src, before_sources)
 
     def add_triples(self, rows) -> None:
         for row in rows:
@@ -236,55 +235,44 @@ class IncrementalIndex:
     def remove_triple(self, subject, predicate, object) -> bool:
         """Delete one triple and repair the affected paths.
 
-        Returns False when the triple was not present.  The
-        invalidation rule mirrors insertion: removing ``u → v`` can
-        only change paths whose root reaches ``u`` (they may have run
-        through the edge), plus roots that appear (``v`` may become a
-        source) or disappear with the edge.
-
-        The underlying :class:`~repro.rdf.graph.DataGraph` is
-        append-only, so deletion rebuilds the graph without the edge —
-        O(|G|) for the graph structure, but path re-extraction stays
-        local to the affected roots.
+        Returns False when the triple was not present.  Endpoints
+        resolve by label as in :meth:`add_triple`, and the graph is
+        edited in place — the endpoints stay as nodes, so the node ids
+        stored paths reference never move.
         """
         triple = Triple.of(subject, predicate, object)
-        if triple not in set(self.graph.triples()):
+        graph = self.graph
+        if triple.subject not in graph or triple.object not in graph:
             return False
-        before_sources = set(self.graph.sources())
-        old_src = self.graph.node_for(triple.subject)
-        old_labels = {node: self.graph.label_of(node)
-                      for node in self.graph.nodes()}
-
-        rebuilt = type(self.graph)(name=self.graph.name)
-        for existing in self.graph.triples():
-            if existing != triple:
-                rebuilt.add_triple(*existing)
-        # Keep isolated endpoints so node identity stays meaningful.
-        for label in (triple.subject, triple.object):
-            rebuilt.node_for(label)
-        # Node ids may renumber: path node_ids reference the OLD graph,
-        # so a structural change of identity forces a full rebuild.
-        same_ids = (rebuilt.node_count() == len(old_labels) and all(
-            rebuilt.label_of(node) == label
-            for node, label in old_labels.items()))
-        self.graph = rebuilt
+        src = graph.node_for(triple.subject)
+        before_sources = set(graph.sources())
+        if not graph.remove_edge(src, triple.predicate,
+                                 graph.node_for(triple.object)):
+            return False
         self.stats.triples_added += 1  # counts update rounds
+        self._repair(src, before_sources)
+        return True
+
+    def _repair(self, src: int, before_sources: set[int]) -> None:
+        """One update round after an edge leaving ``src`` was added or
+        removed: the edge can only change paths whose root reaches
+        ``src`` (they run, or ran, through it), plus roots that appear
+        or disappear with it (its other end may stop or start being a
+        source; ``src`` may be new)."""
         self._begin_round()
         try:
-            if not same_ids or self._hub_mode or not self.graph.sources():
-                self._hub_mode = not self.graph.sources() \
-                    and self.graph.node_count() > 0
-                self._full_rebuild()
-                return True
-
             after_sources = set(self.graph.sources())
-            affected = self._roots_reaching(old_src, after_sources)
+            if self._hub_mode or not after_sources:
+                # Hub-promoted roots are global; rebuild everything.
+                self._hub_mode = not after_sources
+                self._full_rebuild()
+                return
+            affected = self._roots_reaching(src, after_sources)
             affected |= (after_sources - before_sources)
             vanished = before_sources - after_sources
             for root in vanished | affected:
                 self._invalidate_root(root)
             self._extract_roots(sorted(affected))
-            return True
         finally:
             self._commit_round()
 
@@ -337,8 +325,10 @@ class IncrementalIndex:
     def path_at(self, offset: int) -> Path:
         cached = self._decoded.get(offset)
         if cached is None:
-            cached = decode_path(self._records.read(offset))
-            self._decoded[offset] = cached
+            # Every label of a stored path was interned when it was
+            # stored, so re-attaching the ids only reads the dictionary.
+            cached = self._decoded[offset] = self.interner.intern_path(
+                decode_path(self._records.read(offset)))
         return cached
 
     def all_offsets(self) -> list[int]:
@@ -402,30 +392,14 @@ class IncrementalIndex:
         it.
         """
         fresh = IncrementalIndex.__new__(IncrementalIndex)
-        fresh.graph = self.graph
-        fresh.directory = directory
-        fresh.limits = self.limits
-        fresh.thesaurus = self.thesaurus
-        fresh.stats = UpdateStats()
-        os.makedirs(directory, exist_ok=True)
-        store = PageStore(os.path.join(os.fspath(directory), "paths.log"),
-                          page_size=self._records.store.page_size)
-        fresh._records = RecordFile(store, BufferPool(store))
-        fresh._sink_index = LabelIndex(self.thesaurus)
-        fresh._contains_index = LabelIndex(self.thesaurus)
-        fresh._alive = set()
-        fresh._record_size = {}
-        fresh._root_of = {}
-        fresh._offsets_by_root = {}
-        fresh._decoded = {}
-        fresh._hub_mode = self._hub_mode
-        fresh.shards = self.shards
-        fresh.hash_seed = self.hash_seed
-        fresh._shard_by_offset = {}
-        fresh._route_interner = LabelInterner()
-        fresh._touched = None
-        # Compaction renumbers offsets in every shard: all epochs bump.
-        fresh._epochs = [epoch + 1 for epoch in self._epochs]
+        # The interner carries over: a path keeps the ids of the
+        # dictionary that attached them.  Compaction renumbers offsets
+        # in every shard, so all epochs bump.
+        fresh._init(self.graph, directory, self.limits, self.thesaurus,
+                    self._records.store.page_size, self.shards,
+                    self.hash_seed, self.interner,
+                    epochs=[epoch + 1 for epoch in self._epochs],
+                    extract=False)
         for offset in self.all_offsets():
             fresh._store_path(self._root_of[offset], self.path_at(offset))
         fresh.stats = UpdateStats()

@@ -36,7 +36,7 @@ class Path:
     """
 
     __slots__ = ("nodes", "edges", "node_ids", "_hash", "_label_set",
-                 "_label_ids", "_label_id_set")
+                 "_label_ids")
 
     def __init__(self, nodes: Sequence, edges: Sequence,
                  node_ids: "Sequence[int] | None" = None):
@@ -55,11 +55,9 @@ class Path:
         # Memoised by node_label_set(); χ is called on every conformity
         # check, so the set must not be rebuilt per call.
         object.__setattr__(self, "_label_set", None)
-        # Dense interned node-label ids (attach_label_ids) and their
-        # frozenset, the fast-path operands of χ/ψ — absent (None) on
-        # paths that never went through a LabelInterner.
+        # Dense interned node-label ids (attach_label_ids) — absent
+        # (None) on paths that never went through a LabelInterner.
         object.__setattr__(self, "_label_ids", None)
-        object.__setattr__(self, "_label_id_set", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Path is immutable")
@@ -90,7 +88,6 @@ class Path:
         set_slot(path, "_hash", None)
         set_slot(path, "_label_set", None)
         set_slot(path, "_label_ids", None)
-        set_slot(path, "_label_id_set", None)
         return path
 
     # -- identity ---------------------------------------------------------
@@ -176,7 +173,7 @@ class Path:
             object.__setattr__(self, "_label_set", frozenset(self.nodes))
         return self._label_set
 
-    # -- dense-id fast path -------------------------------------------------
+    # -- interned label ids -------------------------------------------------
 
     def attach_label_ids(self, label_ids) -> None:
         """Attach interned node-label ids (an ``array('i')``-compatible
@@ -199,16 +196,6 @@ class Path:
     def label_ids(self):
         """The attached interned node-label ids, or ``None``."""
         return self._label_ids
-
-    def node_label_id_set(self) -> "frozenset[int] | None":
-        """Cached frozenset of interned node-label ids (``None`` when no
-        ids were attached) — the int-set operand of the χ fast path."""
-        if self._label_id_set is None:
-            if self._label_ids is None:
-                return None
-            object.__setattr__(self, "_label_id_set",
-                               frozenset(self._label_ids))
-        return self._label_id_set
 
     def variables(self) -> set[Variable]:
         """Variables occurring as node or edge labels (query paths)."""

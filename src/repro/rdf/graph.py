@@ -104,6 +104,20 @@ class DataGraph:
             self._in[dst].append((label, src))
         return edge
 
+    def remove_edge(self, src: int, label: "Term | str", dst: int) -> bool:
+        """Remove the edge ``src --label--> dst``; False when absent.
+
+        Both endpoints stay as nodes (possibly isolated), so node
+        identifiers are stable under removal.
+        """
+        edge = Edge(src, coerce_term(label), dst)
+        if edge not in self._edge_set:
+            return False
+        self._edge_set.remove(edge)
+        self._out[src].remove((edge.label, dst))
+        self._in[dst].remove((edge.label, src))
+        return True
+
     def add_triple(self, subject, predicate, object) -> Edge:
         """Add one RDF triple, merging subject/object nodes by label."""
         triple = Triple.of(subject, predicate, object)

@@ -67,6 +67,43 @@ class TestConstruction:
         assert g.edge_count() == 1
 
 
+class TestRemoveEdge:
+    @pytest.fixture
+    def parallel(self):
+        return DataGraph.from_triples([
+            (uri("a"), uri("p"), uri("b")),
+            (uri("a"), uri("q"), uri("b")),
+            (uri("b"), uri("p"), uri("c")),
+        ])
+
+    def test_absent_edge_is_false_and_changes_nothing(self, parallel):
+        a, b, c = (parallel.node_for(uri(n)) for n in "abc")
+        before = set(parallel.triples())
+        assert not parallel.remove_edge(a, uri("r"), b)     # no such label
+        assert not parallel.remove_edge(b, uri("p"), a)     # wrong direction
+        assert not parallel.remove_edge(a, uri("p"), c)     # no such pair
+        assert set(parallel.triples()) == before
+
+    def test_parallel_edges_with_other_labels_survive(self, parallel):
+        a, b = parallel.node_for(uri("a")), parallel.node_for(uri("b"))
+        assert parallel.remove_edge(a, uri("p"), b)
+        assert Edge(a, uri("p"), b) not in parallel
+        assert Edge(a, uri("q"), b) in parallel
+        assert parallel.out_edges(a) == [(uri("q"), b)]
+        assert parallel.in_edges(b) == [(uri("q"), a)]
+        assert parallel.edge_count() == 2
+        assert not parallel.remove_edge(a, uri("p"), b)     # already gone
+
+    def test_endpoints_stay_and_topology_follows(self, parallel):
+        b, c = parallel.node_for(uri("b")), parallel.node_for(uri("c"))
+        nodes = list(parallel.nodes())
+        assert parallel.remove_edge(b, uri("p"), c)
+        assert list(parallel.nodes()) == nodes              # ids are stable
+        assert parallel.in_edges(c) == [] and parallel.out_edges(b) == []
+        assert c in parallel.sources() and b in parallel.sinks()
+        assert Triple(uri("b"), uri("p"), uri("c")) not in parallel
+
+
 class TestInspection:
     @pytest.fixture
     def diamond(self):

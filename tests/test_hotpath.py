@@ -1,5 +1,5 @@
-"""Tests for the dense-ID hot path: interned records, the id-set /
-Term-set equivalence of the search, the worker pool, read-ahead, and
+"""Tests for the dense-ID hot path: interned records, the one key space
+every index class hands the search, the worker pool, read-ahead, and
 the pair-cache fix.
 
 The load-bearing invariant throughout: every hot-path feature is an
@@ -7,7 +7,8 @@ The load-bearing invariant throughout: every hot-path feature is an
 be indistinguishable from the plain engine.
 """
 
-import copy
+import pathlib
+import re
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,8 +19,11 @@ from repro.engine import EngineConfig, SamaEngine
 from repro.engine.clustering import Cluster, ClusterEntry
 from repro.engine.search import SearchConfig, _JoinSpace, top_k
 from repro.index.builder import build_index
+from repro.index.columns import PathColumns
+from repro.index.incremental import IncrementalIndex
 from repro.index.labels import LabelInterner
 from repro.index.pathindex import PathIndex
+from repro.index.sharded import build_sharded_index
 from repro.index.thesaurus import default_thesaurus
 from repro.parallel import shared_executor, worker_count
 from repro.paths.alignment import align
@@ -54,7 +58,6 @@ class TestLabelInterner:
         path = _uri_path("a", "b", "a")
         interner.intern_path(path)
         assert list(path.label_ids) == [0, 1, 0]
-        assert path.node_label_id_set() == frozenset({0, 1})
 
     def test_save_load_preserves_ids(self, tmp_path):
         interner = LabelInterner()
@@ -155,9 +158,12 @@ def test_pair_cache_keys_do_not_collide_past_2_20():
     """Regression: the ψ pair cache used a fixed 2^20 packing stride, so
     uid pairs (1, 2) and (0, 2^20 + 2) collided and the second pair
     read the first pair's cached |χ|."""
+    interner = LabelInterner()
+
     def entry(uid, *names):
-        path = _uri_path(*names)
-        return ClusterEntry(None, uid, path.length, 0.0, (uid, None),
+        path = interner.intern_path(_uri_path(*names))
+        return ClusterEntry(None, uid, path.length, 0.0,
+                            (uid, frozenset(path.label_ids)),
                             path, align(path, path))
 
     entry_a = entry(1, "x", "y")                  # |χ| with entry_b: 1
@@ -181,53 +187,102 @@ def test_pair_cache_keys_do_not_collide_past_2_20():
     assert space.common_nodes(entry_b, entry_a) == 1
 
 
-# -- id-set space vs Term-set space -------------------------------------------
+# -- one key space: built and live indexes --------------------------------------
 
 
-def _without_id_sets(clusters):
-    """The same clusters as an index without interned ids (the live
-    ``IncrementalIndex``) hands them to the search: no id sets, so
-    χ/ψ, buckets and the tie-break all run on Term sets."""
-    stripped = []
-    for cluster in clusters:
-        entries = [copy.copy(entry) for entry in cluster.entries]
-        for entry in entries:
-            entry.id_set = None
-        stripped.append(Cluster(cluster.query_path, entries,
-                                cluster.missing_penalty))
-    return stripped
-
-
-def _assert_term_set_ranking_identical(engine, query, k):
+def _search(engine, query, k):
     prepared = engine.prepare(query)
-    clusters = engine.clusters(prepared)
-    assert all(entry.id_set is not None
-               for cluster in clusters for entry in cluster.entries)
-    config = SearchConfig(k=k)
-    by_ids = top_k(prepared, clusters, engine.config.weights, config)
-    by_terms = top_k(prepared, _without_id_sets(clusters),
-                     engine.config.weights, config)
-    assert by_ids.answers
-    assert [(a.score, str(a)) for a in by_ids] == \
-        [(a.score, str(a)) for a in by_terms]
-    # Same trajectory, not just the same answers: the rarest-label
-    # tie-break is lexical in both spaces, so even patience-forced
+    return top_k(prepared, engine.clusters(prepared), engine.config.weights,
+                 SearchConfig(k=k))
+
+
+def _assert_live_ranking_identical(engine, graph, directory, query, k):
+    """A live index of the fixture's graph interns its own dictionary
+    in its own order (node labels only, where the builder interns edge
+    labels too), yet the search ranks — and walks — as over the built
+    index: χ/ψ depend on ids only through set sizes, and the pool
+    tie-break on label spellings.
+
+    The live index reads ``graph`` itself (nothing here writes to it):
+    ``graph.copy()`` re-adds edges in set order, so under some hash
+    seeds the copy stores its paths in another order, and forced
+    emissions follow storage order (ROADMAP item 1) — not this test's
+    subject."""
+    built = _search(engine, query, k)
+    live_engine = SamaEngine(IncrementalIndex(graph, str(directory)),
+                             engine.config)
+    try:
+        live = _search(live_engine, query, k)
+    finally:
+        live_engine.close()
+    assert built.answers
+    assert [(a.score, str(a)) for a in built] == \
+        [(a.score, str(a)) for a in live]
+    # Same trajectory, not just the same answers: even patience-forced
     # emissions (Q2, Q4; Q1's order is fully proven) agree.
-    assert (by_ids.expansions, by_ids.forced_emissions) == \
-        (by_terms.expansions, by_terms.forced_emissions)
-    return by_ids
+    assert (built.expansions, built.forced_emissions) == \
+        (live.expansions, live.forced_emissions)
+    return built
 
 
 @pytest.mark.parametrize("qid", ["Q1", "Q2", "Q4"])
-def test_term_set_rankings_identical(lubm_engine, qid):
+def test_term_set_rankings_identical(lubm_engine, lubm_small, tmp_path, qid):
     spec = next(s for s in lubm_queries() if s.qid == qid)
-    result = _assert_term_set_ranking_identical(lubm_engine, spec.graph, k=10)
+    result = _assert_live_ranking_identical(lubm_engine, lubm_small, tmp_path,
+                                            spec.graph, k=10)
     if qid == "Q1":     # the fully proven case must stay one
         assert result.forced_emissions == 0
 
 
-def test_term_set_rankings_identical_govtrack(govtrack_engine, q1):
-    _assert_term_set_ranking_identical(govtrack_engine, q1, k=8)
+def test_term_set_rankings_identical_govtrack(govtrack_engine, govtrack,
+                                              tmp_path, q1):
+    _assert_live_ranking_identical(govtrack_engine, govtrack, tmp_path,
+                                   q1, k=8)
+
+
+def _index_of(kind, graph, directory):
+    if kind == "live":
+        return IncrementalIndex(graph.copy(), directory)
+    if kind == "sharded":
+        return build_sharded_index(graph, directory, shards=2)[0]
+    return build_index(graph, directory)[0]
+
+
+@pytest.mark.parametrize("kind", ["built", "sharded", "live"])
+def test_every_index_class_hands_out_id_sets(kind, govtrack, tmp_path):
+    """The contract the engine relies on instead of probing: an index
+    has ``interner``, ``epoch`` and ``path_at``, every path carries
+    ``label_ids`` of that interner, and no column row is ``None``."""
+    index = _index_of(kind, govtrack, str(tmp_path / kind))
+    try:
+        assert isinstance(index.epoch, int)
+        columns = PathColumns(index)
+        for gid in index.all_offsets():
+            path = index.path_at(gid)
+            assert [index.interner.lookup(i) for i in path.label_ids] == \
+                list(path.nodes)
+            for plen in range(1, path.length + 1):
+                _uid, id_set = columns.row(gid, plen)
+                assert id_set == frozenset(path.label_ids[:plen])
+                assert {columns.name(i) for i in id_set} == \
+                    {str(node) for node in path.nodes[:plen]}
+    finally:
+        index.close()
+
+
+def test_term_set_fork_stays_deleted():
+    """The engine has one key space for χ/ψ; these spellings are how a
+    second one would come back."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    fork = re.compile(r'id_set is None|node_label_set\(|'
+                      r'getattr\(index, "interner"')
+    files = sorted((src / "engine").glob("*.py")) + [src / "index" /
+                                                     "columns.py"]
+    hits = [f"{path.name}:{number}"
+            for path in files
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if fork.search(line)]
+    assert hits == []
 
 
 # -- engine worker pool ------------------------------------------------------

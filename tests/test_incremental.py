@@ -1,8 +1,8 @@
 """Tests for incremental index maintenance (§7 extension).
 
 The correctness criterion throughout: after any sequence of triple
-insertions, the incremental index's live paths equal those of an index
-rebuilt from scratch over the final graph.
+insertions and removals, the incremental index's live paths equal those
+of an index rebuilt from scratch over the final graph.
 """
 
 import random
@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import dataset
 from repro.engine import SamaEngine
+from repro.index.columns import PathColumns
 from repro.index.incremental import IncrementalIndex
 from repro.paths.extraction import ExtractionLimits, extract_paths
+from repro.rdf import ntriples
 from repro.rdf.graph import DataGraph
 from repro.rdf.terms import Literal
 
@@ -243,3 +246,80 @@ class TestRemoveTriple:
                 index.add_triple(*triple)
                 present.add(triple)
             assert live_texts(index) == rebuilt_texts(index.graph)
+
+    def test_remove_on_parsed_graph_stays_incremental(self, tmp_path):
+        """A graph parsed from N-Triples numbers its nodes in file
+        order; removal edits it in place, so no node is renumbered and
+        nothing forces a full rebuild."""
+        text = ntriples.serialize(dataset("lubm").build(600, seed=3).triples())
+        graph = DataGraph.from_triples(ntriples.parse(text), name="lubm")
+        index = IncrementalIndex(graph, str(tmp_path / "parsed"))
+        src, label, dst = next(
+            edge for edge in graph.edges()
+            if graph.in_degree(edge.src) and graph.out_degree(edge.dst))
+        through = sum(1 for path in index.all_paths()
+                      if (src, dst) in zip(path.node_ids, path.node_ids[1:]))
+        assert through                      # the edge is mid-path
+        assert index.remove_triple(graph.label_of(src), label,
+                                   graph.label_of(dst))
+        assert index.stats.full_rebuilds == 0
+        assert 0 < index.stats.paths_invalidated < index.path_count
+        scratch = IncrementalIndex(index.graph.copy(),
+                                   str(tmp_path / "scratch"))
+        assert live_texts(index) == live_texts(scratch)
+        assert live_texts(index) == rebuilt_texts(index.graph)
+
+
+class TestInternedLabels:
+    """The live index is an interned index like any other: every path it
+    hands out carries ``label_ids`` of ``index.interner``."""
+
+    @staticmethod
+    def assert_interned(index):
+        lookup = index.interner.lookup
+        paths = index.all_paths()
+        assert paths
+        for path in paths:
+            assert path.label_ids is not None
+            assert [lookup(i) for i in path.label_ids] == list(path.nodes)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_every_path_carries_label_ids(self, tmp_path, shards):
+        graph = DataGraph.from_triples([
+            (uri("a"), uri("p"), uri("b")),
+            (uri("b"), uri("p"), uri("c")),
+        ])
+        index = IncrementalIndex(graph, str(tmp_path / "inc"), shards=shards)
+        self.assert_interned(index)
+        index.add_triples([(uri("c"), uri("q"), uri("d")),
+                           (uri("z"), uri("q"), Literal("new label"))])
+        self.assert_interned(index)
+        assert index.remove_triple(uri("b"), uri("p"), uri("c"))
+        self.assert_interned(index)
+        index.clear_cache()                 # paths re-decode from the log
+        self.assert_interned(index)
+        compacted = index.compact(str(tmp_path / "vacuumed"))
+        assert compacted.interner is index.interner
+        self.assert_interned(compacted)
+        compacted.clear_cache()
+        self.assert_interned(compacted)
+
+    def test_compact_keeps_names_and_ranking(self, tmp_path, govtrack, q1):
+        index = IncrementalIndex(govtrack.copy(), str(tmp_path / "inc"))
+        index.add_triples([
+            (uri("NewPerson"), "http://example.org/govtrack/sponsor",
+             "http://example.org/govtrack/B1432"),
+            (uri("NewPerson"), "http://example.org/govtrack/gender",
+             Literal("Male")),
+        ])
+
+        def ranking(engine):
+            return [(a.score, str(a)) for a in engine.query(q1, k=10)]
+
+        before = ranking(SamaEngine(index))
+        compacted = index.compact(str(tmp_path / "vacuumed"))
+        columns = PathColumns(compacted)
+        for path in compacted.all_paths():
+            for label_id, node in zip(path.label_ids, path.nodes):
+                assert columns.name(label_id) == str(node)
+        assert before and ranking(SamaEngine(compacted)) == before
