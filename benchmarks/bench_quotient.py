@@ -19,7 +19,7 @@ measures the two claims the subsystem makes:
   what serving telemetry reports.
 
 Wall-clock per arm is recorded for context; only identity and
-compression are gated (timing floors live in ``bench_multiproc.py``).
+compression are gated (speed is measured by ``benchmarks/e2e``).
 
 Usage::
 
@@ -52,7 +52,7 @@ from repro.datasets import dataset, lubm_queries  # noqa: E402
 from repro.engine import EngineConfig, SamaEngine  # noqa: E402
 from repro.obs import get_registry  # noqa: E402
 
-#: Same workload subset as ``bench_multiproc.py`` / ``bench_twostage.py``.
+#: Same workload subset as ``bench_twostage.py``.
 QUERY_IDS = ["Q1", "Q2", "Q3", "Q5", "Q7"]
 #: The ISSUE's acceptance matrix: {1, 4} shards x {threads, procs}
 #: workers x {off, safe} two-stage modes, every arm bit-identical.

@@ -18,8 +18,8 @@ the subsystem makes:
 
 Wall-clock per arm is recorded for context (on this repo's reference
 container approximate mode is also the fastest arm end-to-end), but
-only identity, recall and reduction are gated — timing floors live in
-``bench_multiproc.py``.
+only identity, recall and reduction are gated — speed is measured by
+``benchmarks/e2e``.
 
 Usage::
 
@@ -54,7 +54,7 @@ from repro.datasets import dataset, lubm_queries  # noqa: E402
 from repro.engine import EngineConfig, SamaEngine  # noqa: E402
 from repro.obs import get_registry  # noqa: E402
 
-#: Same workload subset as ``bench_multiproc.py``.
+#: Same workload subset as ``bench_fig6_response_time.py``.
 QUERY_IDS = ["Q1", "Q2", "Q3", "Q5", "Q7"]
 SHARD_COUNTS = (1, 2, 4)
 WORKER_MODES = ("serial", "threads", "procs")
@@ -138,7 +138,7 @@ def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
             index.close()
 
             # Exhaustive reference for this shard count (and the
-            # cross-shard identity assertion bench_multiproc pioneered).
+            # cross-shard identity assertion).
             engine = SamaEngine.open(
                 shard_path, config=_mode_config("serial", "off"))
             total, rankings = _timed_rankings(engine, queries, k, rounds)

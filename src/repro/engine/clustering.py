@@ -2,16 +2,20 @@
 
 For every query path ``q`` the engine retrieves candidate data paths
 from the index — by sink when ``q`` ends in a constant, otherwise by
-the first constant found scanning backwards from the sink — evaluates
-the alignment of each candidate, and keeps the cluster ordered by λ
-score, best (lowest) first.  A data path may appear in several clusters
+the first constant found scanning backwards from the sink — scores
+each candidate's alignment, and keeps the cluster ordered by λ score,
+best (lowest) first.  A data path may appear in several clusters
 with different scores (``p1`` scores 0 in ``cl1`` and 1.5 in ``cl2`` in
 the paper's Fig. 3), which is exactly what happens here.
 
 :func:`build_clusters` runs each query path through five stages —
 **retrieve → filter → charge → score → merge** — and every stage after
 retrieval hands on rows ``(λ, gid, prefix length, node label ids)``:
-what ranking needs, whoever scored the candidate.
+what ranking needs, whoever scored the candidate.  Scoring happens in
+id space on every path: the score stage is a caller of the one λ scan,
+:func:`repro.index.columnar.score_rows`, and the label-space
+:func:`repro.paths.alignment.align` runs only for the handful of
+entries that become answers or ``explain`` output.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
+from ..index.columnar import DROPPED, encode_query, score_rows
 from ..index.columns import PathColumns
 from ..index.pathindex import PathIndex
-from ..paths.alignment import Alignment, LabelMatcher, align, exact_match
+from ..paths.alignment import Alignment, align
 from ..paths.model import Path
-from ..quotient.resolve import DROPPED
 from ..resilience.budget import Budget, DegradationCause
 from ..resilience.errors import IndexCorruptError, StorageError
 from ..scoring.weights import PAPER_WEIGHTS, ScoringWeights
@@ -48,8 +53,7 @@ _SHARD_FAULTS = (StorageError, IndexCorruptError, OSError)
 _SHARD_DEADLINE_GRACE_S = 0.25
 
 #: Candidates charged to the budget per call (granularity of the
-#: ``max_candidates`` cap inside one cluster), and candidates scored
-#: between two deadline polls.
+#: ``max_candidates`` cap inside one cluster).
 _CHARGE_BLOCK = 64
 
 #: Minimum candidates before a cluster over a sharded index
@@ -97,25 +101,24 @@ class ClusterEntry:
     The row is what ranking needs, and most entries of a large cluster
     are never looked at again: the top-k search joins whole clusters
     (χ operands, candidate buckets) on id sets without touching the
-    page store.  ``path`` and ``alignment`` are seeded when whoever
-    scored the candidate held them, and otherwise decoded / re-aligned
-    on first use — only for the entries that become answers or explain
-    output.
+    page store.  ``path`` and ``alignment`` — the label-space reference
+    alignment, whose counts re-derive ``score`` exactly — are decoded /
+    aligned on first use: only for the entries that become answers or
+    explain output.
     """
 
     __slots__ = ("offset", "score", "uid", "id_set", "_plen", "_context",
                  "_path", "_alignment")
 
     def __init__(self, context: "_EntryContext | None", gid: int, plen: int,
-                 score: float, row: tuple, path: "Path | None" = None,
-                 alignment: "Alignment | None" = None):
+                 score: float, row: tuple):
         self.offset = gid
         self.score = score
         self._plen = plen
         self._context = context
         self.uid, self.id_set = row
-        self._path = path
-        self._alignment = alignment
+        self._path: "Path | None" = None
+        self._alignment: "Alignment | None" = None
 
     @property
     def path(self) -> Path:
@@ -189,20 +192,6 @@ class Cluster:
         return self.missing_penalty
 
 
-def _prefix_at_anchor(path: Path, anchor, matcher: LabelMatcher) -> "Path | None":
-    """The longest prefix of ``path`` ending at a node matching ``anchor``.
-
-    Returns ``None`` when no node matches (the candidate matched the
-    containment lookup through an edge label or a token; it cannot be
-    sink-anchored, so it is dropped).
-    """
-    for position in range(path.length - 1, -1, -1):
-        node = path.nodes[position]
-        if node == anchor or matcher(node, anchor):
-            return path.prefix(position + 1)
-    return None
-
-
 def missing_path_penalty(query_path: Path,
                          weights: ScoringWeights = PAPER_WEIGHTS) -> float:
     """λ-equivalent cost of leaving a query path completely unmatched.
@@ -216,9 +205,8 @@ def missing_path_penalty(query_path: Path,
             + weights.edge_mismatch * len(query_path.edges))
 
 
-def build_clusters(prepared: PreparedQuery, index: PathIndex,
+def build_clusters(prepared: PreparedQuery, index: PathIndex, ids_match,
                    weights: ScoringWeights = PAPER_WEIGHTS,
-                   matcher: LabelMatcher = exact_match,
                    semantic_lookup: bool = True,
                    max_cluster_size: "int | None" = None,
                    budget: "Budget | None" = None,
@@ -236,15 +224,22 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
     1. **retrieve** — the anchor fallback walk (:func:`_retrieve`):
        candidate gids in ascending order.  ``semantic_lookup`` controls
        whether index retrieval may widen labels through the thesaurus;
-       ``matcher`` is the label comparison used inside alignments (they
-       are deliberately independent: lookup recall and alignment cost
-       are different dials).
+       ``ids_match`` — the engine's
+       :func:`~repro.index.columnar.make_id_matcher` over
+       ``index.interner`` — is the label comparison used inside
+       alignments (they are deliberately independent: lookup recall and
+       alignment cost are different dials).  The query path and its
+       trim anchor are encoded against it once
+       (:func:`~repro.index.columnar.encode_query`), and the filter,
+       the refine keys and the scan all read constant ids from that one
+       encoding.
     2. **filter** — ``sketch_filter``, the optional two-stage recall
        hook (a :class:`repro.sketch.twostage.TwoStageFilter`, usually
        wrapped by the engine with its span and counters): called as
-       ``sketch_filter(query_path, offsets, trim_to_anchor, anchor)``,
-       it returns the surviving subset — still in ascending gid order —
-       and everything downstream sees only survivors.
+       ``sketch_filter(query, offsets, qctx)`` with the encoded query
+       and the cluster's refine-key context (or ``None``), it returns
+       the surviving subset — still in ascending gid order — and
+       everything downstream sees only survivors.
     3. **charge** — every surviving candidate is charged to ``budget``
        in blocks, over the *global* candidate order, before any is
        scored (:func:`_charge`): tripping ``max_candidates`` or the
@@ -253,19 +248,21 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
        already built keep their entries; clusters not yet reached come
        back empty — the search prices them with the missing-path
        penalty, so a degraded query still yields ranked, scored answers.
-    4. **score** — decode, trim, align and λ-sum, in exactly one
-       object-space loop (:class:`_Scorer`), run over the whole list
-       on the calling thread or — scatter-gather, below — over one
-       shard's slice per task.  ``quotient`` is the optional
-       class-compression hook (a
+    4. **score** — trim, scan and λ-sum in id space, by the one loop
+       every scorer calls (:func:`~repro.index.columnar.score_rows`,
+       bound to the cluster by :class:`_Scorer`), run over the whole
+       list on the calling thread or — scatter-gather, below — over one
+       shard's slice per task; a candidate's row is the ``(node ids,
+       edge ids)`` its decoded path carries.  ``quotient`` is the
+       optional class-compression hook (a
        :class:`repro.quotient.resolve.QuotientResolver`): per cluster
        it yields a refine-key context, and candidates sharing a refine
-       key are aligned **once** — the representative's ``(λ, trimmed
-       length)`` is copied to the other members' rows.  A candidate
-       without a refine key (no resolver, no usable ``quotient.bin``)
-       is a class of one.  Charging never sees the difference
-       (identical ``max_candidates`` trip points), so rankings are
-       bit-identical to per-path scoring.
+       key are decoded and scanned **once** — the representative's
+       ``(λ, trimmed length)`` is copied to the other members' rows.  A
+       candidate without a refine key (no resolver, no usable
+       ``quotient.bin``) is a class of one.  Charging never sees the
+       difference (identical ``max_candidates`` trip points), so
+       rankings are bit-identical to per-path scoring.
     5. **merge** — rows are sorted on ``(λ, gid)``, cut to
        ``max_cluster_size`` (bounding search work at a possible loss of
        answers beyond the cut), and only the survivors become
@@ -288,9 +285,9 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
 
     ``proc_pool`` (a :class:`~repro.parallel.ProcessShardPool`) routes
     shard tasks to per-shard worker processes — the
-    ``worker_mode="procs"`` execution mode.  Workers score candidates
-    in the columnar id space (``repro.index.columnar``, the one
-    id-space scorer) and ship back the same rows the in-process loop
+    ``worker_mode="procs"`` execution mode.  Workers run the same scan
+    over rows of their columnar view — every candidate, no decode, no
+    class grouping — and ship back the rows the in-process loop
     produces, so every ranking is bit-identical across serial, threads,
     and procs.  Hedge dispatches and shards with an armed fault injector
     score in-process (a duplicate task to a wedged worker would wait in
@@ -325,8 +322,8 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
     if health is not None:
         for shard_no, reason in health.quarantined_shards():
             dead_shards[shard_no] = reason or "quarantined"
-    decode = (_isolating_decoder(index, health, dead_shards) if sharded
-              else index.path_at)    # one directory, no shard to isolate
+    ids_of = (_isolating_ids(index, health, dead_shards) if sharded
+              else _path_ids(index))    # one directory: nothing to isolate
     scatters = (sharded and index.shard_count > 1
                 and (executor is not None or proc_pool is not None))
     clusters = []
@@ -336,42 +333,46 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
         if tripped or (budget is not None and budget.poll("cluster")):
             tripped = True      # budget gone: the rest come back empty
         else:
-            offsets, trim_to_anchor, anchor = _retrieve(
-                index, query_path, anchors, semantic_lookup)
+            offsets, trim_anchor = _retrieve(index, query_path, anchors,
+                                             semantic_lookup)
+            query = encode_query(query_path, ids_match, trim_anchor)
+            # One refine-key context per cluster (the key depends on
+            # the query path's constants and the trim anchor, both
+            # fixed for the cluster).
+            qctx = (quotient.context(query)
+                    if quotient is not None and offsets else None)
             # Two-stage recall: judge every retrieved candidate against
             # its sketch row before any budget is charged or any path
             # decoded.
             if sketch_filter is not None and offsets:
-                offsets = sketch_filter(query_path, offsets, trim_to_anchor,
-                                        anchor)
+                offsets = sketch_filter(query, offsets, qctx)
             kept, tripped = _charge(offsets, budget)
-            # One refine-key context per cluster (the key depends on
-            # the query path's constants and the trim anchor, both
-            # fixed for the cluster).
-            qctx = (quotient.context(query_path, trim_to_anchor, anchor)
-                    if quotient is not None and offsets else None)
-            scorer = _Scorer(query_path, anchor if trim_to_anchor else None,
-                             matcher, weights, budget, qctx)
+            scorer = _Scorer(query_path, trim_anchor, query, weights, budget,
+                             qctx.key_of if qctx is not None else None)
             scattered = scatters and len(offsets) >= max(2, scatter_threshold)
             if scattered:
                 rows, score_tripped = _scatter(
                     index, kept, scorer, executor, proc_pool, hedge_ms,
                     dead_shards)
             else:
-                rows, score_tripped = scorer(kept, decode)
+                rows, score_tripped = scorer(kept, ids_of)
             tripped = tripped or score_tripped
             if qctx is not None:
-                quotient.observe(qctx)
+                # A member's row carries no ids of its own.
+                quotient.observe(
+                    members=sum(row[3] is None for row in rows),
+                    reps=sum(verdict is not DROPPED
+                             for verdict in scorer.verdicts.values()))
             merge_started = time.monotonic()
             rows.sort(key=_BY_SCORE_THEN_GID)
             if scattered and proc_pool is not None:
                 proc_pool.observe_merge(time.monotonic() - merge_started)
             # Entries only for the rows that survive the cut.
-            context = _EntryContext(index, query_path, matcher, columns)
-            row, seeds = columns.row, scorer.seeds
+            context = _EntryContext(index, query_path, ids_match.matcher,
+                                    columns)
+            row = columns.row
             entries = [ClusterEntry(context, gid, plen, score,
-                                    row(gid, plen, node_ids),
-                                    *seeds.get(gid, ()))
+                                    row(gid, plen, node_ids))
                        for score, gid, plen, node_ids
                        in rows[:max_cluster_size]]
         clusters.append(Cluster(
@@ -386,20 +387,22 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex,
 
 
 def _retrieve(index, query_path: Path, anchors,
-              semantic_lookup: bool) -> "tuple[list[int], bool, object]":
-    """The retrieve stage: ``(candidate gids, trim_to_anchor, anchor)``.
+              semantic_lookup: bool) -> "tuple[list[int], object]":
+    """The retrieve stage: ``(candidate gids, trim anchor)``.
 
     Walks the anchor fallbacks: sink first (by sink lookup, then
     containment with trimming — the sink may be a mid-graph entity like
     a department), then earlier constants by containment (a constant
     that occurs nowhere in the data anchors through the next one — that
-    query still deserves approximate answers).
+    query still deserves approximate answers).  The trim anchor is the
+    sink when candidates came from its containment lookup — alignment
+    is sink-anchored (§4.3), so each is cut at the matched anchor —
+    and ``None`` when candidates are taken whole.
     """
     if not anchors:
         # Fully-variable query path: every indexed path is a candidate.
-        return index.all_offsets(), False, None
+        return index.all_offsets(), None
     offsets: list[int] = []
-    anchor = None
     for position, anchor in enumerate(anchors):
         if position == 0 and anchor == query_path.sink:
             offsets = index.offsets_with_sink(anchor, semantic=semantic_lookup)
@@ -408,15 +411,13 @@ def _retrieve(index, query_path: Path, anchors,
             offsets = index.offsets_containing(anchor,
                                                semantic=semantic_lookup)
             if offsets:
-                # Alignment is sink-anchored (§4.3): cut the candidate
-                # at the matched anchor.
-                return offsets, True, anchor
+                return offsets, anchor
         else:
             offsets = index.offsets_containing(anchor,
                                                semantic=semantic_lookup)
             if offsets:
                 break
-    return offsets, False, anchor
+    return offsets, None
 
 
 def _charge(offsets: list[int],
@@ -437,18 +438,30 @@ def _charge(offsets: list[int],
     return offsets, False
 
 
-def _isolating_decoder(index, health, dead_shards: "dict[int, str]"):
-    """``gid -> Path | None`` over a sharded index, for scoring on the
-    calling thread: a candidate of a dead shard decodes to ``None``,
+def _path_ids(index):
+    """``gid -> (node ids, edge ids)`` of the decoded stored path: the
+    coordinator's row source for :func:`score_rows`."""
+    path_at = index.path_at
+
+    def ids_of(gid: int):
+        path = path_at(gid)
+        return path.label_ids, path.edge_ids
+
+    return ids_of
+
+
+def _isolating_ids(index, health, dead_shards: "dict[int, str]"):
+    """:func:`_path_ids` over a sharded index, for scoring on the
+    calling thread: a candidate of a dead shard has no row (``None``),
     and a storage fault marks its shard dead (here and on the health
     board) instead of failing the query."""
-    locate, path_at = index.locate, index.path_at
+    locate, ids_of = index.locate, _path_ids(index)
 
-    def decode(gid: int) -> "Path | None":
+    def isolated(gid: int):
         if dead_shards and locate(gid)[0] in dead_shards:
             return None
         try:
-            return path_at(gid)
+            return ids_of(gid)
         except _SHARD_FAULTS as exc:
             shard_no = locate(gid)[0]
             dead_shards.setdefault(shard_no, str(exc))
@@ -456,110 +469,47 @@ def _isolating_decoder(index, health, dead_shards: "dict[int, str]"):
                 health.record_failure(shard_no, exc)
             return None
 
-    return decode
+    return isolated
 
 
 class _Scorer:
-    """The score stage of one cluster: the object-space loop that
-    decodes, trims, aligns and λ-sums a candidate.
+    """The score stage of one cluster: the λ scan
+    (:func:`~repro.index.columnar.score_rows`) bound to the cluster's
+    encoded query, budget and class verdicts.
 
-    Called as ``scorer(gids, decode)`` — over the cluster's whole
+    Called as ``scorer(gids, ids_of)`` — over the cluster's whole
     charged list, or once per shard slice by the in-process tasks of
-    :func:`_scatter` (hedges included), which share this object.  What
-    it shares is two dicts whose get/put are GIL-atomic:
-
-    ``verdicts``: refine key -> ``(λ, trimmed length)`` of the class
-    representative, or :data:`DROPPED` when the representative fell to
-    the anchor trim.  The first candidate of a refined class — on *any*
-    shard, classes span shards — is decoded and aligned; later members
+    :func:`_scatter` (hedges included), which share this object and so
+    its ``verdicts``: the first candidate of a refined class — on *any*
+    shard, classes span shards — is decoded and scanned; later members
     ship a row copied from its verdict (no ids: the column store
-    derives each member's own from its class).  The refine key
-    determines the verdict bit-exactly, so a racing duplicate write
-    stores the identical value.  A representative that fails to decode
-    does *not* register its key — the next member of the class is
-    decoded and becomes the representative instead, preserving
-    per-candidate fault isolation.  A dropped representative drops
-    every member (the trim verdict is refine-key invariant).
-
-    ``seeds``: gid -> ``(path, alignment)`` of every candidate aligned
-    here, handed to its :class:`ClusterEntry` so nothing the
-    coordinator already holds is decoded or aligned twice.
+    derives each member's own from its class).  A representative that
+    fails to decode does *not* register its key — the next member of
+    the class is decoded and becomes the representative instead,
+    preserving per-candidate fault isolation.  A dropped representative
+    drops every member (the trim verdict is refine-key invariant).
     """
 
-    __slots__ = ("query_path", "trim_anchor", "matcher", "weights",
-                 "budget", "qctx", "verdicts", "seeds")
+    __slots__ = ("query_path", "trim_anchor", "query", "weights", "budget",
+                 "expired", "key_of", "verdicts")
 
-    def __init__(self, query_path: Path, trim_anchor, matcher: LabelMatcher,
-                 weights: ScoringWeights, budget: "Budget | None", qctx):
+    def __init__(self, query_path: Path, trim_anchor, query,
+                 weights: ScoringWeights, budget: "Budget | None", key_of):
         self.query_path = query_path
         self.trim_anchor = trim_anchor
-        self.matcher = matcher
+        self.query = query
         self.weights = weights
         self.budget = budget
-        self.qctx = qctx
+        self.expired = (partial(budget.poll, "cluster")
+                        if budget is not None else None)
+        self.key_of = key_of
         self.verdicts: dict = {}
-        self.seeds: "dict[int, tuple[Path, Alignment]]" = {}
 
-    def __call__(self, gids, decode) -> "tuple[list[tuple], bool]":
+    def __call__(self, gids, ids_of) -> "tuple[list[tuple], bool]":
         """Rows of ``gids`` in candidate order, and whether the
         deadline tripped mid-scoring (the rows scored so far are kept)."""
-        query_path, anchor = self.query_path, self.trim_anchor
-        matcher, budget = self.matcher, self.budget
-        verdicts, seeds = self.verdicts, self.seeds
-        qctx = self.qctx
-        key_of = qctx.key_of if qctx is not None else None
-        weights = self.weights
-        node_mis = weights.node_mismatch
-        node_ins = weights.node_insertion
-        edge_mis = weights.edge_mismatch
-        edge_ins = weights.edge_insertion
-        node_del = weights.node_deletion
-        edge_del = weights.edge_deletion
-        rows = []
-        members = reps = 0
-        tripped = False
-        for rank, gid in enumerate(gids):
-            if (budget is not None and rank and rank % _CHARGE_BLOCK == 0
-                    and budget.poll("cluster")):
-                tripped = True
-                break
-            # No key (no resolver, no usable quotient): a class of one.
-            key = key_of(gid) if key_of is not None else None
-            if key is not None:
-                verdict = verdicts.get(key)
-                if verdict is not None:
-                    if verdict is not DROPPED:
-                        members += 1
-                        rows.append((verdict[0], gid, verdict[1], None))
-                    continue
-            path = decode(gid)
-            if path is None:
-                continue
-            if anchor is not None:
-                path = _prefix_at_anchor(path, anchor, matcher)
-                if path is None:
-                    if key is not None:
-                        verdicts[key] = DROPPED
-                    continue
-            # Clustering reads only counts and substitutions; skipping
-            # the EditOp transcript is a large win.
-            alignment = align(path, query_path, matcher, transcript=False)
-            counts = alignment.counts
-            score = (node_mis * counts.node_mismatches
-                     + node_ins * counts.node_insertions
-                     + edge_mis * counts.edge_mismatches
-                     + edge_ins * counts.edge_insertions
-                     + node_del * counts.node_deletions
-                     + edge_del * counts.edge_deletions)
-            if key is not None:
-                verdicts[key] = (score, path.length)
-                reps += 1
-            seeds[gid] = (path, alignment)
-            rows.append((score, gid, path.length, path.label_ids))
-        if qctx is not None:
-            qctx.members += members
-            qctx.reps += reps
-        return rows, tripped
+        return score_rows(gids, ids_of, self.query, self.weights,
+                          self.expired, self.key_of, self.verdicts)
 
 
 def _scatter(index, gids: list[int], scorer: _Scorer, executor, proc_pool,
@@ -575,8 +525,8 @@ def _scatter(index, gids: list[int], scorer: _Scorer, executor, proc_pool,
 
     In-process tasks call ``scorer`` itself.  With ``proc_pool``,
     eligible shards are scored inside their worker processes instead
-    (same rows; workers do their own class grouping, the flag rides on
-    the task envelope), dispatched through the pool's own threads so
+    (same scan, same rows, every candidate scanned — class sharing is
+    the coordinator's), dispatched through the pool's own threads so
     blocked IPC waits never starve the shared executor; a shard whose
     coordinator-side page store has a fault injector armed stays
     in-process so injected chaos keeps its exact semantics, and hedge
@@ -598,10 +548,12 @@ def _scatter(index, gids: list[int], scorer: _Scorer, executor, proc_pool,
     if proc_pool is not None:
         executor = proc_pool.executor
 
+    # A fault escaping an in-process task loses the whole shard, so it
+    # decodes without the calling thread's per-candidate isolation.
+    ids_of = _path_ids(index)
+
     def in_process(pairs):
-        # A fault escaping the task loses the whole shard, so it
-        # decodes without the calling thread's per-candidate isolation.
-        return scorer([gid for gid, _offset in pairs], index.path_at)
+        return scorer([gid for gid, _offset in pairs], ids_of)
 
     def deadline_cap() -> "float | None":
         """Seconds a gather may still wait before a task is overrun."""
@@ -625,8 +577,7 @@ def _scatter(index, gids: list[int], scorer: _Scorer, executor, proc_pool,
             remaining = budget.remaining_ms() if budget is not None else None
             future = executor.submit(
                 proc_pool.run_shard, shard_no, pairs, scorer.query_path,
-                scorer.trim_anchor, scorer.weights, remaining,
-                scorer.qctx is not None)
+                scorer.trim_anchor, scorer.weights, remaining)
         else:
             future = executor.submit(in_process, pairs)
         tasks.append((shard_no, pairs, future))

@@ -29,6 +29,7 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from ..index.builder import IndexStats, build_index
+from ..index.columnar import make_id_matcher
 from ..index.columns import PathColumns
 from ..index.labels import SemanticMatcher
 from ..index.pathindex import PathIndex
@@ -89,8 +90,9 @@ class EngineConfig:
     #: ``"threads"`` keeps shard tasks on the shared thread pool (best
     #: when page reads dominate), ``"procs"`` scores each shard inside
     #: a long-lived worker process with a columnar view of its paths —
-    #: the CPU-bound λ loop escapes the GIL and skips per-query decode
-    #: (best for in-memory data; see DESIGN.md §11).  ``None`` defers
+    #: the same λ scan, outside the coordinator's GIL and over rows that
+    #: need no decode (best for in-memory data on several cores; see
+    #: DESIGN.md §11).  ``None`` defers
     #: to ``SAMA_WORKER_MODE``, default ``"threads"``.  Rankings are
     #: bit-identical across modes.
     worker_mode: "str | None" = None
@@ -108,8 +110,8 @@ class EngineConfig:
     #: gates it.
     recall_target: float = 0.95
     #: Quotient-compressed scoring (``repro.quotient``): ``"auto"``
-    #: aligns once per refined equivalence class whenever persisted
-    #: ``quotient.bin`` files match the index epoch (built by
+    #: decodes and scans one path per refined equivalence class whenever
+    #: persisted ``quotient.bin`` files match the index epoch (built by
     #: ``sama index build`` / ``sama index quotient``), silently
     #: falling back to per-path scoring when they are absent or stale;
     #: ``"off"`` never loads them.  Rankings are bit-identical either
@@ -135,7 +137,7 @@ class SamaEngine:
         if self.config.worker_mode is not None:
             resolve_worker_mode(self.config.worker_mode)
         self.thesaurus = thesaurus if thesaurus is not None else default_thesaurus()
-        self.matcher = self._build_matcher()
+        self._build_matcher()
         self.last_result: "SearchResult | None" = None
         self.index_stats: "IndexStats | None" = None
         self._proc_pool: "ProcessShardPool | None" = None
@@ -148,11 +150,16 @@ class SamaEngine:
         self._columns: "PathColumns | None" = None
         self._quotient_epoch = None
 
-    def _build_matcher(self) -> LabelMatcher:
+    def _build_matcher(self) -> None:
         level = self.config.matcher_level
-        if level == "exact":
-            return exact_match
-        return SemanticMatcher(self.thesaurus, level=level)
+        self.matcher: LabelMatcher = (
+            exact_match if level == "exact"
+            else SemanticMatcher(self.thesaurus, level=level))
+        #: The matcher in id space — the one verdict memo of this
+        #: ``(index.interner, matcher)``, read by the λ scan, the refine
+        #: keys and the sketch filter through each cluster's encoded
+        #: query.
+        self.ids_match = make_id_matcher(self.index.interner, self.matcher)
 
     # -- construction ----------------------------------------------------------
 
@@ -245,9 +252,8 @@ class SamaEngine:
                              if self.config.scatter_threshold is not None
                              else SCATTER_THRESHOLD)
         with span("cluster"):
-            return build_clusters(prepared, self.index,
+            return build_clusters(prepared, self.index, self.ids_match,
                                   weights=self.config.weights,
-                                  matcher=self.matcher,
                                   semantic_lookup=self.config.semantic_lookup,
                                   max_cluster_size=self.config.max_cluster_size,
                                   budget=budget,
@@ -404,9 +410,6 @@ class SamaEngine:
             return None
         index = self.index
         epoch_key = self._epoch_key()
-        # Resolved before taking the sketch lock — the two lazy caches
-        # stay lock-disjoint, so there is no ordering to get wrong.
-        quotient = self.quotient_resolver()
         with self._sketch_lock:
             if self._sketch_epoch == epoch_key:
                 return self._sketch_filter
@@ -417,11 +420,10 @@ class SamaEngine:
             sketches = SketchIndex.for_index(index)
             if sketches is None:
                 return None
-            judge = TwoStageFilter(index, sketches, self.matcher,
+            judge = TwoStageFilter(index, sketches, self.ids_match,
                                    self.config.weights, mode,
                                    self.config.max_cluster_size,
-                                   recall_target=self.config.recall_target,
-                                   quotient=quotient)
+                                   recall_target=self.config.recall_target)
             registry = get_registry()
             candidates_total = registry.counter(
                 "sama_sketch_candidates_total",
@@ -431,9 +433,9 @@ class SamaEngine:
                 "Candidates pruned by the sketch filter before exact "
                 "lambda/psi scoring")
 
-            def filtered(query_path, offsets, trim_to_anchor, anchor):
+            def filtered(query, offsets, qctx):
                 with span("sketch"):
-                    kept = judge(query_path, offsets, trim_to_anchor, anchor)
+                    kept = judge(query, offsets, qctx)
                 candidates_total.inc(len(offsets))
                 pruned_total.inc(len(offsets) - len(kept))
                 return kept
@@ -456,7 +458,7 @@ class SamaEngine:
         index epoch moves (an incremental round, a reopen after
         compaction) — a moved epoch orphans the loaded classes, and
         the reload finds either fresh files or nothing, in which case
-        scoring silently falls back to per-path alignment: the exact
+        scoring silently falls back to per-path scanning: the exact
         contract ``sketch.bin`` established.  Loading refreshes the
         ``sama_quotient_classes`` / ``sama_quotient_paths`` /
         ``sama_quotient_compression_ratio`` gauges, so ``/stats``
@@ -504,7 +506,7 @@ class SamaEngine:
             "sama_quotient_compression_ratio",
             "Stored paths per equivalence class across loaded "
             "quotients").set(quotients.compression_ratio)
-        return QuotientResolver(index, quotients, self.matcher)
+        return QuotientResolver(quotients)
 
     # -- execution mode --------------------------------------------------------
 
@@ -550,7 +552,7 @@ class SamaEngine:
         """Reset the engine to the cold-cache condition of §6.2."""
         self.index.clear_cache()
         if isinstance(self.matcher, SemanticMatcher):
-            self.matcher = self._build_matcher()
+            self._build_matcher()
 
     def warm_cache(self) -> None:
         """Pre-fault the whole index (warm-cache condition)."""

@@ -53,10 +53,11 @@ class LabelInterner:
     varint count, then each term in the serializer's term encoding.
     The index builder interns every node label at ``add_path`` time and
     persists the dictionary next to the path log; reopening reads it
-    back so ids are stable across processes.  Labels first seen at
-    query time (thesaurus-widened anchors, literals only the query
-    mentions) keep interning in memory — determinism within a process
-    is all χ needs, since only *data-path* id sets are ever intersected.
+    back so ids are stable across processes.  Only writers intern:
+    a query looks ids up (:meth:`id_of`), and a constant the data never
+    mentions gets an id of the query's own
+    (:func:`repro.index.columnar.encode_query`), so reads never grow the
+    dictionary.
     """
 
     def __init__(self):
@@ -83,12 +84,19 @@ class LabelInterner:
         """The label behind ``label_id``."""
         return self._terms[label_id]
 
+    def id_of(self, term: Term) -> "int | None":
+        """The id of ``term`` if it has one (the read-side of
+        :meth:`intern`: never assigns)."""
+        return self._ids.get(term)
+
     def intern_path(self, path: Path) -> Path:
-        """Attach the ``array('i')`` id sequence of ``path``'s node
-        labels (idempotent; returns ``path`` for chaining)."""
+        """Attach the ``array('i')`` id sequences of ``path``'s node and
+        edge labels (idempotent; returns ``path`` for chaining)."""
         if path.label_ids is None:
+            intern = self.intern
             path.attach_label_ids(
-                array("i", [self.intern(node) for node in path.nodes]))
+                array("i", [intern(node) for node in path.nodes]),
+                array("i", [intern(edge) for edge in path.edges]))
         return path
 
     # -- record codec ------------------------------------------------------
@@ -123,9 +131,9 @@ class LabelInterner:
 
         This is the decode hot path of query-time cluster retrieval:
         label ids resolve by list indexing into *shared* Term objects
-        (no UTF-8 parsing, no fresh Term per record), and the node-id
-        array doubles as the path's ``label_ids``, so the dense-ID
-        pipeline needs no re-interning pass afterwards.
+        (no UTF-8 parsing, no fresh Term per record), and the two id
+        runs double as the path's ``label_ids`` / ``edge_ids``, so the
+        id-space pipeline needs no re-interning pass afterwards.
         """
         from ..storage.serializer import CodecError
 
@@ -138,25 +146,17 @@ class LabelInterner:
             if count < 1:
                 raise CodecError("path must have at least one node")
             terms = self._terms
+            # ``count`` node label ids, then ``count - 1`` edge label ids.
             raw_ids = []
             append_id = raw_ids.append
-            for _ in range(count):
+            for _ in range(2 * count - 1):
                 byte = data[pos]
                 if byte < 0x80:
                     pos += 1
                 else:
                     byte, pos = _uvarint(data, pos)
                 append_id(byte)
-            label_ids = array("i", raw_ids)
-            nodes = tuple(terms[i] for i in raw_ids)
-            edges = []
-            for _ in range(count - 1):
-                byte = data[pos]
-                if byte < 0x80:
-                    pos += 1
-                else:
-                    byte, pos = _uvarint(data, pos)
-                edges.append(terms[byte])
+            labels = [terms[i] for i in raw_ids]
             flag = data[pos:pos + 1]
             pos += 1
             if flag == b"\x00":
@@ -172,8 +172,10 @@ class LabelInterner:
         except IndexError as exc:
             raise CodecError(f"truncated or corrupt interned record: "
                              f"{exc}") from exc
-        path = Path.from_terms(nodes, tuple(edges), node_ids)
-        path.attach_label_ids(label_ids)
+        path = Path.from_terms(tuple(labels[:count]), tuple(labels[count:]),
+                               node_ids)
+        path.attach_label_ids(array("i", raw_ids[:count]),
+                              array("i", raw_ids[count:]))
         return path
 
     # -- persistence -------------------------------------------------------

@@ -3,7 +3,7 @@
 A *span* times one named stage::
 
     with span("cluster"):
-        clusters = build_clusters(prepared, index, budget=budget)
+        clusters = build_clusters(prepared, index, ids_match, budget=budget)
 
 Every span observes the process-wide ``sama_stage_seconds`` histogram
 (labelled by stage) unless observability is off, and — independently

@@ -12,8 +12,12 @@ Two kinds of parallelism live here:
   ``EngineConfig(worker_mode="procs")``: long-lived, spawn-safe worker
   processes, one per shard, each holding its shard's
   :class:`~repro.index.columnar.ColumnarView` so the CPU-bound λ scan
-  runs outside the coordinator's GIL and without per-query decode.
-  See DESIGN.md §11 for the threads-vs-procs decision table.
+  (:func:`~repro.index.columnar.score_rows`, the same loop the
+  coordinator runs) happens outside the coordinator's GIL, over rows
+  that need no decode.  A worker scans every candidate it is sent:
+  refine-key class sharing (:mod:`repro.quotient.resolve`) is the
+  coordinator's, where it saves decodes.  See DESIGN.md §11 for the
+  threads-vs-procs decision table.
 
 Setting ``SAMA_WORKERS=1`` (or 0) disables thread parallelism
 entirely: :func:`shared_executor` then returns ``None`` and callers
@@ -190,15 +194,10 @@ class ShardTask:
     anchor: object               # trim anchor Term, or None
     weights: object              # repro.scoring.weights.ScoringWeights
     remaining_ms: "float | None"  # budget slice; None = no deadline
-    #: Score one columnar scan per refined equivalence class and copy
-    #: the verdict to the class's other candidates (repro.quotient).
-    #: Workers derive classes from their own in-RAM view, so the flag
-    #: needs no sidecar file and can never be stale.
-    quotient: bool = False
 
     @property
     def pairs(self):
-        """The ``(gid, offset)`` view the scorer iterates."""
+        """The ``(gid, offset)`` pairs the coordinator grouped."""
         return zip(self.gids, self.offsets)
 
 
@@ -214,12 +213,11 @@ def _shard_worker_main(shard_directory, thesaurus, matcher_level,
     other worker's and with the coordinator.
     """
     from .index.columnar import (ColumnarView, encode_query, make_id_matcher,
-                                 score_pairs)
+                                 score_rows)
     from .index.labels import SemanticMatcher
     from .index.pathindex import PathIndex
     from .paths.alignment import exact_match
-
-    from .quotient.store import ShardQuotient
+    from .resilience.budget import Budget
 
     index = PathIndex.open(shard_directory, thesaurus=thesaurus)
     view = ColumnarView.build(index)
@@ -229,42 +227,31 @@ def _shard_worker_main(shard_directory, thesaurus, matcher_level,
     else:
         matcher = SemanticMatcher(thesaurus, level=matcher_level)
     ids_match = make_id_matcher(index.interner, matcher)
-    # Built lazily on the first quotient-flagged task; derived from the
-    # same view the scorer reads, so it can never disagree with it.
-    shard_quotient = None
     results.put(("ready", os.getpid(), None))
     while True:
         task = tasks.get()
         if task is None:
             break
         try:
-            query = encode_query(task.query_path, index.interner,
-                                 anchor=task.anchor)
-            if task.quotient:
-                if shard_quotient is None:
-                    row_offsets = [0] * len(view)
-                    for offset, row in view.row_of.items():
-                        row_offsets[row] = offset
-                    shard_quotient = ShardQuotient.from_view(
-                        view, row_offsets, 0)
-                scored, tripped = _score_quotient(
-                    view, shard_quotient, task.pairs, query,
-                    task.weights, ids_match, task.remaining_ms)
-            else:
-                scored, tripped = score_pairs(
-                    view, task.pairs, query, task.weights, ids_match,
-                    remaining_ms=task.remaining_ms, with_starts=True)
-            # Ship each kept candidate's trimmed node-id slice along
-            # with its row: the coordinator's search joins clusters on
-            # these ids (χ operands, candidate buckets) without ever
-            # decoding the paths.  Flat array + per-row lengths in
-            # ``plens`` — one compact buffer instead of many tuples.
+            query = encode_query(task.query_path, ids_match, task.anchor)
+            offset_of = dict(task.pairs)
+            # The worker's clock against its budget slice.
+            expired = (None if task.remaining_ms is None
+                       else Budget(deadline_ms=task.remaining_ms).expired)
+            scored, tripped = score_rows(
+                task.gids, lambda gid: view.ids_at(offset_of[gid]), query,
+                task.weights, expired=expired)
+            # Ship each kept candidate's trimmed node ids along with
+            # its row: the coordinator's search joins clusters on these
+            # ids (χ operands, candidate buckets) without ever decoding
+            # the paths.  Flat array + per-row lengths in ``plens`` —
+            # one compact buffer instead of many tuples.
             flat_ids = array("i")
-            for _score, _gid, plen, start in scored:
-                flat_ids.extend(view.node_ids[start:start + plen])
-            payload = (array("d", (item[0] for item in scored)),
-                       array("q", (item[1] for item in scored)),
-                       array("i", (item[2] for item in scored)),
+            for row in scored:
+                flat_ids.extend(row[3])
+            payload = (array("d", (row[0] for row in scored)),
+                       array("q", (row[1] for row in scored)),
+                       array("i", (row[2] for row in scored)),
                        flat_ids,
                        tripped)
             results.put((task.task_id, payload, None))
@@ -272,75 +259,6 @@ def _shard_worker_main(shard_directory, thesaurus, matcher_level,
             results.put((task.task_id, None,
                          f"{type(exc).__name__}: {exc}"))
     index.close()
-
-
-def _score_quotient(view, quotient, pairs, query, weights, ids_match,
-                    remaining_ms: "float | None"):
-    """Worker-side class compression: one columnar scan per refined class.
-
-    The id-space replica of the coordinator's refine key
-    (:mod:`repro.quotient.resolve`): the constants are the
-    non-negative ids of the encoded query plus the trim anchor, a
-    slot's feature is the subset of constants it ``ids_match``-es, and
-    candidates of one class with equal per-slot features provably
-    receive bit-identical ``(λ, trimmed length)`` from
-    :func:`~repro.index.columnar.score_pairs` — so only the first of
-    each refined class is scanned and the verdict is copied to the
-    rest, each shipped with its own node-column start.  A class whose
-    representative is dropped by the anchor trim (or lost to the
-    deadline) contributes no rows, mirroring the coordinator's serial
-    quotient path.
-    """
-    from .index.columnar import score_pairs
-
-    constants = sorted(
-        {label for label in query.nodes if label >= 0}
-        | {label for label in query.edges if label >= 0}
-        | ({query.anchor_id} if query.anchor_id is not None else set()))
-    features: "dict[int, frozenset]" = {}
-
-    def feature(param: int) -> frozenset:
-        found = features.get(param)
-        if found is None:
-            found = features[param] = frozenset(
-                constant for constant in constants
-                if ids_match(param, constant))
-        return found
-
-    row_of = quotient.row_of
-    class_ids = quotient.class_ids
-    params_list = quotient.params
-    pair_list = list(pairs)
-    keys = []                    # refine key per pair, pair order
-    rep_pairs = []               # first-of-class (gid, offset) pairs
-    rep_key_of = {}              # rep gid -> its refine key
-    seen = set()
-    for gid, offset in pair_list:
-        row = row_of[offset]
-        # One worker is one shard, so the class id is the identity.
-        key = (class_ids[row],
-               *[feature(param) for param in params_list[row]])
-        keys.append(key)
-        if key not in seen:
-            seen.add(key)
-            rep_pairs.append((gid, offset))
-            rep_key_of[gid] = key
-    scored, tripped = score_pairs(
-        view, rep_pairs, query, weights, ids_match,
-        remaining_ms=remaining_ms, with_starts=True)
-    verdicts = {}                # refine key -> (λ, trimmed length)
-    for score, gid, plen, _start in scored:
-        verdicts[rep_key_of[gid]] = (score, plen)
-    node_offs = view.node_offs
-    results = []
-    for (gid, offset), key in zip(pair_list, keys):
-        verdict = verdicts.get(key)
-        if verdict is None:
-            continue
-        score, plen = verdict
-        results.append((score, gid, plen, node_offs[row_of[offset]]))
-    results.sort(key=lambda item: (item[0], item[1]))
-    return results, tripped
 
 
 class _ShardWorker:
@@ -468,17 +386,14 @@ class ProcessShardPool:
     # -- scoring -----------------------------------------------------------
 
     def run_shard(self, shard_no: int, pairs, query_path, anchor,
-                  weights, remaining_ms: "float | None",
-                  quotient: bool = False):
+                  weights, remaining_ms: "float | None"):
         """Score one shard's candidate slice in its worker process.
 
-        Returns the same ``(results, tripped)`` pair as the in-process
-        shard task: ``results`` as ``(score, gid, prefix_length,
-        node label ids)`` rows sorted by ``(score, gid)``.  Runs on a
-        dispatch thread; worker death or an overdue response raises
+        Returns the same ``(rows, tripped)`` pair as the in-process
+        shard task: ``(score, gid, prefix_length, node label ids)``
+        rows in candidate order.  Runs on a dispatch thread; worker
+        death or an overdue response raises
         :class:`~repro.resilience.errors.ShardUnavailableError`.
-        ``quotient`` asks the worker to score one columnar scan per
-        refined equivalence class (bit-identical rows, fewer scans).
         """
         from .resilience.errors import ShardUnavailableError
         with self._lock:
@@ -508,8 +423,7 @@ class ProcessShardPool:
             task = ShardTask(
                 task_id=worker.next_task_id, gids=gid_column,
                 offsets=offset_column, query_path=query_path, anchor=anchor,
-                weights=weights, remaining_ms=remaining_ms,
-                quotient=quotient)
+                weights=weights, remaining_ms=remaining_ms)
             worker.next_task_id += 1
             started = time.monotonic()
             worker.tasks.put(task)

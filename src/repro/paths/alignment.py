@@ -16,6 +16,12 @@ the edge labels conflict, and any budget left when the query side is
 exhausted is spent on the data path's source-side remainder.  Query
 variables substitute for any constant at zero cost.
 
+:func:`align` is the paper-shaped reference: it builds answers,
+``explain`` output and transcripts, and it is what the tests compare
+the engine's hot-path scan against — candidates are *scored* by the
+id-space replay of the same walk,
+:func:`repro.index.columnar.score_rows`.
+
 :func:`align_optimal` is a dynamic-programming reference (O(|p|·|q|))
 that provably minimises the weighted cost; the test suite uses it to
 bound how far the greedy scan can drift, and the engine can be switched
@@ -267,6 +273,25 @@ def align(data_path: Path, query_path: Path,
                      counts=scanner.counts(),
                      substitution=scanner.substitution,
                      ops=tuple(reversed(scanner.ops)))
+
+
+def prefix_at_anchor(path: Path, anchor: Term,
+                     matcher: LabelMatcher = exact_match) -> "Path | None":
+    """The longest prefix of ``path`` ending at a node matching ``anchor``
+    — the sink-anchored trim applied to a candidate retrieved through a
+    mid-path label (§4.3: alignment starts from the sinks).
+
+    Returns ``None`` when no node matches (the candidate matched the
+    containment lookup through an edge label or a token; it cannot be
+    sink-anchored, so it is dropped).  Like :func:`align`, this is the
+    label-space reference of what the engine's id-space scan
+    (:func:`repro.index.columnar.score_rows`) does per candidate.
+    """
+    for position in range(path.length - 1, -1, -1):
+        node = path.nodes[position]
+        if node == anchor or matcher(node, anchor):
+            return path.prefix(position + 1)
+    return None
 
 
 def align_optimal(data_path: Path, query_path: Path, weights,

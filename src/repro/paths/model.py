@@ -36,7 +36,7 @@ class Path:
     """
 
     __slots__ = ("nodes", "edges", "node_ids", "_hash", "_label_set",
-                 "_label_ids")
+                 "_label_ids", "_edge_ids")
 
     def __init__(self, nodes: Sequence, edges: Sequence,
                  node_ids: "Sequence[int] | None" = None):
@@ -55,9 +55,10 @@ class Path:
         # Memoised by node_label_set(); χ is called on every conformity
         # check, so the set must not be rebuilt per call.
         object.__setattr__(self, "_label_set", None)
-        # Dense interned node-label ids (attach_label_ids) — absent
-        # (None) on paths that never went through a LabelInterner.
+        # Dense interned node- and edge-label ids (attach_label_ids) —
+        # absent (None) on paths that never went through a LabelInterner.
         object.__setattr__(self, "_label_ids", None)
+        object.__setattr__(self, "_edge_ids", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Path is immutable")
@@ -88,6 +89,7 @@ class Path:
         set_slot(path, "_hash", None)
         set_slot(path, "_label_set", None)
         set_slot(path, "_label_ids", None)
+        set_slot(path, "_edge_ids", None)
         return path
 
     # -- identity ---------------------------------------------------------
@@ -175,27 +177,35 @@ class Path:
 
     # -- interned label ids -------------------------------------------------
 
-    def attach_label_ids(self, label_ids) -> None:
-        """Attach interned node-label ids (an ``array('i')``-compatible
-        sequence aligned with ``nodes``).
+    def attach_label_ids(self, label_ids, edge_ids) -> None:
+        """Attach interned label ids: two ``array('i')``-compatible
+        sequences aligned with ``nodes`` and ``edges``.
 
-        Interning is injective, so any set computed over the ids has the
-        same cardinality as the corresponding label set — which is what
-        lets χ/ψ intersect small int-sets instead of hashing Terms.
-        Attaching twice is a no-op (the ids are a pure function of the
-        labels for a given interner).
+        Interning is injective, so id equality is label equality —
+        which is what lets χ/ψ intersect small int-sets and the λ scan
+        (:func:`repro.index.columnar.score_rows`) compare ints instead
+        of hashing Terms.  Attaching twice is a no-op (the ids are a
+        pure function of the labels for a given interner).
         """
         if self._label_ids is None:
-            if len(label_ids) != len(self.nodes):
+            if (len(label_ids) != len(self.nodes)
+                    or len(edge_ids) != len(self.edges)):
                 raise ValueError(
-                    f"need one label id per node: {len(label_ids)} ids "
-                    f"for {len(self.nodes)} nodes")
+                    f"need one label id per node and edge: "
+                    f"{len(label_ids)}+{len(edge_ids)} ids for "
+                    f"{len(self.nodes)} nodes, {len(self.edges)} edges")
             object.__setattr__(self, "_label_ids", label_ids)
+            object.__setattr__(self, "_edge_ids", edge_ids)
 
     @property
     def label_ids(self):
         """The attached interned node-label ids, or ``None``."""
         return self._label_ids
+
+    @property
+    def edge_ids(self):
+        """The attached interned edge-label ids, or ``None``."""
+        return self._edge_ids
 
     def variables(self) -> set[Variable]:
         """Variables occurring as node or edge labels (query paths)."""
@@ -220,9 +230,10 @@ class Path:
         ids = self.node_ids[:node_count] if self.node_ids else None
         clipped = Path(self.nodes[:node_count], self.edges[:node_count - 1], ids)
         if self._label_ids is not None:
-            # Interned ids slice with the nodes, so prefix-trimmed
-            # candidates stay on the int-set fast path for free.
-            clipped.attach_label_ids(self._label_ids[:node_count])
+            # Interned ids slice with the labels, so prefix-trimmed
+            # candidates stay in id space for free.
+            clipped.attach_label_ids(self._label_ids[:node_count],
+                                     self._edge_ids[:node_count - 1])
         return clipped
 
     # -- rendering ------------------------------------------------------------

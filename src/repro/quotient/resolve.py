@@ -11,11 +11,12 @@ closes that gap with a **refine key** per candidate:
     key = (class pattern, feature(param) for each slot filler ...)
     feature(p) = { query constant c : ids_match(p, c) }
 
-where the constants are the interned ids of every constant node and
-edge of the query path plus the trim anchor.  Two candidates with
-equal refine keys are indistinguishable to the greedy sink-anchored
-scan (:func:`repro.paths.alignment.align` and its id-space replica
-:func:`repro.index.columnar.score_pairs`):
+where the constants are the ids of every constant node and edge of the
+encoded query path plus the trim anchor
+(:meth:`repro.index.columnar.EncodedQuery.constant_ids`).  Two
+candidates with equal refine keys are indistinguishable to the greedy
+sink-anchored scan (:func:`repro.index.columnar.score_rows`, the
+id-space replay of :func:`repro.paths.alignment.align`):
 
 - at every *compared* position the scan's verdict is
   ``ids_match(data id, query constant)`` — equal features ⇒ equal
@@ -31,10 +32,10 @@ scan (:func:`repro.paths.alignment.align` and its id-space replica
 
 Branch-identical scans produce the *same integer counts*, and λ is a
 weighted sum of those integers evaluated in one fixed order — so the
-scores are bit-identical floats, not merely close.  The engine
-therefore aligns one representative per refine key and copies
-``(λ, trimmed length)`` to the other members; members re-enter the
-pipeline as ``(λ, gid, trimmed length)`` rows whose
+scores are bit-identical floats, not merely close.  The scan
+therefore reads one representative per refine key and copies
+``(λ, trimmed length)`` to the other members — which are never decoded;
+members re-enter the pipeline as ``(λ, gid, trimmed length)`` rows whose
 :class:`~repro.engine.clustering.ClusterEntry` carries their own
 concrete node ids (reconstructed once per index epoch from their slot
 fillers by :class:`repro.index.columns.PathColumns`),
@@ -42,6 +43,13 @@ so everything downstream — ψ/χ set intersections, candidate
 buckets, final answers — sees the member's true labels.  Rankings are
 asserted bit-identical to unquotiented scoring across shard counts,
 worker modes and two-stage modes by ``benchmarks/bench_quotient.py``.
+
+Refine keys exist here and nowhere else, and only the coordinator uses
+them (serial path, in-process shard tasks, hedges): what a class saves
+is the record decode of its members, and a ``worker_mode="procs"``
+worker holds its shard as id columns it never decodes, so it scans
+every candidate — measured faster than grouping them first (DESIGN
+§11).
 
 The bit-identity claim is for unbudgeted, fault-free queries — the
 same caveat two-stage retrieval documents: a deadline that trips
@@ -53,14 +61,9 @@ representative loses its members too.  Budget *charging* is untouched
 
 from __future__ import annotations
 
-from ..index.columnar import make_id_matcher
+from ..index.columnar import DROPPED, EncodedQuery
 from ..obs import get_registry
-from ..rdf.terms import Variable
 from .store import load_quotients
-
-#: Refine-key verdict for a class whose representative was dropped by
-#: the anchor trim: every member is dropped too.
-DROPPED = object()
 
 
 class QuotientIndex:
@@ -123,7 +126,7 @@ class QuotientContext:
     """
 
     __slots__ = ("_lookup", "_ids_match", "_constants", "_features",
-                 "_interned", "members", "reps")
+                 "_interned")
 
     def __init__(self, lookup, ids_match, constants: tuple):
         self._lookup = lookup
@@ -135,8 +138,6 @@ class QuotientContext:
         #: refine keys is a run of identity checks.
         self._features: "dict[int, frozenset]" = {}
         self._interned: "dict[frozenset, frozenset]" = {}
-        self.members = 0
-        self.reps = 0
 
     def key_of(self, gid: int):
         """The candidate's refine key — its class identity followed by
@@ -166,21 +167,14 @@ class QuotientContext:
 
 
 class QuotientResolver:
-    """The engine-held factory of per-cluster :class:`QuotientContext`.
+    """The engine-held factory of per-cluster :class:`QuotientContext`:
+    the gid-space quotient view, which outlives queries, and the
+    savings counters."""
 
-    Holds what outlives queries: the gid-space quotient view and the
-    memoised id matcher (verdicts depend only on the two labels, like
-    :func:`~repro.index.columnar.make_id_matcher` documents).
-    """
+    __slots__ = ("quotients", "_members_total", "_reps_total")
 
-    __slots__ = ("quotients", "_intern", "_ids_match", "_members_total",
-                 "_reps_total")
-
-    def __init__(self, index, quotient_index: QuotientIndex, matcher):
+    def __init__(self, quotient_index: QuotientIndex):
         self.quotients = quotient_index
-        interner = index.interner
-        self._intern = interner.intern
-        self._ids_match = make_id_matcher(interner, matcher)
         registry = get_registry()
         self._members_total = registry.counter(
             "sama_quotient_members_total",
@@ -190,31 +184,17 @@ class QuotientResolver:
             "Class representatives aligned exactly on behalf of a "
             "refined equivalence class")
 
-    def context(self, query_path, trim_to_anchor: bool,
-                anchor) -> QuotientContext:
-        """A fresh refine-key context for one cluster.
+    def context(self, query: EncodedQuery) -> QuotientContext:
+        """A fresh refine-key context for one cluster: the constants
+        and the label comparison are the encoded query's own, so a
+        query-only constant refines classes like any other and leaves
+        nothing behind."""
+        return QuotientContext(self.quotients.lookup, query.ids_match,
+                               query.constant_ids())
 
-        The constant set is everything the scan may compare a data
-        label against: the query path's constant nodes and edges, plus
-        the trim anchor (an anchor is always one of the path's
-        constants, but intern it explicitly rather than assume so).
-        """
-        intern = self._intern
-        constants = set()
-        for term in query_path.nodes:
-            if not isinstance(term, Variable):
-                constants.add(intern(term))
-        for term in query_path.edges:
-            if not isinstance(term, Variable):
-                constants.add(intern(term))
-        if trim_to_anchor and anchor is not None:
-            constants.add(intern(anchor))
-        return QuotientContext(self.quotients.lookup, self._ids_match,
-                               tuple(sorted(constants)))
-
-    def observe(self, context: QuotientContext) -> None:
+    def observe(self, members: int, reps: int) -> None:
         """Fold one finished cluster's savings into the counters."""
-        if context.members:
-            self._members_total.inc(context.members)
-        if context.reps:
-            self._reps_total.inc(context.reps)
+        if members:
+            self._members_total.inc(members)
+        if reps:
+            self._reps_total.inc(reps)

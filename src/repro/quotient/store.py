@@ -122,27 +122,18 @@ class ShardQuotient:
         return tuple([params[slot] for slot in pattern[:2 * plen:2]])
 
     @classmethod
-    def from_view(cls, view, offsets, epoch: int) -> "ShardQuotient":
-        """Quotient the rows of a built
-        :class:`~repro.index.columnar.ColumnarView` (``offsets`` in the
-        view's row order) — shared by the offline build and the procs
-        workers, which derive their classes from the in-RAM view."""
-        node_ids = view.node_ids
-        node_offs = view.node_offs
-        edge_ids = view.edge_ids
+    def from_index(cls, index, epoch: int) -> "ShardQuotient":
+        """Quotient every stored path of one open (shard) index."""
         class_of: "dict[bytes, int]" = {}
         patterns: "list[array]" = []
         class_ids = array("I")
         params_list: "list[array]" = []
-        for row in range(len(offsets)):
-            start = node_offs[row]
-            plen = node_offs[row + 1] - start
-            edge_start = start - row
-            sequence = []
-            for position in range(plen):
-                sequence.append(node_ids[start + position])
-                if position + 1 < plen:
-                    sequence.append(edge_ids[edge_start + position])
+        offsets = array("q", index.all_offsets())
+        for offset in offsets:
+            path = index.path_at(offset)
+            sequence = [path.label_ids[0]]
+            for edge_id, node_id in zip(path.edge_ids, path.label_ids[1:]):
+                sequence += (edge_id, node_id)
             pattern, params = _pattern_of(sequence)
             key = pattern.tobytes()
             class_id = class_of.get(key)
@@ -151,16 +142,7 @@ class ShardQuotient:
                 patterns.append(pattern)
             class_ids.append(class_id)
             params_list.append(params)
-        return cls(epoch, array("q", offsets), class_ids, params_list,
-                   patterns)
-
-    @classmethod
-    def from_index(cls, index, epoch: int) -> "ShardQuotient":
-        """Quotient every stored path of one open (shard) index."""
-        from ..index.columnar import ColumnarView
-
-        view = ColumnarView.build(index)
-        return cls.from_view(view, list(index.all_offsets()), epoch)
+        return cls(epoch, offsets, class_ids, params_list, patterns)
 
     def save(self, path: str) -> None:
         chunks = [_HEADER.pack(_MAGIC, _VERSION, 0, self.epoch,

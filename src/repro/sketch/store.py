@@ -95,31 +95,18 @@ class ShardSketch:
     @classmethod
     def from_index(cls, index, params: SketchParams,
                    epoch: int) -> "ShardSketch":
-        """Sketch every stored path of one open (shard) index.
-
-        Rides the columnar projection (:class:`ColumnarView`) so the
-        id-extraction walk is shared with the procs scoring path
-        instead of decoding ``Path`` objects a second way.
-        """
-        from ..index.columnar import ColumnarView
-
-        view = ColumnarView.build(index)
-        node_ids = view.node_ids
-        node_offs = view.node_offs
-        edge_ids = view.edge_ids
+        """Sketch every stored path of one open (shard) index."""
         coeffs = coefficients(params)
         offsets = list(index.all_offsets())
         lengths = array("l")
         node_sets = []
         edge_sets = []
         signatures = []
-        for row, offset in enumerate(offsets):
-            start = node_offs[row]
-            stored_len = node_offs[row + 1] - start
-            nset = frozenset(node_ids[start:start + stored_len])
-            edge_start = start - row
-            eset = frozenset(edge_ids[edge_start:edge_start + stored_len - 1])
-            lengths.append(stored_len)
+        for offset in offsets:
+            path = index.path_at(offset)
+            nset = frozenset(path.label_ids)
+            eset = frozenset(path.edge_ids)
+            lengths.append(path.length)
             node_sets.append(nset)
             edge_sets.append(eset)
             signatures.append(signature(nset | eset, coeffs))

@@ -6,7 +6,7 @@ is the unchanged exact λ/ψ scorer over whatever survives.  Two modes:
 
 **safe** — prunes only candidates *provably* outside the kept cluster,
 so rankings stay bit-identical to exhaustive scoring.  Three exact
-facts about :func:`repro.index.columnar.score_pairs` make that work:
+facts about :func:`repro.index.columnar.score_rows` make that work:
 
 - *Trim survival is decidable from the sketch.*  A sink-anchored
   candidate survives the §4.3 trim iff some stored node matches the
@@ -70,9 +70,8 @@ from __future__ import annotations
 
 import math
 
-from ..index.columnar import make_id_matcher
+from ..index.columnar import DROPPED, FOREIGN_BASE
 from ..paths.alignment import exact_match
-from ..rdf.terms import Variable
 from .minhash import coefficients, signature
 from .store import load_sketches
 
@@ -83,13 +82,6 @@ from .store import load_sketches
 APPROX_MIN_KEEP = 32
 
 _MODES = ("off", "safe", "approx")
-
-#: Per-class verdict for a refined class whose sketch row proved the
-#: anchor trim drops it — every member is dropped without another set
-#: intersection.  Local sentinel (not ``repro.quotient.DROPPED``) so
-#: the sketch package never imports the quotient package, which itself
-#: builds on ``repro.sketch.store``.
-_CLASS_DROPPED = object()
 
 
 def validate_mode(mode: str) -> str:
@@ -142,55 +134,55 @@ class SketchIndex:
 class TwoStageFilter:
     """The stage-1 candidate judge wired into ``build_clusters``.
 
-    Callable as ``filter(query_path, gids, trim_to_anchor, anchor)``
-    returning the surviving gids in ascending order.  One instance
-    serves every query of an engine: the per-constant match sets (all
-    data label ids the matcher accepts for a query constant) are
-    memoised across queries, like :func:`make_id_matcher`'s verdicts.
+    Callable as ``filter(query, gids, qctx=None)`` — ``query`` the
+    cluster's :class:`~repro.index.columnar.EncodedQuery`, trim anchor
+    included — returning the surviving gids in ascending order.
+    ``qctx`` is the cluster's optional
+    :class:`~repro.quotient.resolve.QuotientContext`: candidates
+    sharing a refine key provably receive identical ``(LB, UB)``
+    verdicts (the disjointness of a slot filler against a constant's
+    match set is exactly that constant's membership in the slot's
+    refine feature, and the stored length is fixed by the class
+    pattern), so the filter judges one member per class and reuses the
+    verdict — the kept gid list is unchanged, only the set
+    intersections are skipped.
+
+    One instance serves every query of an engine: the per-constant
+    match sets (all data label ids the matcher accepts for a stored
+    query constant) are memoised across queries, like the verdicts of
+    ``ids_match`` (the engine's
+    :func:`~repro.index.columnar.make_id_matcher`).
     """
 
-    def __init__(self, index, sketch_index: SketchIndex, matcher, weights,
+    def __init__(self, index, sketch_index: SketchIndex, ids_match, weights,
                  mode: str, max_cluster_size: "int | None",
-                 recall_target: float = 0.95, quotient=None):
-        #: Optional :class:`repro.quotient.resolve.QuotientResolver`:
-        #: candidates sharing a refine key provably receive identical
-        #: ``(LB, UB)`` verdicts (the disjointness of a slot filler
-        #: against a constant's match set is exactly that constant's
-        #: membership in the slot's refine feature, and the stored
-        #: length is fixed by the class pattern), so the filter judges
-        #: one member per class and reuses the verdict.  The kept gid
-        #: list is unchanged — only the set intersections are skipped.
-        self.quotient = quotient
+                 recall_target: float = 0.95):
         self.sketches = sketch_index
         self.mode = validate_mode(mode)
         self.limit = max_cluster_size
         self.recall_target = min(max(recall_target, 0.0), 1.0)
         self.weights = weights
-        interner = index.interner
-        self._intern = interner.intern
-        #: Data labels all carry ids below this; ids interned later
-        #: belong to query-only constants and match no stored path.
-        self._data_vocab = len(interner)
-        self._exact = matcher is exact_match
-        self._ids_match = (None if self._exact
-                           else make_id_matcher(interner, matcher))
+        #: Every label of the sketched paths carries an id below this.
+        self._data_vocab = len(index.interner)
+        self._exact = ids_match.matcher is exact_match
         self._match_ids: "dict[int, frozenset]" = {}
 
-    def match_set(self, query_id: int) -> frozenset:
-        """All data label ids the matcher accepts for ``query_id``."""
+    def match_set(self, query_id: int, ids_match) -> frozenset:
+        """All data label ids ``ids_match`` accepts for ``query_id``."""
         found = self._match_ids.get(query_id)
         if found is None:
             if self._exact:
                 found = frozenset((query_id,))
             else:
-                ids_match = self._ids_match
                 found = frozenset(
                     data_id for data_id in range(self._data_vocab)
                     if ids_match(data_id, query_id))
-            self._match_ids[query_id] = found
+            if query_id < FOREIGN_BASE:
+                # A query-only constant's set goes with its query.
+                self._match_ids[query_id] = found
         return found
 
-    def _occurrence_checks(self, query_path):
+    def _occurrence_checks(self, query):
         """One ``(min_plen, match set, mismatch w, deletion w, kind)``
         per constant occurrence of the query path.
 
@@ -202,30 +194,31 @@ class TwoStageFilter:
         ``kind`` selects the candidate id set (False=node, True=edge).
         """
         weights = self.weights
+        ids_match = query.ids_match
         checks = []
-        for distance, term in enumerate(reversed(query_path.nodes)):
-            if not isinstance(term, Variable):
+        for distance, label in enumerate(reversed(query.nodes)):
+            if label >= 0:          # a constant; variables are negative
                 checks.append((distance + 1,
-                               self.match_set(self._intern(term)),
+                               self.match_set(label, ids_match),
                                weights.node_mismatch,
                                weights.node_deletion, False))
-        for distance, term in enumerate(reversed(query_path.edges)):
-            if not isinstance(term, Variable):
+        for distance, label in enumerate(reversed(query.edges)):
+            if label >= 0:
                 checks.append((distance + 2,
-                               self.match_set(self._intern(term)),
+                               self.match_set(label, ids_match),
                                weights.edge_mismatch,
                                weights.edge_deletion, True))
         return checks
 
-    def __call__(self, query_path, gids, trim_to_anchor, anchor):
+    def __call__(self, query, gids, qctx=None):
         if not gids:
             return gids
         weights = self.weights
-        checks = self._occurrence_checks(query_path)
-        anchor_set = (self.match_set(self._intern(anchor))
-                      if trim_to_anchor and anchor is not None else None)
+        checks = self._occurrence_checks(query)
+        anchor_set = (self.match_set(query.anchor_id, query.ids_match)
+                      if query.anchor_id is not None else None)
 
-        query_len = query_path.length
+        query_len = len(query.nodes)
         edge_len = query_len - 1
         node_mis = weights.node_mismatch
         edge_mis = weights.edge_mismatch
@@ -240,9 +233,7 @@ class TwoStageFilter:
 
         trimmed_floor = upper_bound(1)
         lookup = self.sketches.lookup
-        qctx = (self.quotient.context(query_path, trim_to_anchor, anchor)
-                if self.quotient is not None else None)
-        #: Refine key -> ``(LB, UB)`` or :data:`_CLASS_DROPPED`, valid
+        #: Refine key -> ``(LB, UB)`` or :data:`DROPPED`, valid
         #: for this call only (the bounds depend on the query path).
         class_verdicts: "dict | None" = {} if qctx is not None else None
         judged = []          # (gid, LB, UB) for every trim survivor
@@ -257,7 +248,7 @@ class TwoStageFilter:
             ckey = qctx.key_of(gid) if qctx is not None else None
             if ckey is not None:
                 verdict = class_verdicts.get(ckey)
-                if verdict is _CLASS_DROPPED:
+                if verdict is DROPPED:
                     continue
                 if verdict is not None:
                     judged.append((gid, verdict[0], verdict[1],
@@ -266,7 +257,7 @@ class TwoStageFilter:
             node_set = sketch.node_sets[row]
             if anchor_set is not None and anchor_set.isdisjoint(node_set):
                 if ckey is not None:
-                    class_verdicts[ckey] = _CLASS_DROPPED
+                    class_verdicts[ckey] = DROPPED
                 continue        # exact: the §4.3 trim drops it anyway
             edge_set = sketch.edge_sets[row]
             stored = sketch.lengths[row]

@@ -10,6 +10,7 @@ from repro.rdf.graph import QueryGraph
 from repro.quotient import QuotientIndex, QuotientResolver
 from repro.rdf.terms import Literal
 from repro.resilience.budget import Budget, DegradationCause
+from repro.scoring.quality import lambda_cost
 
 
 @pytest.fixture
@@ -87,7 +88,7 @@ class TestClusterMechanics:
     def test_max_cluster_size_truncates(self, govtrack_engine, q1):
         prepared = govtrack_engine.prepare(q1)
         clusters = build_clusters(prepared, govtrack_engine.index,
-                                  matcher=govtrack_engine.matcher,
+                                  govtrack_engine.ids_match,
                                   max_cluster_size=2)
         assert all(len(c) <= 2 for c in clusters)
 
@@ -111,6 +112,30 @@ class TestClusterMechanics:
                 assert entry.score <= cluster.missing_penalty
 
 
+class TestLazyAlignment:
+    """Candidates are scored in id space; the label-space alignment of
+    an entry is built on first use and agrees with the scan exactly."""
+
+    def test_entry_alignment_rederives_its_lambda(self, govtrack_engine, q1,
+                                                   lubm_engine):
+        cases = [(govtrack_engine, q1)] + [
+            (lubm_engine, spec.graph) for spec in lubm_queries()
+            if spec.qid in ("Q2", "Q5")]
+        trimmed = 0
+        for engine, query in cases:
+            for cluster in engine.clusters(engine.prepare(query)):
+                assert cluster.entries
+                for entry in cluster.entries[:50]:
+                    assert entry._alignment is None and entry._path is None
+                    alignment = entry.alignment
+                    assert alignment.data_path is entry.path
+                    assert lambda_cost(alignment.counts,
+                                       engine.config.weights) == entry.score
+                    trimmed += entry.path_length != engine.index.path_at(
+                        entry.offset).length
+        assert trimmed, "no anchor-trimmed entry was checked"
+
+
 class TestClassOfOne:
     """A candidate without a refine key is a class of one: the quotient
     path over an index with no ``quotient.bin`` *is* the plain path."""
@@ -121,15 +146,14 @@ class TestClassOfOne:
         index = lubm_engine.index
         assert lubm_engine.quotient_resolver() is None  # no quotient.bin
         keyless = QuotientResolver(
-            index, QuotientIndex([None], lambda gid: (0, gid)),
-            lubm_engine.matcher)
+            QuotientIndex([None], lambda gid: (0, gid)))
         spec = next(s for s in lubm_queries() if s.qid == "Q5")
         prepared = lubm_engine.prepare(spec.graph)
 
         def run(quotient):
             budget = Budget(max_candidates=max_candidates)
             clusters = build_clusters(
-                prepared, index, matcher=lubm_engine.matcher, budget=budget,
+                prepared, index, lubm_engine.ids_match, budget=budget,
                 quotient=quotient)
             rows = [[(entry.score, entry.offset, entry.path_length)
                      for entry in cluster.entries] for cluster in clusters]

@@ -163,8 +163,7 @@ def test_pair_cache_keys_do_not_collide_past_2_20():
     def entry(uid, *names):
         path = interner.intern_path(_uri_path(*names))
         return ClusterEntry(None, uid, path.length, 0.0,
-                            (uid, frozenset(path.label_ids)),
-                            path, align(path, path))
+                            (uid, frozenset(path.label_ids)))
 
     entry_a = entry(1, "x", "y")                  # |χ| with entry_b: 1
     entry_b = entry(2, "y", "z")
@@ -252,16 +251,21 @@ def _index_of(kind, graph, directory):
 def test_every_index_class_hands_out_id_sets(kind, govtrack, tmp_path):
     """The contract the engine relies on instead of probing: an index
     has ``interner``, ``epoch`` and ``path_at``, every path carries
-    ``label_ids`` of that interner, and no column row is ``None``."""
+    ``label_ids`` and ``edge_ids`` of that interner (one per node, one
+    per edge, sliced by ``prefix()``), and no column row is ``None``."""
     index = _index_of(kind, govtrack, str(tmp_path / kind))
     try:
         assert isinstance(index.epoch, int)
         columns = PathColumns(index)
+        intern = index.interner.intern
         for gid in index.all_offsets():
             path = index.path_at(gid)
             assert [index.interner.lookup(i) for i in path.label_ids] == \
                 list(path.nodes)
+            assert list(path.edge_ids) == [intern(e) for e in path.edges]
             for plen in range(1, path.length + 1):
+                assert list(path.prefix(plen).edge_ids) == \
+                    list(path.edge_ids[:plen - 1])
                 _uid, id_set = columns.row(gid, plen)
                 assert id_set == frozenset(path.label_ids[:plen])
                 assert {columns.name(i) for i in id_set} == \
@@ -270,19 +274,40 @@ def test_every_index_class_hands_out_id_sets(kind, govtrack, tmp_path):
         index.close()
 
 
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _lines_matching(pattern, files):
+    spelling = re.compile(pattern)
+    return [f"{path.name}:{number}"
+            for path in files
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if spelling.search(line)]
+
+
 def test_term_set_fork_stays_deleted():
     """The engine has one key space for χ/ψ; these spellings are how a
     second one would come back."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
-    fork = re.compile(r'id_set is None|node_label_set\(|'
-                      r'getattr\(index, "interner"')
-    files = sorted((src / "engine").glob("*.py")) + [src / "index" /
-                                                     "columns.py"]
-    hits = [f"{path.name}:{number}"
-            for path in files
-            for number, line in enumerate(path.read_text().splitlines(), 1)
-            if fork.search(line)]
-    assert hits == []
+    assert _lines_matching(
+        r'id_set is None|node_label_set\(|getattr\(index, "interner"',
+        sorted((_SRC / "engine").glob("*.py"))
+        + [_SRC / "index" / "columns.py"]) == []
+
+
+def test_second_scorer_stays_deleted():
+    """Candidates are scored by one id-space scan
+    (``columnar.score_rows``); these spellings are how the object-space
+    scorer, its alignment hand-off and the workers' refine-key engine
+    would come back."""
+    files = (sorted((_SRC / "engine").glob("*.py"))
+             + [_SRC / "parallel.py"])
+    assert _lines_matching(
+        r'_score_quotient|_prefix_at_anchor|\bseeds\b', files) == []
+    # The one label-space alignment under engine/ is the lazy
+    # materialisation of an entry that became an answer.
+    assert _lines_matching(r'\balign\(', files) == _lines_matching(
+        r'alignment = self\._alignment = align\(',
+        [_SRC / "engine" / "clustering.py"])
 
 
 # -- engine worker pool ------------------------------------------------------

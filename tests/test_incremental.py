@@ -272,16 +272,21 @@ class TestRemoveTriple:
 
 class TestInternedLabels:
     """The live index is an interned index like any other: every path it
-    hands out carries ``label_ids`` of ``index.interner``."""
+    hands out carries ``label_ids`` and ``edge_ids`` of
+    ``index.interner`` — the rows the λ scan reads."""
 
     @staticmethod
     def assert_interned(index):
-        lookup = index.interner.lookup
+        lookup, intern = index.interner.lookup, index.interner.intern
         paths = index.all_paths()
         assert paths
         for path in paths:
             assert path.label_ids is not None
             assert [lookup(i) for i in path.label_ids] == list(path.nodes)
+            assert list(path.edge_ids) == [intern(e) for e in path.edges]
+            clipped = path.prefix(max(1, path.length - 1))
+            assert list(clipped.edge_ids) == \
+                list(path.edge_ids[:clipped.length - 1])
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_every_path_carries_label_ids(self, tmp_path, shards):

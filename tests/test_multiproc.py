@@ -1,8 +1,11 @@
-"""Process-pool execution mode: spawn safety, columnar scoring, faults.
+"""Process-pool execution mode: spawn safety, the id-space scan, faults.
 
-The tentpole contract under test: ``worker_mode="procs"`` moves each
-shard's λ scoring into a long-lived worker process scoring a columnar
-view of its shard, and **nothing observable changes except wall-clock**
+``TestColumnarScoring`` is the oracle of the production scorer: the one
+λ scan (``repro.index.columnar.score_rows``) against the label-space
+reference (``align`` + ``prefix_at_anchor``), over both of its row
+sources.  The execution-mode contract under test: ``worker_mode="procs"``
+moves each shard's λ scoring into a long-lived worker process scanning a
+columnar view of its shard, and **nothing observable changes except wall-clock**
 — rankings are bit-identical to threads and serial at every shard
 count, fault plans keep their exact chaos semantics, and a killed
 worker degrades the query (``SHARD_FAILED`` + breaker accounting)
@@ -25,19 +28,20 @@ import warnings
 import pytest
 
 from repro.engine import EngineConfig, SamaEngine
-from repro.engine.clustering import _prefix_at_anchor
+from repro.engine.clustering import _path_ids
 from repro.index import build_index, build_sharded_index
-from repro.index.columnar import (ColumnarView, EncodedQuery, encode_query,
-                                  make_id_matcher, score_pairs)
+from repro.index.columnar import (ColumnarView, encode_query, make_id_matcher,
+                                  score_rows)
 from repro.index.labels import SemanticMatcher
 from repro.index.thesaurus import default_thesaurus
 from repro.parallel import ShardTask, worker_count, worker_mode
-from repro.paths.alignment import align, exact_match
+from repro.paths.alignment import align, exact_match, prefix_at_anchor
 from repro.paths.model import Path
 from repro.rdf.terms import BlankNode, Literal, URI, Variable
 from repro.resilience import FaultPlan, install
 from repro.resilience.budget import DegradationCause
 from repro.resilience.health import OPEN
+from repro.scoring.quality import lambda_cost
 from repro.scoring.weights import PAPER_WEIGHTS
 
 SHARDS = 3
@@ -138,30 +142,33 @@ def flat_index(tmp_path_factory, govtrack):
 
 
 @pytest.fixture(scope="module")
-def view(flat_index):
-    return ColumnarView.build(flat_index)
+def row_sources(flat_index):
+    """Both row sources of the one scan: a procs worker's columnar view
+    and the coordinator's decoded paths."""
+    return {"view": ColumnarView.build(flat_index).ids_at,
+            "decoded": _path_ids(flat_index)}
 
 
 def reference_rows(index, offsets, query_path, matcher, anchor=None):
-    """What the in-process shard task computes: trim, align, weighted λ."""
-    weights = PAPER_WEIGHTS
+    """The label-space reference: trim, align, weighted λ."""
     rows = []
     for offset in offsets:
         path = index.path_at(offset)
         if anchor is not None:
-            path = _prefix_at_anchor(path, anchor, matcher)
+            path = prefix_at_anchor(path, anchor, matcher)
             if path is None:
                 continue
-        counts = align(path, query_path, matcher, transcript=False).counts
-        score = (weights.node_mismatch * counts.node_mismatches
-                 + weights.node_insertion * counts.node_insertions
-                 + weights.edge_mismatch * counts.edge_mismatches
-                 + weights.edge_insertion * counts.edge_insertions
-                 + weights.node_deletion * counts.node_deletions
-                 + weights.edge_deletion * counts.edge_deletions)
-        rows.append((score, offset, path.length))
-    rows.sort(key=lambda row: (row[0], row[1]))
+        alignment = align(path, query_path, matcher, transcript=False)
+        rows.append((lambda_cost(alignment, PAPER_WEIGHTS), offset,
+                     path.length, list(path.label_ids)))
     return rows
+
+
+def scanned_rows(ids_of, offsets, query, **options):
+    rows, tripped = score_rows(offsets, ids_of, query, PAPER_WEIGHTS,
+                               **options)
+    return [(score, offset, plen, list(node_ids))
+            for score, offset, plen, node_ids in rows], tripped
 
 
 def query_variants(index, offsets, seed: int = 7, count: int = 24):
@@ -204,29 +211,27 @@ def query_variants(index, offsets, seed: int = 7, count: int = 24):
 class TestColumnarScoring:
 
     @pytest.mark.parametrize("level", ["exact", "semantic"])
-    def test_scores_bit_equal_to_align(self, flat_index, view, level):
+    def test_scores_bit_equal_to_align(self, flat_index, row_sources, level):
         matcher = (exact_match if level == "exact"
                    else SemanticMatcher(default_thesaurus(), level=level))
         ids_match = make_id_matcher(flat_index.interner, matcher)
         offsets = flat_index.all_offsets()
-        pairs = [(offset, offset) for offset in offsets]
         for query_path in query_variants(flat_index, offsets):
             expected = reference_rows(flat_index, offsets, query_path,
                                       matcher)
-            query = encode_query(query_path, flat_index.interner)
-            got, tripped = score_pairs(view, pairs, query, PAPER_WEIGHTS,
-                                       ids_match)
-            assert not tripped
-            assert got == expected, f"diverged on {query_path}"
+            query = encode_query(query_path, ids_match)
+            for source, ids_of in row_sources.items():
+                got, tripped = scanned_rows(ids_of, offsets, query)
+                assert not tripped
+                assert got == expected, f"{source} diverged on {query_path}"
 
-    def test_trimmed_scores_bit_equal(self, flat_index, view):
+    def test_trimmed_scores_bit_equal(self, flat_index, row_sources):
         matcher = SemanticMatcher(default_thesaurus(), level="semantic")
         ids_match = make_id_matcher(flat_index.interner, matcher)
         offsets = flat_index.all_offsets()
-        pairs = [(offset, offset) for offset in offsets]
         # Anchors drawn from mid-path data nodes: some candidates trim,
         # some drop entirely — both outcomes must agree with
-        # _prefix_at_anchor.
+        # prefix_at_anchor.
         anchors = []
         for offset in offsets:
             path = flat_index.path_at(offset)
@@ -241,27 +246,26 @@ class TestColumnarScoring:
                                              count=6):
                 expected = reference_rows(flat_index, offsets, query_path,
                                           matcher, anchor=anchor)
-                query = encode_query(query_path, flat_index.interner,
-                                     anchor=anchor)
-                got, _tripped = score_pairs(view, pairs, query,
-                                            PAPER_WEIGHTS, ids_match)
-                assert got == expected
-                if len(got) != len(pairs):
+                query = encode_query(query_path, ids_match, anchor)
+                for source, ids_of in row_sources.items():
+                    got, _tripped = scanned_rows(ids_of, offsets, query)
+                    assert got == expected, source
+                if len(expected) != len(offsets):
                     trimmed_any = True
         assert trimmed_any, "anchors never dropped a candidate"
 
-    def test_deadline_trips_mid_scan(self, flat_index, view):
+    def test_deadline_trips_mid_scan(self, flat_index, row_sources):
         ids_match = make_id_matcher(flat_index.interner, exact_match)
-        offsets = flat_index.all_offsets()
-        # Repeat pairs past the check stride so the 0 ms slice trips.
-        pairs = [(offset, offset) for offset in offsets] * 40
-        assert len(pairs) > 64
-        query_path = flat_index.path_at(offsets[0])
-        query = encode_query(query_path, flat_index.interner)
-        got, tripped = score_pairs(view, pairs, query, PAPER_WEIGHTS,
-                                   ids_match, remaining_ms=0.0)
-        assert tripped
-        assert len(got) < len(pairs)
+        # Repeat candidates past the check stride so the deadline check
+        # is consulted — and kept rows are the ones before it.
+        offsets = flat_index.all_offsets() * 40
+        assert len(offsets) > 64
+        query = encode_query(flat_index.path_at(offsets[0]), ids_match)
+        for ids_of in row_sources.values():
+            got, tripped = scanned_rows(ids_of, offsets, query,
+                                        expired=lambda: True)
+            assert tripped
+            assert len(got) == 64
 
 
 # -- satellite: shared_executor regrowth + SAMA_WORKERS validation ------------

@@ -57,12 +57,7 @@ class _MemoryIndex:
 
     def __init__(self, paths):
         self.interner = LabelInterner()
-        self._paths = list(paths)
-        for path in self._paths:
-            for node in path.nodes:
-                self.interner.intern(node)
-            for edge in path.edges:
-                self.interner.intern(edge)
+        self._paths = [self.interner.intern_path(path) for path in paths]
 
     def all_offsets(self):
         return list(range(len(self._paths)))
@@ -311,6 +306,44 @@ class TestEngine:
         assert snapshot.get("sama_quotient_members_total", 0.0) > before
         assert snapshot.get("sama_quotient_reps_total", 0.0) > 0
         assert snapshot.get("sama_quotient_compression_ratio", 0.0) > 1.0
+
+    @pytest.mark.parametrize("quotient", ["auto", "off"])
+    def test_unseen_constants_leave_no_state_behind(self, tmp_path,
+                                                    quotient):
+        """A read never grows the label dictionary or the id-matcher
+        memo: a constant the data does not mention gets an id of the
+        query's own, and its verdicts go when the query does."""
+        from repro.datasets import dataset, lubm_queries
+
+        directory = str(tmp_path / "idx")
+        index, _stats = build_index(dataset("lubm").build(600, seed=5),
+                                    directory)
+        build_quotients(index)
+        build_sketches(index)
+        index.close()
+        q1 = next(spec for spec in lubm_queries() if spec.qid == "Q1").sparql
+        assert '"Databases"' in q1
+        engine = SamaEngine.open(directory, config=EngineConfig(
+            quotient=quotient, two_stage="safe"))
+        reference = SamaEngine.open(directory, config=EngineConfig(
+            quotient="off", two_stage="off"))
+        try:
+            assert engine.sketch_filter() is not None
+            assert (engine.quotient_resolver() is not None) \
+                == (quotient == "auto")
+            sizes = None
+            for number in range(200):
+                query = q1.replace('"Databases"', f'"Databases {number}"')
+                got = self._ranking(engine, query)
+                if number % 40 == 0:
+                    assert got and got == self._ranking(reference, query)
+                seen = (len(engine.index.interner),
+                        len(engine.ids_match.memo))
+                sizes = sizes or seen
+                assert seen == sizes, f"grew on unseen constant #{number}"
+        finally:
+            engine.close()
+            reference.close()
 
     def test_stale_quotient_falls_back_to_exhaustive(self, tmp_path):
         from repro.datasets.govtrack import govtrack_graph

@@ -204,11 +204,9 @@ class TestRankingDeterminism:
                     prepared_plain = plain.prepare(query)
                     prepared_sharded = sharded.prepare(query)
                     serial = build_clusters(
-                        prepared_plain, plain.index,
-                        matcher=plain.matcher)
+                        prepared_plain, plain.index, plain.ids_match)
                     scattered = build_clusters(
-                        prepared_sharded, sharded.index,
-                        matcher=sharded.matcher,
+                        prepared_sharded, sharded.index, sharded.ids_match,
                         executor=executor, scatter_threshold=1)
                     assert len(serial) == len(scattered)
                     for want, got in zip(serial, scattered):

@@ -30,11 +30,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.engine.clustering import _prefix_at_anchor
 from repro.engine.sama import EngineConfig, SamaEngine
+from repro.index.columnar import encode_query, make_id_matcher
 from repro.index.incremental import IncrementalIndex, compact_directory
 from repro.index.labels import LabelInterner
-from repro.paths.alignment import align, exact_match
+from repro.paths.alignment import align, exact_match, prefix_at_anchor
 from repro.paths.model import Path
 from repro.rdf.graph import DataGraph
 from repro.rdf.terms import URI, Variable
@@ -137,12 +137,7 @@ class _MemoryIndex:
 
     def __init__(self, paths):
         self.interner = LabelInterner()
-        self._paths = list(paths)
-        for path in self._paths:
-            for node in path.nodes:
-                self.interner.intern(node)
-            for edge in path.edges:
-                self.interner.intern(edge)
+        self._paths = [self.interner.intern_path(path) for path in paths]
 
     def all_offsets(self):
         return list(range(len(self._paths)))
@@ -176,7 +171,7 @@ def _exhaustive(paths, query, trim, anchor):
     deterministic ``(λ, gid)`` key."""
     scored = []
     for gid, path in enumerate(paths):
-        candidate = (_prefix_at_anchor(path, anchor, exact_match)
+        candidate = (prefix_at_anchor(path, anchor, exact_match)
                      if trim else path)
         if candidate is None:
             continue
@@ -187,11 +182,25 @@ def _exhaustive(paths, query, trim, anchor):
     return scored
 
 
-def _safe_filter(index, limit):
+def _filter(index, mode, limit, **options):
+    """A :class:`TwoStageFilter` over ``index``, called with the query
+    path the way ``build_clusters`` calls it with the encoding."""
     sketch = ShardSketch.from_index(index, PARAMS, 0)
     sketches = SketchIndex([sketch], lambda gid: (0, gid))
-    return TwoStageFilter(index, sketches, exact_match, PAPER_WEIGHTS,
-                          "safe", limit)
+    ids_match = make_id_matcher(index.interner, exact_match)
+    judge = TwoStageFilter(index, sketches, ids_match, PAPER_WEIGHTS,
+                           mode, limit, **options)
+
+    def call(query_path, offsets, trim=False, anchor=None):
+        return judge(encode_query(query_path, ids_match,
+                                  anchor if trim else None), offsets)
+
+    call.judge = judge
+    return call
+
+
+def _safe_filter(index, limit):
+    return _filter(index, "safe", limit)
 
 
 class TestSafeModeProperty:
@@ -539,10 +548,7 @@ class TestApproxMode:
     @settings(max_examples=60, deadline=None)
     def test_approx_keeps_are_deterministic_and_bounded(self, paths, query):
         index = _MemoryIndex(paths)
-        sketch = ShardSketch.from_index(index, PARAMS, 0)
-        sketches = SketchIndex([sketch], lambda gid: (0, gid))
-        judge = TwoStageFilter(index, sketches, exact_match, PAPER_WEIGHTS,
-                               "approx", 4000, recall_target=0.95)
+        judge = _filter(index, "approx", 4000, recall_target=0.95)
         offsets = index.all_offsets()
         kept = judge(query, offsets, False, None)
         assert kept == judge(query, offsets, False, None)
@@ -551,10 +557,7 @@ class TestApproxMode:
 
     def test_keep_budget_scales_with_recall_target(self):
         index = _MemoryIndex([Path([uri("a")], [])])
-        sketch = ShardSketch.from_index(index, PARAMS, 0)
-        sketches = SketchIndex([sketch], lambda gid: (0, gid))
-        judge = TwoStageFilter(index, sketches, exact_match, PAPER_WEIGHTS,
-                               "approx", None, recall_target=0.95)
+        judge = _filter(index, "approx", None, recall_target=0.95).judge
         assert judge.keep_budget() == 160
         judge.recall_target = 0.99
         assert judge.keep_budget() == 800    # half the miss rate ≈ 2x… x5
@@ -569,10 +572,7 @@ class TestApproxMode:
         candidates exhaustive truncation would promote anyway."""
         paths = [Path([uri(f"n{i}")], []) for i in range(80)]
         index = _MemoryIndex(paths)
-        sketch = ShardSketch.from_index(index, PARAMS, 0)
-        sketches = SketchIndex([sketch], lambda gid: (0, gid))
-        judge = TwoStageFilter(index, sketches, exact_match, PAPER_WEIGHTS,
-                               "approx", None, recall_target=0.5)
+        judge = _filter(index, "approx", None, recall_target=0.5)
         query = Path([uri("zzz")], [])
         kept = judge(query, index.all_offsets(), False, None)
         assert kept == list(range(APPROX_MIN_KEEP))
@@ -582,10 +582,7 @@ class TestApproxMode:
         size survives regardless of how alien it looks."""
         paths = [Path([uri(f"n{i}")], []) for i in range(10)]
         index = _MemoryIndex(paths)
-        sketch = ShardSketch.from_index(index, PARAMS, 0)
-        sketches = SketchIndex([sketch], lambda gid: (0, gid))
-        judge = TwoStageFilter(index, sketches, exact_match, PAPER_WEIGHTS,
-                               "approx", 4000, recall_target=1.0)
+        judge = _filter(index, "approx", 4000, recall_target=1.0)
         query = Path([uri("zzz")], [])
         kept = judge(query, index.all_offsets(), False, None)
         assert kept == index.all_offsets()
