@@ -485,7 +485,7 @@ def _cmd_profile(args) -> int:
                 effort = (f"  [{last.expansions} expansions, "
                           f"{last.candidate_lists} candidate lists "
                           f"(+{last.candidate_cache_hits} shared), "
-                          f"{last.psi_evaluations} psi evaluations]")
+                          f"{last.psi_evaluations} psi pairs priced]")
             print(f"{label:<12} {calls:>6} {seconds * 1000:>10.2f} "
                   f"{seconds * 1000 / calls:>9.2f} {share:>6.1f}%{effort}")
         accounted = trace.total_seconds
@@ -550,6 +550,13 @@ def _non_negative_ms(text: str) -> float:
     value = float(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value:g}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -638,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="file with a SPARQL SELECT query")
     query.add_argument("-e", "--expression", default=None,
                        help="inline SPARQL text")
-    query.add_argument("-k", type=int, default=10)
+    query.add_argument("-k", type=_positive_int, default=10)
     query.add_argument("--matcher", choices=["exact", "lexical", "semantic"],
                        default="semantic")
     query.add_argument("--explain", action="store_true",
@@ -675,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="file with a SPARQL SELECT query")
     profile.add_argument("-e", "--expression", default=None,
                          help="inline SPARQL text")
-    profile.add_argument("-k", type=int, default=10)
+    profile.add_argument("-k", type=_positive_int, default=10)
     profile.add_argument("--matcher",
                          choices=["exact", "lexical", "semantic"],
                          default="semantic")
@@ -707,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "busy workers; anything more is shed (503)")
     serve.add_argument("--cache-mb", type=int, default=64,
                        help="result cache budget in MiB (0 disables)")
-    serve.add_argument("-k", type=int, default=10,
+    serve.add_argument("-k", type=_positive_int, default=10,
                        help="default top-k per request")
     serve.add_argument("--deadline-ms", type=_non_negative_ms, default=None,
                        help="default per-request deadline")
@@ -786,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--cache-mb", type=int, default=64)
     bench_serve.add_argument("--no-cache", action="store_true",
                              help="disable the result cache")
-    bench_serve.add_argument("-k", type=int, default=10)
+    bench_serve.add_argument("-k", type=_positive_int, default=10)
     bench_serve.add_argument("--matcher",
                              choices=["exact", "lexical", "semantic"],
                              default="semantic")

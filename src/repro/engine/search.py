@@ -10,15 +10,25 @@ It is an A* join driven by the intersection query graph:
   after the fact (this is the role the paper's *forest of paths* plays:
   combinations grow along IG edges, preferring solid, conforming ones);
 - a partial state's priority is its exact cost so far (λ of decided
-  entries + ψ of fully decided IG pairs) plus an admissible estimate of
-  the remainder (per-cluster minimum λ + per-edge conformity floor);
+  entries + ψ of fully decided IG pairs) plus an estimate of the
+  remainder (per-cluster minimum λ + per-edge conformity floor).  The
+  floor divides by the largest |χ| over each cluster's first
+  ``_FLOOR_SAMPLE`` entries, not over all of them, so the estimate is
+  not proven admissible;
 - successor enumeration is lazy (best child + next-sibling cursor), so
-  popping a state costs one sort of its candidate list, once;
+  popping a state costs one candidate list per distinct anchor set.
+  A list prices by exception: entries that meet the anchors only in
+  labels their whole cluster carries share one base price, and only the
+  rest are priced pair by pair — same floats, same order, same pool
+  as pricing every pair (see :func:`_candidates_of`);
 - complete states are buffered and emitted only when their score is ≤
-  every bound still in the frontier, so the emitted sequence is exactly
-  the top-k in non-decreasing score order.  This *structural*
-  monotonicity is why the paper's reciprocal-rank experiment (§6.3)
-  reports RR = 1 everywhere.
+  every bound still in the frontier.  With ``forced_emissions == 0``
+  and an admissible floor, the emitted sequence is the top-k of the
+  pooled candidates in non-decreasing score order; a ``sibling_limit``
+  restricts it to the pools, and the patience rule
+  (``forced_emissions > 0``) gives up the proof for the rest.  This
+  *structural* monotonicity is why the paper's reciprocal-rank
+  experiment (§6.3) reports RR = 1 everywhere.
 
 Empty clusters contribute a "missing" slot priced by
 :func:`~repro.engine.clustering.missing_path_penalty`; IG pairs with a
@@ -65,6 +75,9 @@ class SearchConfig:
     far more than finding the answers; patience trades the guarantee
     for a hard latency bound (forced emissions are counted on the
     result).  ``None`` disables it.
+
+    ``k``, ``sibling_limit`` and ``patience`` below 1 raise
+    ``ValueError``: each would silently return fewer answers.
     """
 
     k: int = 10
@@ -73,6 +86,13 @@ class SearchConfig:
     dedupe: bool = True
     sibling_limit: "int | None" = 64
     patience: "int | None" = 250
+
+    def __post_init__(self):
+        for name in ("k", "sibling_limit", "patience"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"SearchConfig.{name} must be >= 1, "
+                                 f"got {value!r}")
 
 
 @dataclass
@@ -88,7 +108,8 @@ class SearchResult:
     Sub-stage attribution: ``candidate_lists`` counts the sorted child
     lists built, ``candidate_cache_hits`` the states that shared one
     already built, and ``psi_evaluations`` the (entry, settled IG edge)
-    pairs scored while building them — where the search's time goes.
+    pairs priced one by one while building them — the exceptions only;
+    plain entries share one base price (see :func:`_candidates_of`).
     """
 
     answers: list[Answer]
@@ -188,21 +209,26 @@ class _JoinSpace:
         self.candidate_cache_hits = 0
         self.psi_evaluations = 0
 
-    def buckets_of(self, cluster_index: int) -> dict:
-        """Inverted index of one cluster: node label id → entry ranks
-        (C-speed int hashing, read straight off the shared id-set
-        column)."""
-        buckets = self._buckets.get(cluster_index)
-        if buckets is None:
-            buckets = self._buckets[cluster_index] = {}
-            for rank, entry in enumerate(self.clusters[cluster_index].entries):
+    def buckets_of(self, cluster_index: int) -> "tuple[dict, frozenset]":
+        """Inverted index of one cluster: node label id → ascending
+        entry ranks (C-speed int hashing, read straight off the shared
+        id-set column), plus the cluster's *universal* labels — those
+        every entry carries."""
+        cached = self._buckets.get(cluster_index)
+        if cached is None:
+            buckets: dict = {}
+            entries = self.clusters[cluster_index].entries
+            for rank, entry in enumerate(entries):
                 for key in entry.id_set:
                     bucket = buckets.get(key)
                     if bucket is None:
                         buckets[key] = [rank]
                     else:
                         bucket.append(rank)
-        return buckets
+            full = frozenset(label for label, ranks in buckets.items()
+                             if len(ranks) == len(entries))
+            cached = self._buckets[cluster_index] = (buckets, full)
+        return cached
 
     def _tail_estimates(self) -> list[float]:
         depth_count = len(self.order)
@@ -298,6 +324,11 @@ def top_k(prepared: PreparedQuery, clusters: list[Cluster],
           config: SearchConfig = SearchConfig(),
           budget: "Budget | None" = None) -> SearchResult:
     """Generate the top-k answers for a prepared query over its clusters.
+
+    Precondition: every cluster's entries are sorted by ``(λ, gid)``,
+    as :func:`~repro.engine.clustering.build_clusters` leaves them.
+    The candidate lists rely on it to keep entries that share one base
+    price in rank order without sorting them.
 
     ``budget`` adds cooperative cancellation to the A* loop: each
     frontier pop is charged (deadline checks are strided inside the
@@ -445,10 +476,27 @@ def _candidates_of(space: _JoinSpace, state: _PartialState,
     ``state.depth``; its increment is exact — the
     entry's λ plus the ψ of the IG edges this decision settles — so
     parent cost + increment is again an exact prefix cost.  With a
-    ``limit`` only the best ``limit`` children are kept (a plain sort
-    while the pool is at most twice the limit — which the default
-    pool cap guarantees — heap selection beyond); the discarded tail
-    has the worst increments.
+    ``limit`` only the best ``limit`` children of a *pool* are kept.
+
+    The pool is every rank when there is no ``limit`` or the cluster
+    fits ``cap = max(2·limit, 128)``.  Otherwise it is ``cap`` ranks:
+    entries *intersecting* an anchor path, found through the label
+    buckets rarest-label-first (lexical tie-break, so the pool does not
+    depend on interning order) — the candidates ψ rewards — up to
+    ``cap // 2``, then the lowest other ranks, which dominate the rest
+    because their ψ is uniform.
+
+    Prices are by exception.  A label every entry carries (``full``)
+    meets an anchor alike for all of them, so an entry sharing no other
+    anchor label — a *plain* entry — has ``|χ(e, a)| = |a ∩ full|`` on
+    every settled edge and costs ``λ + base``, ``base`` summed once in
+    the per-edge order.  Clusters are ``(λ, gid)``-sorted and
+    ``fl(x + base)`` is monotone, so plain entries come in rank order
+    and only the *exceptions* (the buckets of anchor labels outside
+    ``full``) are priced pair by pair.  The rarity walk visits every
+    non-universal label before a universal one, so while the
+    exceptions fit in ``cap // 2`` the pool is them plus the lowest
+    other ranks, and the walk runs only beyond that.
 
     Only the entries decided on this depth's *settled edges* influence
     the scores, so the list is memoised on them: sibling states that
@@ -473,115 +521,86 @@ def _candidates_of(space: _JoinSpace, state: _PartialState,
         return cached
     space.candidate_lists += 1
 
-    # A missing or disjoint side pays an edge's full penalty; summed
-    # left to right like the per-edge loop below, so an all-broken row
-    # costs bit-for-bit what that loop would give it.
-    all_broken = 0.0
-    for _entry, penalty in anchors:
-        all_broken += penalty
-    edge_count = len(anchors)
-    if not cluster.entries:
-        scored = [(cluster.missing_penalty + all_broken, edge_count,
-                   _MISSING)]
+    entries = cluster.entries
+    present = [entry for entry, _penalty in anchors if entry is not None]
+    buckets, full = (space.buckets_of(cluster_index) if entries and present
+                     else ({}, frozenset()))
+    # A plain entry meets each anchor in exactly its universal labels.
+    # In an empty cluster nothing is universal, so the missing row pays
+    # every edge's full penalty, summed in the same order.
+    base, base_broken = _psi(full, anchors)
+    if not entries:
+        result = ((cluster.missing_penalty + base,), (base_broken,),
+                  (_MISSING,))
+        space._candidate_cache[key] = result
+        return result
+    rare = {label for entry in present for label in entry.id_set
+            if label not in full and label in buckets}
+    exceptions: set[int] = set()
+    for label in rare:
+        exceptions.update(buckets[label])
+    total = len(entries)
+    want = total if limit is None else limit
+    cap = total if limit is None else max(2 * limit, 128)
+    if total <= cap or len(exceptions) <= cap // 2:
+        priced = exceptions
+        plain = [rank for rank in range(min(total, want + len(exceptions)))
+                 if rank not in exceptions][:want]
     else:
-        ranks = _evaluation_pool(space, cluster_index, anchors, limit)
-        space.psi_evaluations += len(ranks) * edge_count
-        entries = cluster.entries
-        # The ψ of every settled edge is an int-set intersection,
-        # inlined here with the anchor id sets hoisted: a call chain
-        # and a pair-cache probe per pair would dominate this loop on
-        # large pools.
-        anchor_sets = [(entry.id_set if entry is not None else None, penalty)
-                       for entry, penalty in anchors]
-        # Most pool entries share no node with any anchor: one test
-        # against the anchors' union prices them all-broken.
-        anchor_union = frozenset().union(
-            *[ids for ids, _penalty in anchor_sets if ids is not None])
-        scored = []
-        for rank in ranks:
-            entry = entries[rank]
-            ids = entry.id_set
-            if ids.isdisjoint(anchor_union):
-                scored.append((entry.score + all_broken, edge_count, rank))
-                continue
-            psi_total = 0.0
-            broken = 0
-            for other_ids, penalty in anchor_sets:
-                if other_ids is None or ids.isdisjoint(other_ids):
-                    psi_total += penalty
-                    broken += 1
-                else:
-                    psi_total += penalty / len(ids & other_ids)
-            scored.append((entry.score + psi_total, broken, rank))
-        if limit is None or len(scored) <= 2 * limit:
-            scored.sort()
-            if limit is not None:
-                del scored[limit:]
-        else:
-            scored = heapq.nsmallest(limit, scored)
-    result = tuple(zip(*scored)) or ((), (), ())
+        def rarity(label):
+            for entry in present:
+                if label in entry.id_set:
+                    return len(buckets[label]), entry.label_name(label)
+
+        # Rarest labels first: a label shared with few entries pinpoints
+        # the genuinely related candidates (specific entities), while a
+        # label shared with thousands (class nodes) carries no signal.
+        # The lexical form is resolved for these few labels only.
+        walked: set[int] = set()
+        for rank in (rank for label in sorted(rare, key=rarity)
+                     for rank in buckets[label]):
+            walked.add(rank)
+            if len(walked) == cap // 2:
+                break
+        # Fill up with the lowest other ranks: at most ``len(walked)``
+        # of the first ``cap + len(walked)`` are taken.
+        fill = [rank for rank in range(min(total, cap + len(walked)))
+                if rank not in walked][:cap - len(walked)]
+        priced = [*walked, *(rank for rank in fill if rank in exceptions)]
+        plain = [rank for rank in fill if rank not in exceptions][:want]
+    space.psi_evaluations += len(priced) * len(anchors)
+    scored = []
+    for rank in priced:
+        entry = entries[rank]
+        psi, broken = _psi(entry.id_set, anchors)
+        scored.append((entry.score + psi, broken, rank))
+    costs = [entries[rank].score + base for rank in plain]
+    if not scored:
+        result = (tuple(costs), (base_broken,) * len(plain), tuple(plain))
+    else:
+        scored.extend(zip(costs, itertools.repeat(base_broken), plain))
+        scored.sort()
+        del scored[want:]
+        result = tuple(zip(*scored))
     space._candidate_cache[key] = result
     return result
 
 
-def _evaluation_pool(space: _JoinSpace, cluster_index: int,
-                     anchors: list[tuple["ClusterEntry | None", float]],
-                     limit: "int | None") -> "list[int] | range":
-    """The entry ranks worth scoring exactly against these anchors.
-
-    With no ``limit`` every rank is scored (exact search).  Otherwise
-    the pool combines (a) entries *intersecting* an anchor path, found
-    through the cluster's label buckets rarest-label-first — these are
-    the conformity-friendly candidates ψ rewards — and (b) the λ-order
-    prefix, which dominates among the non-intersecting entries because
-    their ψ penalty is uniform.  The pool is capped at ``2·limit`` (at
-    least 128), half of it for (a): beyond it, candidates are either
-    worse in λ than the whole prefix or no better in ψ than the pooled
-    intersecting ones.
-    """
-    total = len(space.clusters[cluster_index].entries)
-    if limit is None:
-        return range(total)
-    cap = max(2 * limit, 128)
-    if total <= cap:
-        return range(total)
-    pool: list[int] = []
-    seen: set[int] = set()
-    buckets = space.buckets_of(cluster_index)
-    #: The anchor entries — who spells a label's name.
-    anchor_entries = [entry for entry, _penalty in anchors
-                      if entry is not None]
-    anchor_labels = set()
-    for entry in anchor_entries:
-        anchor_labels |= entry.id_set
-
-    def rarity(label):
-        for entry in anchor_entries:
-            if label in entry.id_set:
-                return len(buckets[label]), entry.label_name(label)
-
-    # Rarest labels first: a label shared with few entries pinpoints
-    # the genuinely related candidates (specific entities), while a
-    # label shared with thousands (class nodes) carries no signal.
-    # The tie-break is the label's lexical form, not its id, so the
-    # pool does not depend on interning order (resolved for these few
-    # anchor labels only, never per entry).
-    for label in sorted((label for label in anchor_labels
-                         if label in buckets), key=rarity):
-        for rank in buckets[label]:
-            if rank not in seen:
-                seen.add(rank)
-                pool.append(rank)
-                if len(pool) >= cap // 2:
-                    break
-        if len(pool) >= cap // 2:
-            break
-    # Fill up with the λ-order prefix: at most ``len(seen)`` of its
-    # first ``cap + len(seen)`` ranks are taken, so that many suffice.
-    prefix = [rank for rank in range(min(total, cap + len(seen)))
-              if rank not in seen]
-    pool.extend(prefix[:cap - len(pool)])
-    return pool
+def _psi(ids: frozenset, anchors: list[tuple["ClusterEntry | None", float]]
+         ) -> tuple[float, int]:
+    """ψ of the settled edges for a path with node label ids ``ids``,
+    summed from 0.0 left to right, and how many of them are broken (a
+    missing or disjoint side pays the edge's full penalty)."""
+    psi = 0.0
+    broken = 0
+    for anchor, penalty in anchors:
+        common = len(ids & anchor.id_set) if anchor is not None else 0
+        if common:
+            psi += penalty / common
+        else:
+            psi += penalty
+            broken += 1
+    return psi, broken
 
 
 def _enqueue_child(frontier, space: _JoinSpace, state: _PartialState,

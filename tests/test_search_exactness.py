@@ -120,6 +120,38 @@ class TestRandomGraphExactness:
         assert result.answers[0].score == pytest.approx(expected)
         engine.close()
 
+    def test_every_entry_shares_a_label(self):
+        """Every path ends in the one department, so every entry of
+        every cluster carries its label: entries meeting an anchor only
+        there share one base price, and the rest are priced pair by
+        pair."""
+        from repro.engine import SamaEngine
+
+        department = uri("D0")
+        triples = []
+        for student in range(6):
+            triples.append((uri(f"s{student}"), uri("memberOf"), department))
+            for course in (student % 3, (student + 1) % 4):
+                triples.append((uri(f"s{student}"), uri("takes"),
+                                uri(f"c{course}")))
+        for course in range(4):
+            triples.append((uri(f"c{course}"), uri("offeredBy"), department))
+        engine = SamaEngine.from_graph(DataGraph.from_triples(triples))
+        query = QueryGraph()
+        query.add_triple("?s", uri("memberOf"), department)
+        query.add_triple("?s", uri("takes"), "?c")
+        query.add_triple("?c", uri("offeredBy"), department)
+        prepared = engine.prepare(query)
+        clusters = engine.clusters(prepared)
+        assert all(len(cluster.entries) > 1 and frozenset.intersection(
+            *(entry.id_set for entry in cluster.entries))
+            for cluster in clusters)
+        result = top_k(prepared, clusters, config=EXACT)
+        assert result.answers[0].score == pytest.approx(
+            brute_force_best(prepared, clusters))
+        assert result.psi_evaluations > 0
+        engine.close()
+
     def test_default_config_matches_exact_top1_on_govtrack(
             self, govtrack_engine, q1):
         """The production config may truncate, but on the small running
