@@ -2,19 +2,24 @@
 
 Quantifies the design choices DESIGN.md calls out: the buffer pool's
 cold/warm gap (what makes Fig. 6a vs 6b differ) and the cost of the
-path codec.  Run::
+path record codec (label ids in the index's ``labels.dict``).  Run::
 
     pytest benchmarks/bench_storage.py --benchmark-only -s
 """
 
 import pytest
 
+from repro.index.labels import LabelInterner
 from repro.paths.model import Path
 from repro.rdf.terms import URI
-from repro.storage.bufferpool import BufferPool
 from repro.storage.pagestore import PageStore
 from repro.storage.recordfile import RecordFile
-from repro.storage.serializer import decode_path, encode_path
+
+
+def _path(length: int) -> Path:
+    return Path([URI(f"http://x/node{i}") for i in range(length)],
+                [URI(f"http://x/edge{i}") for i in range(length - 1)],
+                node_ids=list(range(length)))
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +27,7 @@ def populated_log(tmp_path_factory):
     directory = tmp_path_factory.mktemp("bench-storage")
     store = PageStore(directory / "log.db", page_size=4096)
     log = RecordFile(store)
-    path = Path([URI(f"http://x/node{i}") for i in range(6)],
-                [URI(f"http://x/edge{i}") for i in range(5)],
-                node_ids=list(range(6)))
-    blob = encode_path(path)
+    blob = LabelInterner().encode_path(_path(6))
     offsets = [log.append(blob) for _ in range(2000)]
     log.seal()
     return log, offsets
@@ -56,16 +58,15 @@ def test_bench_warm_reads(benchmark, populated_log):
 
 
 def test_bench_encode_path(benchmark):
-    path = Path([URI(f"http://x/node{i}") for i in range(8)],
-                [URI(f"http://x/edge{i}") for i in range(7)],
-                node_ids=list(range(8)))
-    benchmark(encode_path, path)
+    interner = LabelInterner()
+    path = _path(8)
+    interner.encode_path(path)  # labels known, as for most build writes
+    benchmark(interner.encode_path, path)
 
 
 def test_bench_decode_path(benchmark):
-    path = Path([URI(f"http://x/node{i}") for i in range(8)],
-                [URI(f"http://x/edge{i}") for i in range(7)],
-                node_ids=list(range(8)))
-    blob = encode_path(path)
-    assert decode_path(blob) == path
-    benchmark(decode_path, blob)
+    interner = LabelInterner()
+    path = _path(8)
+    blob = interner.encode_path(path)
+    assert interner.decode_path(blob) == path
+    benchmark(interner.decode_path, blob)

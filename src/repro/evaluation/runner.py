@@ -17,6 +17,7 @@ run-over-run.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import tempfile
 
@@ -271,43 +272,48 @@ def run_rr(scale: float = 1.0, seed: int = 0, k: int = 10) -> str:
 
 
 def run_extensions(scale: float = 1.0, seed: int = 0) -> str:
-    """Ablation of the §7 extensions: compression ratio, update cost."""
+    """Ablation of the §7 extensions: index size, update cost."""
     import time
 
     from ..index.incremental import IncrementalIndex
-    from .reporting import format_bytes
+    from ..index.labels import LABELS_FILE
 
     spec = dataset("lubm")
     triples = max(500, int(spec.default_triples * scale / 4))
     graph = spec.build(triples, seed=seed)
-    _plain, stats_plain = build_index(graph, tempfile.mkdtemp(prefix="xp-"))
-    _packed, stats_packed = build_index(graph, tempfile.mkdtemp(prefix="xc-"),
-                                        compress=True)
     extra = list(dataset("lubm").build(200, seed=seed + 99).triples())
-    incremental = IncrementalIndex(graph.copy(),
-                                   tempfile.mkdtemp(prefix="xi-"))
-    started = time.perf_counter()
-    for triple in extra[:50]:
-        incremental.add_triple(*triple)
-    per_update_ms = (time.perf_counter() - started) / 50 * 1000
-    started = time.perf_counter()
-    rebuilt_graph = graph.copy()
-    for triple in extra[:50]:
-        rebuilt_graph.add_triple(*triple)
-    build_index(rebuilt_graph, tempfile.mkdtemp(prefix="xr-"))
-    rebuild_ms = (time.perf_counter() - started) * 1000
+    with tempfile.TemporaryDirectory(prefix="sama-xp-") as scratch:
+        built, stats = build_index(graph, os.path.join(scratch, "built"))
+        built.close()
+        labels_bytes = os.path.getsize(
+            os.path.join(scratch, "built", LABELS_FILE))
+        log_bytes = stats.size_bytes - labels_bytes
+        incremental = IncrementalIndex(graph.copy(),
+                                       os.path.join(scratch, "live"))
+        started = time.perf_counter()
+        for triple in extra[:50]:
+            incremental.add_triple(*triple)
+        per_update_ms = (time.perf_counter() - started) / 50 * 1000
+        incremental.close()
+        started = time.perf_counter()
+        rebuilt_graph = graph.copy()
+        for triple in extra[:50]:
+            rebuilt_graph.add_triple(*triple)
+        build_index(rebuilt_graph, os.path.join(scratch, "rebuilt"))[0].close()
+        rebuild_ms = (time.perf_counter() - started) * 1000
     rows = [
-        ["index bytes (plain)", format_bytes(stats_plain.size_bytes)],
-        ["index bytes (compressed)", format_bytes(stats_packed.size_bytes)],
-        ["compression ratio",
-         f"{stats_packed.size_bytes / stats_plain.size_bytes:.1%}"],
+        ["index bytes", format_bytes(stats.size_bytes)],
+        ["paths", stats.path_count],
+        ["paths.log bytes per record",
+         f"{log_bytes / max(1, stats.path_count):.1f} B"],
+        ["labels.dict bytes", format_bytes(labels_bytes)],
         ["incremental update (per triple)", f"{per_update_ms:.2f} ms"],
         ["full rebuild (50 triples)", f"{rebuild_ms:.1f} ms"],
         ["paths invalidated", incremental.stats.paths_invalidated],
         ["full-rebuild fallbacks", incremental.stats.full_rebuilds],
     ]
     return format_table(["metric", "value"], rows,
-                        title="§7 extensions: compression and updates")
+                        title="§7 extensions: index size and updates")
 
 
 def run_weights_ablation(scale: float = 1.0, seed: int = 0,
@@ -389,7 +395,6 @@ def main(argv: "list[str] | None" = None) -> int:
         print(report)
         print()
         if args.output:
-            import os
             os.makedirs(args.output, exist_ok=True)
             path = os.path.join(args.output, f"{name}.txt")
             with open(path, "w", encoding="utf-8") as handle:

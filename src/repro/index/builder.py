@@ -63,19 +63,15 @@ def build_index(graph: DataGraph, directory,
                 thesaurus: "Thesaurus | None" = None,
                 use_default_thesaurus: bool = True,
                 page_size: int = 4096,
-                compress: bool = False,
-                intern_records: bool = True,
                 shards: int = 1):
     """Build the path index of ``graph`` under ``directory``.
 
     Returns the opened :class:`PathIndex` and its :class:`IndexStats`.
     ``thesaurus`` defaults to the built-in lexicon (pass
     ``use_default_thesaurus=False`` for purely lexical matching).
-    ``compress=True`` dictionary-encodes the stored paths (the §7
-    compression extension); queries are unaffected.  By default records
-    are label-interned (compact ids decoded through the persisted
-    label dictionary); ``intern_records=False`` writes the original
-    inline-term records.
+    Records are label-interned: varint ids into the ``labels.dict``
+    dictionary persisted beside the log
+    (:class:`~repro.index.labels.LabelInterner`).
 
     ``shards > 1`` routes to
     :func:`repro.index.sharded.build_sharded_index`: the same walk
@@ -86,9 +82,6 @@ def build_index(graph: DataGraph, directory,
     if shards > 1:
         from .sharded import build_sharded_index
 
-        if compress or not intern_records:
-            raise ValueError("sharded indexes use the interned record "
-                             "format; compress/intern_records do not apply")
         return build_sharded_index(graph, directory, shards,
                                    limits=limits, thesaurus=thesaurus,
                                    use_default_thesaurus=use_default_thesaurus,
@@ -117,8 +110,7 @@ def build_index(graph: DataGraph, directory,
     # Step (iii): compute and store the paths (BFS from every root).
     step_started = time.perf_counter()
     writer = PathIndexWriter(directory, thesaurus=thesaurus,
-                             page_size=page_size, compress=compress,
-                             intern_records=intern_records)
+                             page_size=page_size)
     budget = _Budget(limits, graph)
     for root in roots:
         for path in _walk_from(graph, root, budget):

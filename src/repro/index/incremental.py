@@ -49,16 +49,17 @@ from ..storage.atomic import atomic_write_json
 from ..storage.bufferpool import BufferPool
 from ..storage.pagestore import PageStore
 from ..storage.recordfile import RecordFile
-from ..storage.serializer import decode_path, encode_path
 from .builder import INDEXER_LIMITS
-from .labels import LabelIndex, LabelInterner
+from .labels import LABELS_FILE, LabelIndex, LabelInterner
 from .thesaurus import Thesaurus, default_thesaurus
 
 #: Sidecar persisting which records of ``paths.log`` are alive (and
 #: their roots), so maintenance tools can compact the log without the
 #: in-memory index that wrote it.
 MANIFEST_FILE = "incremental.json"
-_MANIFEST_VERSION = 1
+#: 2: records are label-interned, decoded through the ``labels.dict``
+#: written beside the log.  Version 1 logs held inline-term records.
+_MANIFEST_VERSION = 2
 
 
 @dataclass
@@ -174,7 +175,8 @@ class IncrementalIndex:
                 self._store_path(root, path)
 
     def _store_path(self, root: int, path: Path) -> None:
-        blob = encode_path(path)
+        path = self.interner.intern_path(path)
+        blob = self.interner.encode_path(path)
         offset = self._records.append(blob)
         self._record_size[offset] = len(blob)
         self._alive.add(offset)
@@ -183,7 +185,7 @@ class IncrementalIndex:
         self._sink_index.add(path.sink, offset)
         for label in set(path.nodes) | set(path.edges):
             self._contains_index.add(label, offset)
-        self._decoded[offset] = self.interner.intern_path(path)
+        self._decoded[offset] = path
         owner = 0
         if self.shards > 1:
             from .sharded import shard_of
@@ -325,10 +327,10 @@ class IncrementalIndex:
     def path_at(self, offset: int) -> Path:
         cached = self._decoded.get(offset)
         if cached is None:
-            # Every label of a stored path was interned when it was
-            # stored, so re-attaching the ids only reads the dictionary.
-            cached = self._decoded[offset] = self.interner.intern_path(
-                decode_path(self._records.read(offset)))
+            # The record is written in this interner: label_ids come
+            # attached straight from it.
+            cached = self._decoded[offset] = self.interner.decode_path(
+                self._records.read(offset))
         return cached
 
     def all_offsets(self) -> list[int]:
@@ -344,13 +346,6 @@ class IncrementalIndex:
     def offsets_containing(self, label: Term, semantic: bool = True) -> list[int]:
         found = self._contains_index.lookup(label, semantic=semantic)
         return sorted(found & self._alive)
-
-    def paths_with_sink(self, label: Term, semantic: bool = True) -> list[Path]:
-        return [self.path_at(o) for o in self.offsets_with_sink(label, semantic)]
-
-    def paths_containing(self, label: Term, semantic: bool = True) -> list[Path]:
-        return [self.path_at(o)
-                for o in self.offsets_containing(label, semantic)]
 
     def clear_cache(self) -> None:
         self._records.pool.clear()
@@ -414,10 +409,13 @@ class IncrementalIndex:
         The manifest (``incremental.json``, written atomically) records
         which offsets of ``paths.log`` are alive, their roots, the
         epoch, and the accumulated ``dead_bytes`` — everything
-        :func:`compact_directory` needs to vacuum the log offline.
-        Returns the manifest path.
+        :func:`compact_directory` needs to vacuum the log offline.  The
+        label dictionary the records are written in goes beside it
+        (``labels.dict``, also atomic).  Returns the manifest path.
         """
         self._records.sync()
+        self.interner.save(os.path.join(os.fspath(self.directory),
+                                        LABELS_FILE))
         payload = {
             "version": _MANIFEST_VERSION,
             "epoch": self.epoch,
@@ -476,10 +474,12 @@ def compact_directory(directory, output=None) -> CompactionReport:
 
     Reads the ``incremental.json`` manifest (see
     :meth:`IncrementalIndex.save_manifest`), rewrites only the live
-    records into a fresh log, and — when ``output`` is ``None`` —
-    atomically swaps the compacted directory into place (the original
-    is staged aside and removed only after the swap, so a crash leaves
-    a complete index under either name, never a torn one).
+    records into a fresh log beside a copy of the ``labels.dict`` they
+    are written in (records move byte for byte), and — when ``output``
+    is ``None`` — atomically swaps the compacted directory into place
+    (the original is staged aside and removed only after the swap, so
+    a crash leaves a complete index under either name, never a torn
+    one).
 
     Persisted sidecars — two-stage sketches (``sketch.bin``,
     :mod:`repro.sketch.store`) and quotient classes (``quotient.bin``,
@@ -500,6 +500,11 @@ def compact_directory(directory, output=None) -> CompactionReport:
 
     directory = os.fspath(directory)
     manifest = _read_manifest(directory)
+    labels_path = os.path.join(directory, LABELS_FILE)
+    if not os.path.exists(labels_path):
+        raise IndexCorruptError(
+            f"{directory} has no {LABELS_FILE} dictionary to decode its "
+            f"records")
     in_place = output is None
     invalidated = (invalidate(directory, (SKETCH_FILE, QUOTIENT_FILE))
                    if in_place else {})
@@ -513,6 +518,7 @@ def compact_directory(directory, output=None) -> CompactionReport:
     if os.path.exists(target):
         shutil.rmtree(target)
     os.makedirs(target)
+    shutil.copyfile(labels_path, os.path.join(target, LABELS_FILE))
     fresh_store = PageStore(os.path.join(target, "paths.log"),
                             page_size=manifest["page_size"])
     fresh_records = RecordFile(fresh_store, BufferPool(fresh_store))

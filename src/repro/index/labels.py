@@ -37,6 +37,11 @@ def _uvarint(data: bytes, pos: int) -> tuple[int, int]:
             raise CodecError("varint too long")
 
 
+#: The file a :class:`LabelInterner` is persisted in, beside the path
+#: log whose records it decodes.
+LABELS_FILE = "labels.dict"
+
+
 class LabelInterner:
     """A persisted dense label → ``int`` id dictionary.
 
@@ -104,9 +109,10 @@ class LabelInterner:
     def encode_path(self, path: Path) -> bytes:
         """Serialise ``path`` as varint label ids in this dictionary.
 
-        The interned record format: varint node count, the node label
-        ids, the edge label ids, then the node-id presence flag and
-        varints of the serializer format.  Ids are (re)computed through
+        The one path record format — built, sharded and live indexes
+        all write it: varint node count, the node label ids, the edge
+        label ids, then a node-id presence flag (``0``/``1``) and the
+        varint graph node ids.  Ids are (re)computed through
         :meth:`intern` rather than trusting any attached ``label_ids``
         — those may belong to a different interner.
         """

@@ -5,18 +5,21 @@ The index stores every source-to-sink path of the data graph, because
 "allows us to skip the expensive graph traversal at runtime".  Paths
 live in a page-structured record log; two label indexes — one over
 sink labels, one over all labels a path contains — answer the two
-lookups clustering needs:
+lookups clustering needs, as record offsets:
 
-- ``paths_with_sink(label)``: paths whose sink matches the sink of a
+- ``offsets_with_sink(label)``: paths whose sink matches the sink of a
   query path;
-- ``paths_containing(label)``: paths containing a label matching the
+- ``offsets_containing(label)``: paths containing a label matching the
   first constant of a query path (used when the query sink is a
   variable).
 
 Both lookups go through the Lucene-stand-in :class:`LabelIndex`, so
-they match exactly, lexically, or via thesaurus expansion.  Decoded
-paths are fetched through the buffer pool: clearing it reproduces the
-paper's cold-cache condition.
+they match exactly, lexically, or via thesaurus expansion;
+``path_at(offset)`` decodes one record.  Every record is a run of
+label ids in the ``labels.dict`` dictionary
+(:meth:`LabelInterner.encode_path`, the one record format), fetched
+through the buffer pool: clearing it reproduces the paper's cold-cache
+condition.
 """
 
 from __future__ import annotations
@@ -31,19 +34,18 @@ from ..rdf.terms import Term
 from ..resilience.errors import IndexCorruptError, StorageError
 from ..storage.atomic import atomic_write_json, sweep_tmp_debris
 from ..storage.bufferpool import BufferPool
-from ..storage.dictionary import (TermDictionary, decode_path_ids,
-                                  encode_path_ids)
 from ..storage.pagestore import PageStore
 from ..storage.recordfile import RecordFile
-from ..storage.serializer import decode_path, encode_path
-from .labels import LabelIndex, LabelInterner
+from .labels import LABELS_FILE, LabelIndex, LabelInterner
 from .thesaurus import Thesaurus
 
 _PATHS_FILE = "paths.log"
-_DICT_FILE = "terms.dict"
-_LABELS_FILE = "labels.dict"
 _MAPS_FILE = "maps.json"
 _FORMAT_VERSION = 1
+#: The ``maps.json`` key marking label-interned records.  Every index
+#: written with it opens; one without it holds a retired record format
+#: (inline terms, or the §7 term-dictionary codec).
+_RECORDS_MARKER = "interned_records"
 
 #: Pages prefetched after a demand miss during record reads.  Records
 #: are packed contiguously and cluster retrieval walks offsets in
@@ -62,21 +64,16 @@ class PathIndex:
     def __init__(self, directory, records: RecordFile,
                  sink_index: LabelIndex, contains_index: LabelIndex,
                  offsets: "list[int] | array", metadata: dict,
-                 dictionary: "TermDictionary | None" = None,
-                 interner: "LabelInterner | None" = None,
-                 interned_records: bool = False):
+                 interner: LabelInterner):
         self.directory = os.fspath(directory)
         self._records = records
         self._sink_index = sink_index
         self._contains_index = contains_index
         self._offsets = offsets
         self.metadata = metadata
-        self._dictionary = dictionary
-        # Every decoded path gets dense node-label ids attached so χ/ψ
-        # downstream intersect int-sets; indexes built before the
-        # interner existed just start from an empty in-memory one.
-        self.interner = interner if interner is not None else LabelInterner()
-        self._interned_records = interned_records
+        #: The dictionary the records are written in: decoding resolves
+        #: ids through it and never adds to it.
+        self.interner = interner
         self._decoded: dict[int, Path] = {}
         #: Records decoded from storage (cache misses of ``_decoded``);
         #: surfaced on ``/metrics`` as ``sama_record_decodes_total``.
@@ -86,11 +83,6 @@ class PathIndex:
         #: :class:`~repro.index.incremental.IncrementalIndex` bumps its
         #: own counter on every update/compaction.
         self.epoch = 0
-
-    @property
-    def is_compressed(self) -> bool:
-        """True when records are dictionary-encoded (§7 extension)."""
-        return self._dictionary is not None
 
     # -- opening ---------------------------------------------------------------
 
@@ -121,6 +113,12 @@ class PathIndex:
             raise IndexCorruptError(
                 f"index format {maps.get('version')!r} unsupported "
                 f"(expected {_FORMAT_VERSION})")
+        if not maps.get(_RECORDS_MARKER) or maps.get("compressed"):
+            retired = ("§7 term-dictionary" if maps.get("compressed")
+                       else "inline-term")
+            raise IndexCorruptError(
+                f"{directory} stores paths in the retired {retired} record "
+                f"format; rebuild it with `sama index build`")
         # Older maps.json files predate the recorded page size; they
         # were always written with the 4 KiB default.
         store = PageStore(os.path.join(directory, _PATHS_FILE),
@@ -138,26 +136,19 @@ class PathIndex:
         # pop: the parsed JSON lists are the open-time memory peak.
         contains_index = _load_label_map(maps.pop("contains"), thesaurus)
         offsets = array("q", maps["offsets"])
-        dictionary = None
-        if maps.get("compressed"):
-            dictionary = TermDictionary.load(
-                os.path.join(directory, _DICT_FILE))
         if interner is None:
-            labels_path = os.path.join(directory, _LABELS_FILE)
-            if os.path.exists(labels_path):
-                try:
-                    interner = LabelInterner.load(labels_path)
-                except Exception as exc:
-                    raise IndexCorruptError(
-                        f"cannot read {labels_path}: {exc}") from exc
-        interned_records = bool(maps.get("interned_records"))
-        if interned_records and interner is None:
-            raise IndexCorruptError(
-                f"{directory} stores interned records but has no "
-                f"{_LABELS_FILE} dictionary to decode them")
+            labels_path = os.path.join(directory, LABELS_FILE)
+            if not os.path.exists(labels_path):
+                raise IndexCorruptError(
+                    f"{directory} has no {LABELS_FILE} dictionary to "
+                    f"decode its records")
+            try:
+                interner = LabelInterner.load(labels_path)
+            except Exception as exc:
+                raise IndexCorruptError(
+                    f"cannot read {labels_path}: {exc}") from exc
         return cls(directory, records, sink_index, contains_index,
-                   offsets, maps.get("metadata", {}), dictionary=dictionary,
-                   interner=interner, interned_records=interned_records)
+                   offsets, maps.get("metadata", {}), interner)
 
     def close(self) -> None:
         self._records.store.close()
@@ -186,22 +177,14 @@ class PathIndex:
         cached = self._decoded.get(offset)
         if cached is None:
             try:
-                blob = self._records.read(offset)
-                if self._interned_records:
-                    # label_ids come attached straight from the record.
-                    cached = self.interner.decode_path(blob)
-                elif self._dictionary is not None:
-                    cached = decode_path_ids(blob, self._dictionary)
-                else:
-                    cached = decode_path(blob)
+                # label_ids come attached straight from the record.
+                cached = self.interner.decode_path(self._records.read(offset))
             except (StorageError, IndexCorruptError):
                 raise
             except Exception as exc:
                 raise IndexCorruptError(
                     f"cannot decode path at offset {offset} of "
                     f"{self.directory}: {exc}") from exc
-            if cached.label_ids is None:
-                self.interner.intern_path(cached)
             self._decoded[offset] = cached
             self.decode_count += 1
         return cached
@@ -220,12 +203,6 @@ class PathIndex:
     def offsets_containing(self, label: Term, semantic: bool = True) -> list[int]:
         """Offsets of paths containing a label matching ``label``."""
         return sorted(self._contains_index.lookup(label, semantic=semantic))
-
-    def paths_with_sink(self, label: Term, semantic: bool = True) -> list[Path]:
-        return [self.path_at(o) for o in self.offsets_with_sink(label, semantic)]
-
-    def paths_containing(self, label: Term, semantic: bool = True) -> list[Path]:
-        return [self.path_at(o) for o in self.offsets_containing(label, semantic)]
 
     # -- cache control (cold / warm experiments) ---------------------------------
 
@@ -263,8 +240,7 @@ class PathIndexWriter:
     """Accumulates paths during the build, then persists the maps."""
 
     def __init__(self, directory, thesaurus: "Thesaurus | None" = None,
-                 page_size: int = 4096, compress: bool = False,
-                 intern_records: bool = True,
+                 page_size: int = 4096,
                  interner: "LabelInterner | None" = None):
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
@@ -272,17 +248,10 @@ class PathIndexWriter:
                                 page_size=page_size)
         self._records = RecordFile(self._store)
         self._thesaurus = thesaurus
-        self._dictionary = TermDictionary() if compress else None
         # ``interner`` lets several writers share one global label
         # dictionary (the sharded build); each writer still persists
         # the full dictionary so its directory stays self-contained.
         self._interner = interner if interner is not None else LabelInterner()
-        # Interned records are the default format: compact like the §7
-        # dictionary compression AND decodable without constructing
-        # fresh Terms.  ``compress`` (the explicit §7 codec) takes
-        # precedence; ``intern_records=False`` writes the original
-        # inline-term records for comparison/compatibility runs.
-        self._intern_records = intern_records and not compress
         self._sink_map: dict[Term, list[int]] = {}
         self._contains_map: dict[Term, list[int]] = {}
         self._offsets: list[int] = []
@@ -290,13 +259,7 @@ class PathIndexWriter:
     def add_path(self, path: Path) -> int:
         """Store one path; returns its offset."""
         self._interner.intern_path(path)
-        if self._dictionary is not None:
-            blob = encode_path_ids(path, self._dictionary)
-        elif self._intern_records:
-            blob = self._interner.encode_path(path)
-        else:
-            blob = encode_path(path)
-        offset = self._records.append(blob)
+        offset = self._records.append(self._interner.encode_path(path))
         self._offsets.append(offset)
         self._sink_map.setdefault(path.sink, []).append(offset)
         seen: set[Term] = set()
@@ -315,15 +278,12 @@ class PathIndexWriter:
             "version": _FORMAT_VERSION,
             "metadata": metadata or {},
             "page_size": self._store.page_size,
-            "compressed": self._dictionary is not None,
-            "interned_records": self._intern_records,
+            _RECORDS_MARKER: True,
             "offsets": self._offsets,
             "sink": _dump_label_map(self._sink_map),
             "contains": _dump_label_map(self._contains_map),
         }
-        if self._dictionary is not None:
-            self._dictionary.save(os.path.join(self.directory, _DICT_FILE))
-        self._interner.save(os.path.join(self.directory, _LABELS_FILE))
+        self._interner.save(os.path.join(self.directory, LABELS_FILE))
         # maps.json is the file that makes the directory an index; write
         # it atomically so a crash here leaves either no index or a
         # complete one, never a torn manifest.
@@ -334,18 +294,12 @@ class PathIndexWriter:
                                                   self._thesaurus)
         return PathIndex(self.directory, self._records, sink_index,
                          contains_index, self._offsets, maps["metadata"],
-                         dictionary=self._dictionary,
-                         interner=self._interner,
-                         interned_records=self._intern_records)
+                         self._interner)
 
     @property
     def size_bytes(self) -> int:
-        total = self._store.size_bytes()
-        for name in (_DICT_FILE, _LABELS_FILE):
-            side_path = os.path.join(self.directory, name)
-            if os.path.exists(side_path):
-                total += os.path.getsize(side_path)
-        return total
+        return (self._store.size_bytes()
+                + os.path.getsize(os.path.join(self.directory, LABELS_FILE)))
 
 
 def _dump_label_map(label_map: dict[Term, list[int]]) -> dict[str, list[int]]:

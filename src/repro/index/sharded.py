@@ -69,8 +69,7 @@ from ..resilience.health import BreakerConfig, ShardHealth
 from ..storage.atomic import atomic_write_json, sweep_tmp_debris
 from .builder import INDEXER_LIMITS, IndexStats
 from .labels import LabelInterner
-from .pathindex import (DEFAULT_READ_AHEAD, PathIndex, PathIndexWriter,
-                        _LABELS_FILE)
+from .pathindex import DEFAULT_READ_AHEAD, PathIndex, PathIndexWriter
 from .thesaurus import Thesaurus, default_thesaurus
 
 MANIFEST_FILE = "manifest.json"
@@ -519,13 +518,6 @@ class ShardedIndex:
         """Gids of paths containing a label matching ``label`` (sorted)."""
         return self._gather([shard.offsets_containing(label, semantic)
                              for shard in self.shards])
-
-    def paths_with_sink(self, label: Term, semantic: bool = True) -> list[Path]:
-        return [self.path_at(g) for g in self.offsets_with_sink(label, semantic)]
-
-    def paths_containing(self, label: Term, semantic: bool = True) -> list[Path]:
-        return [self.path_at(g)
-                for g in self.offsets_containing(label, semantic)]
 
     def group_by_shard(self, gids: "list[int]") -> "list[list[tuple[int, int]]]":
         """Partition ``gids`` into per-shard ``(gid, local offset)`` lists.

@@ -3,10 +3,9 @@
 Two kinds of parallelism live here:
 
 - the process-wide **thread pool** (:func:`shared_executor`) used by
-  path extraction and thread-mode scatter-gather dispatch.  Threads
-  are the right tool when the work overlaps I/O (page reads,
-  simulated storage latency) — the GIL only serializes the
-  pure-Python parts;
+  thread-mode scatter-gather dispatch over shards.  Threads are the
+  right tool when the work overlaps I/O (page reads, simulated storage
+  latency) — the GIL only serializes the pure-Python parts;
 
 - the **per-shard process pool** (:class:`ProcessShardPool`) behind
   ``EngineConfig(worker_mode="procs")``: long-lived, spawn-safe worker

@@ -3,9 +3,9 @@
 The engine decomposes both the query graph and the data graph into the
 set of all paths from sources to sinks.  Extraction is a breadth-first
 traversal started independently from every source (the paper runs these
-"independently concurrent"; we expose an optional thread pool for the
-same structure).  Graphs without sources promote hub nodes — those
-maximising out-degree minus in-degree — to traversal roots.
+"independently concurrent"; here the roots are walked one after the
+other, in root id order).  Graphs without sources promote hub nodes —
+those maximising out-degree minus in-degree — to traversal roots.
 
 Cycles are handled by never revisiting a node within one partial path;
 a walk that can no longer move (every successor already on the path)
@@ -21,13 +21,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..parallel import shared_executor
 from ..rdf.graph import DataGraph
 from .model import Path
-
-#: Roots below which ``parallel=True`` extraction stays serial: pool
-#: dispatch costs more than walking a handful of roots inline.
-PARALLEL_MIN_ROOTS = 8
 
 
 class PathExplosionError(RuntimeError):
@@ -62,39 +57,19 @@ DEFAULT_LIMITS = ExtractionLimits()
 
 
 def extract_paths(graph: DataGraph,
-                  limits: ExtractionLimits = DEFAULT_LIMITS,
-                  parallel: bool = False) -> list[Path]:
-    """All source-to-sink paths of ``graph``.
+                  limits: ExtractionLimits = DEFAULT_LIMITS) -> list[Path]:
+    """All source-to-sink paths of ``graph``, ordered by root id.
 
     Roots are the graph's sources, or its hubs when it has none
     (§3.2).  An isolated node (source and sink at once) yields the
     single-node path containing just its label.
-
-    With ``parallel=True`` the per-root traversals run on the shared
-    module-level worker pool (sized from ``SAMA_WORKERS`` /
-    ``os.cpu_count()`` — a pool used to be created per call, with
-    unbounded default workers), mirroring the paper's concurrent BFS;
-    results are identical and deterministically ordered by root id
-    either way.  Small inputs (< :data:`PARALLEL_MIN_ROOTS` roots) skip
-    the pool entirely: dispatch overhead dominates below that.
     """
-    roots = graph.path_roots()
-    if not roots:
-        return []
-    budget = _Budget(limits, graph)
-    pool = shared_executor() if (parallel
-                                 and len(roots) >= PARALLEL_MIN_ROOTS) else None
-    if pool is not None:
-        chunks = pool.map(lambda r: list(_walk_from(graph, r, budget)), roots)
-        results = [p for chunk in chunks for p in chunk]
-    else:
-        results = [p for root in roots for p in _walk_from(graph, root, budget)]
-    return results
+    return list(iter_paths(graph, limits))
 
 
 def iter_paths(graph: DataGraph,
                limits: ExtractionLimits = DEFAULT_LIMITS) -> Iterator[Path]:
-    """Lazily yield source-to-sink paths (single-threaded)."""
+    """Lazily yield the paths of :func:`extract_paths`, in its order."""
     budget = _Budget(limits, graph)
     for root in graph.path_roots():
         yield from _walk_from(graph, root, budget)

@@ -1,15 +1,15 @@
 """Crash-safe metadata writes: write a temp file, then ``os.replace``.
 
-Index metadata — ``maps.json``, the ``labels.dict`` interner, the §7
-``terms.dict`` dictionary, the incremental manifest — is rewritten in
-full on every save.  A plain ``open(path, "w")`` truncates the old
-contents *before* the new bytes land, so a crash mid-write leaves a
-torn file that a server opening the index moments later reads as
-corruption.  Every metadata writer therefore goes through this module:
-the bytes are staged in a sibling temp file in the *same directory*
-(``os.replace`` must not cross filesystems), fsynced, and renamed over
-the target in one atomic step.  Readers see either the old complete
-file or the new complete file, never a prefix of the new one.
+Index metadata — ``maps.json``, the ``labels.dict`` interner, the
+incremental manifest — is rewritten in full on every save.  A plain
+``open(path, "w")`` truncates the old contents *before* the new bytes
+land, so a crash mid-write leaves a torn file that a server opening
+the index moments later reads as corruption.  Every metadata writer
+therefore goes through this module: the bytes are staged in a sibling
+temp file in the *same directory* (``os.replace`` must not cross
+filesystems), fsynced, and renamed over the target in one atomic
+step.  Readers see either the old complete file or the new complete
+file, never a prefix of the new one.
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
-"""Binary codec for terms and paths stored in the page files.
+"""Binary codec for the terms stored beside the page files.
 
 The index persists extracted paths on disk (the paper assumes the data
 graph "cannot fit in memory and ... can only be stored on disk", §6.1).
-This module provides the compact record format: a varint-based, tagged
-binary encoding that round-trips every term kind and path exactly.
+This module provides the primitives of that format: a varint-based,
+tagged binary encoding that round-trips every term kind exactly.  The
+path record itself is a run of varint label ids
+(:meth:`repro.index.labels.LabelInterner.encode_path`); the terms live
+once each in the ``labels.dict`` dictionary written with
+:func:`write_term`.
 
 Format
 ------
@@ -12,16 +16,12 @@ Format
 - term: 1 tag byte (``U``/``P``/``B``/``V`` = URI, plain literal, blank
   node, variable; ``L`` = language literal; ``D`` = datatyped literal)
   followed by the string(s).
-- path: varint node count, the node terms, the edge terms, a presence
-  flag plus varints for the graph node ids.
 """
 
 from __future__ import annotations
 
-import io
 from typing import BinaryIO
 
-from ..paths.model import Path
 from ..rdf.terms import BlankNode, Literal, Term, URI, Variable
 
 _TAG_URI = b"U"
@@ -128,38 +128,3 @@ def read_term(stream: BinaryIO) -> Term:
     if tag == _TAG_VARIABLE:
         return Variable(read_string(stream))
     raise CodecError(f"unknown term tag {tag!r}")
-
-
-def encode_path(path: Path) -> bytes:
-    """Serialise a path to bytes."""
-    stream = io.BytesIO()
-    write_varint(stream, path.length)
-    for node in path.nodes:
-        write_term(stream, node)
-    for edge in path.edges:
-        write_term(stream, edge)
-    if path.node_ids is None:
-        stream.write(b"\x00")
-    else:
-        stream.write(b"\x01")
-        for node_id in path.node_ids:
-            write_varint(stream, node_id)
-    return stream.getvalue()
-
-
-def decode_path(data: bytes) -> Path:
-    """Deserialise a path from bytes."""
-    stream = io.BytesIO(data)
-    count = read_varint(stream)
-    if count < 1:
-        raise CodecError("path must have at least one node")
-    nodes = [read_term(stream) for _ in range(count)]
-    edges = [read_term(stream) for _ in range(count - 1)]
-    flag = stream.read(1)
-    if flag == b"\x00":
-        node_ids = None
-    elif flag == b"\x01":
-        node_ids = [read_varint(stream) for _ in range(count)]
-    else:
-        raise CodecError(f"bad node-id presence flag {flag!r}")
-    return Path(nodes, edges, node_ids=node_ids)

@@ -9,9 +9,12 @@ from repro.cli import main
 from repro.engine import SamaEngine
 from repro.index.incremental import (IncrementalIndex, MANIFEST_FILE,
                                      compact_directory)
+from repro.index.labels import LabelInterner
 from repro.rdf.graph import DataGraph
-from repro.resilience import ReproError
+from repro.resilience import IndexCorruptError, ReproError
 from repro.storage.atomic import atomic_write_bytes, atomic_write_json
+from repro.storage.pagestore import PageStore
+from repro.storage.recordfile import RecordFile
 
 
 def uri(name):
@@ -34,6 +37,74 @@ def dirty_index(tmp_path):
     index.save_manifest()
     index.close()
     return directory, paths_before
+
+
+def _decode_alive(directory):
+    """Every alive record of ``directory``'s log, decoded through the
+    ``labels.dict`` beside it and nothing else."""
+    manifest = json.load(open(os.path.join(directory, MANIFEST_FILE)))
+    interner = LabelInterner.load(os.path.join(directory, "labels.dict"))
+    store = PageStore(os.path.join(directory, "paths.log"),
+                      page_size=manifest["page_size"])
+    try:
+        records = RecordFile(store)
+        return [interner.decode_path(records.read(offset))
+                for offset, _root in manifest["alive"]]
+    finally:
+        store.close()
+
+
+class TestInternedLog:
+    """The live index writes the one record format: a saved directory
+    decodes from its own files, before and after compaction."""
+
+    def test_alive_records_decode_to_live_paths(self, dirty_index):
+        directory, paths_before = dirty_index
+        assert sorted(str(p) for p in _decode_alive(directory)) == \
+            paths_before
+
+    def test_updates_after_save_are_decodable(self, tmp_path):
+        graph = DataGraph.from_triples([
+            (uri("a"), uri("p"), uri("b")),
+            (uri("b"), uri("p"), uri("c")),
+        ])
+        directory = str(tmp_path / "inc")
+        index = IncrementalIndex(graph, directory)
+        index.save_manifest()
+        # New labels after the first save must reach labels.dict too.
+        index.add_triple(uri("c"), uri("q"), '"fresh literal"')
+        index.remove_triple(uri("a"), uri("p"), uri("b"))
+        index.save_manifest()
+        live = [index.path_at(o) for o in index.all_offsets()]
+        decoded = _decode_alive(directory)
+        assert decoded == live
+        assert [list(p.label_ids) for p in decoded] == \
+            [list(p.label_ids) for p in live]
+        index.close()
+
+    def test_compacted_records_decode(self, dirty_index, tmp_path):
+        directory, paths_before = dirty_index
+        out = str(tmp_path / "out")
+        compact_directory(directory, output=out)
+        compact_directory(directory)
+        for compacted in (out, directory):
+            assert sorted(str(p) for p in _decode_alive(compacted)) == \
+                paths_before
+
+    def test_version_1_manifest_is_refused(self, dirty_index):
+        directory, _ = dirty_index
+        manifest_path = os.path.join(directory, MANIFEST_FILE)
+        manifest = json.load(open(manifest_path))
+        manifest["version"] = 1
+        atomic_write_json(manifest_path, manifest)
+        with pytest.raises(IndexCorruptError, match="unsupported"):
+            compact_directory(directory)
+
+    def test_missing_label_dictionary_is_refused(self, dirty_index):
+        directory, _ = dirty_index
+        os.unlink(os.path.join(directory, "labels.dict"))
+        with pytest.raises(IndexCorruptError, match="labels.dict"):
+            compact_directory(directory)
 
 
 class TestCompactDirectory:

@@ -123,12 +123,6 @@ class TestLimits:
 
 
 class TestVariants:
-    def test_parallel_matches_sequential(self, govtrack):
-        sequential = extract_paths(govtrack, parallel=False)
-        parallel = extract_paths(govtrack, parallel=True)
-        assert sorted(p.text() for p in sequential) == \
-            sorted(p.text() for p in parallel)
-
     def test_iter_paths_lazy_equivalent(self, govtrack):
         assert sorted(p.text() for p in iter_paths(govtrack)) == \
             sorted(p.text() for p in extract_paths(govtrack))

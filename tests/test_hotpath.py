@@ -10,8 +10,6 @@ be indistinguishable from the plain engine.
 import pathlib
 import re
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro.datasets import dataset, lubm_queries
@@ -117,15 +115,6 @@ class TestInternedIndex:
         assert sorted(p.text() for p in reopened.all_paths()) == original
         assert all(p.label_ids is not None for p in reopened.all_paths())
         reopened.close()
-
-    def test_interned_matches_inline_format(self, govtrack, tmp_path):
-        interned, _ = build_index(govtrack, str(tmp_path / "i"))
-        inline, _ = build_index(govtrack, str(tmp_path / "p"),
-                                intern_records=False)
-        assert sorted(p.text() for p in interned.all_paths()) == \
-            sorted(p.text() for p in inline.all_paths())
-        interned.close()
-        inline.close()
 
     def test_missing_label_dictionary_is_corruption(self, govtrack, tmp_path):
         directory = str(tmp_path / "broken")
@@ -342,32 +331,6 @@ class TestWorkerPool:
         monkeypatch.setenv("SAMA_WORKERS", "1")
         pool = shared_executor(2)
         assert pool is not None
-
-    def test_small_extraction_skips_pool(self, monkeypatch, govtrack):
-        import repro.paths.extraction as extraction
-
-        calls = []
-        monkeypatch.setattr(extraction, "shared_executor",
-                            lambda *a, **k: calls.append(1) or None)
-        assert len(govtrack.path_roots()) < extraction.PARALLEL_MIN_ROOTS
-        serial = [p.text() for p in extraction.extract_paths(govtrack)]
-        small = [p.text() for p in
-                 extraction.extract_paths(govtrack, parallel=True)]
-        assert small == serial
-        assert calls == []  # below the threshold the pool is never asked
-
-    def test_parallel_extraction_matches_serial(self, monkeypatch):
-        import repro.paths.extraction as extraction
-
-        graph = dataset("lubm").build(900, seed=5)
-        assert len(graph.path_roots()) >= extraction.PARALLEL_MIN_ROOTS
-        serial = [p.text() for p in extraction.extract_paths(graph)]
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            monkeypatch.setattr(extraction, "shared_executor",
-                                lambda *a, **k: pool)
-            parallel = [p.text() for p in
-                        extraction.extract_paths(graph, parallel=True)]
-        assert parallel == serial
 
 
 # -- buffer pool read-ahead --------------------------------------------------

@@ -97,27 +97,31 @@ class TestBuilder:
 
 class TestPathIndex:
     def test_lookup_by_sink(self, tiny_index):
-        paths = tiny_index.paths_with_sink(Literal("Male"))
-        assert len(paths) == 4
-        assert all(p.sink == Literal("Male") for p in paths)
+        offsets = tiny_index.offsets_with_sink(Literal("Male"))
+        assert offsets == sorted(offsets) and len(offsets) == 4
+        assert all(tiny_index.path_at(o).sink == Literal("Male")
+                   for o in offsets)
 
     def test_lookup_by_containment(self, tiny_index):
-        paths = tiny_index.paths_containing(
-            URI("http://example.org/govtrack/B1432"))
-        assert len(paths) == 3  # p1, p9, p10
+        label = URI("http://example.org/govtrack/B1432")
+        offsets = tiny_index.offsets_containing(label)
+        assert len(offsets) == 3  # p1, p9, p10
+        assert all(label in tiny_index.path_at(o).nodes for o in offsets)
 
     def test_containment_covers_edge_labels(self, tiny_index):
-        paths = tiny_index.paths_containing(
-            URI("http://example.org/govtrack/gender"))
-        assert len(paths) == 4
+        label = URI("http://example.org/govtrack/gender")
+        offsets = tiny_index.offsets_containing(label)
+        assert len(offsets) == 4
+        assert all(label in tiny_index.path_at(o).edges for o in offsets)
 
     def test_semantic_lookup_via_thesaurus(self, tiny_index):
         # "Man" is a synonym of "Male" in the default lexicon.
-        assert tiny_index.paths_with_sink(Literal("Man"))
+        assert tiny_index.offsets_with_sink(Literal("Man")) == \
+            tiny_index.offsets_with_sink(Literal("Male"))
 
     def test_semantic_lookup_disabled(self, tiny_index):
-        assert tiny_index.paths_with_sink(Literal("Man"),
-                                          semantic=False) == []
+        assert tiny_index.offsets_with_sink(Literal("Man"),
+                                            semantic=False) == []
 
     def test_path_at_caches(self, tiny_index):
         offset = tiny_index.all_offsets()[0]
@@ -157,12 +161,36 @@ class TestPersistence:
         built, _stats = build_index(govtrack, index_dir)
         built.close()
         reopened = PathIndex.open(index_dir)
-        assert len(reopened.paths_with_sink(Literal("Health Care"))) == 10
+        offsets = reopened.offsets_with_sink(Literal("Health Care"))
+        assert len(offsets) == 10
+        assert all(reopened.path_at(o).sink == Literal("Health Care")
+                   for o in offsets)
         reopened.close()
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(IndexCorruptError):
             PathIndex.open(tmp_path / "nope")
+
+    @pytest.mark.parametrize("retired", [
+        {"interned_records": None},  # no marker at all
+        {"interned_records": False},
+        {"interned_records": False, "compressed": True},
+        {"compressed": True},
+    ])
+    def test_retired_record_format_is_refused(self, govtrack, index_dir,
+                                              retired):
+        built, _stats = build_index(govtrack, index_dir)
+        built.close()
+        maps_path = os.path.join(index_dir, "maps.json")
+        with open(maps_path, encoding="utf-8") as handle:
+            maps = json.load(handle)
+        maps.update(retired)
+        if maps["interned_records"] is None:
+            del maps["interned_records"]
+        with open(maps_path, "w", encoding="utf-8") as handle:
+            json.dump(maps, handle)
+        with pytest.raises(IndexCorruptError, match="sama index build"):
+            PathIndex.open(index_dir)
 
     def test_corrupt_maps_raises(self, govtrack, index_dir):
         built, _stats = build_index(govtrack, index_dir)

@@ -56,5 +56,6 @@ class TestAblations:
 
     def test_extensions_report(self):
         report = runner.run_extensions(scale=0.3)
-        assert "compression ratio" in report
+        assert "paths.log bytes per record" in report
+        assert "labels.dict bytes" in report
         assert "incremental update" in report

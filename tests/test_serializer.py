@@ -1,4 +1,6 @@
-"""Unit + property tests for the binary path codec."""
+"""Unit + property tests for the binary codecs: varints and terms
+(``repro.storage.serializer``) and the one path record format they
+carry (:meth:`LabelInterner.encode_path` / ``decode_path``)."""
 
 import io
 
@@ -6,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.index.labels import LabelInterner
 from repro.paths.model import Path
 from repro.rdf.terms import BlankNode, Literal, URI, Variable
-from repro.storage.serializer import (CodecError, decode_path, encode_path,
-                                      read_term, read_varint, write_term,
-                                      write_varint)
+from repro.storage.serializer import (CodecError, read_term, read_varint,
+                                      write_term, write_varint)
 
 
 class TestVarint:
@@ -58,25 +60,28 @@ class TestTermCodec:
 
 class TestPathCodec:
     def test_roundtrip_with_node_ids(self):
+        interner = LabelInterner()
         path = Path([URI("http://x/a"), Literal("L")], [URI("http://x/p")],
                     node_ids=[7, 9])
-        decoded = decode_path(encode_path(path))
+        decoded = interner.decode_path(interner.encode_path(path))
         assert decoded == path
         assert decoded.node_ids == (7, 9)
 
     def test_roundtrip_without_node_ids(self):
+        interner = LabelInterner()
         path = Path([URI("http://x/a")], [])
-        assert decode_path(encode_path(path)).node_ids is None
+        assert interner.decode_path(
+            interner.encode_path(path)).node_ids is None
 
     def test_corrupt_flag_raises(self):
-        path = Path([URI("http://x/a")], [])
-        blob = encode_path(path)
+        interner = LabelInterner()
+        blob = interner.encode_path(Path([URI("http://x/a")], []))
         with pytest.raises(CodecError):
-            decode_path(blob[:-1] + b"\x07")
+            interner.decode_path(blob[:-1] + b"\x07")
 
     def test_empty_blob_raises(self):
         with pytest.raises(CodecError):
-            decode_path(b"")
+            LabelInterner().decode_path(b"")
 
 
 # --- property-based: any path survives the codec -----------------------
@@ -106,9 +111,11 @@ def _paths(draw):
 @given(_paths())
 @settings(max_examples=150, deadline=None)
 def test_codec_roundtrip_property(path):
-    decoded = decode_path(encode_path(path))
+    interner = LabelInterner()
+    decoded = interner.decode_path(interner.encode_path(path))
     assert decoded == path
     assert decoded.node_ids == path.node_ids
+    assert list(decoded.label_ids) == [interner.id_of(n) for n in path.nodes]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2 ** 60), max_size=30))
