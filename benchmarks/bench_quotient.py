@@ -5,9 +5,9 @@ persisted equality-pattern quotients (``sama index quotient``) and
 measures the two claims the subsystem makes:
 
 * **quotients are free of risk** — rankings and scores are
-  bit-identical to the unquotiented engine at every shard count, under
-  both scatter-gather worker modes (threads / procs) and with the
-  two-stage sketch filter off or in safe mode.  The run aborts on the
+  bit-identical to the unquotiented engine at every shard count, scored
+  in-process and in procs-mode worker processes, and with the two-stage
+  sketch filter off or in safe mode.  The run aborts on the
   first divergence.
 * **classes actually compress** — LUBM's schema-regular paths collapse
   into a small set of equality patterns, so the stored-paths-per-class
@@ -54,14 +54,14 @@ from repro.obs import get_registry  # noqa: E402
 
 #: Same workload subset as ``bench_twostage.py``.
 QUERY_IDS = ["Q1", "Q2", "Q3", "Q5", "Q7"]
-#: The ISSUE's acceptance matrix: {1, 4} shards x {threads, procs}
-#: workers x {off, safe} two-stage modes, every arm bit-identical.
+#: The acceptance matrix: {1, 4} shards x {in-process, procs} x
+#: {off, safe} two-stage modes, every arm bit-identical (the in-process
+#: arm with the sketch filter off is ``-quotient-serial``).
 SHARD_COUNTS = (1, 4)
-WORKER_MODES = ("threads", "procs")
+WORKER_MODES = ("procs",)
 TWO_STAGE_MODES = ("off", "safe")
 
 PAGE_SIZE = 1024
-WORKERS = 4
 
 #: Stored paths per equivalence class the committed full run (LUBM
 #: 3000) and every smoke run must clear.
@@ -74,11 +74,10 @@ COUNTER_REPS = "sama_quotient_reps_total"
 COUNTER_MEMBERS = "sama_quotient_members_total"
 
 
-def _config(quotient: str, worker_mode: str = "threads",
-            two_stage: str = "off", serial: bool = False) -> EngineConfig:
-    return EngineConfig(quotient=quotient,
-                        workers=1 if serial else WORKERS,
-                        worker_mode=worker_mode, two_stage=two_stage)
+def _config(quotient: str, worker_mode: "str | None" = None,
+            two_stage: str = "off") -> EngineConfig:
+    return EngineConfig(quotient=quotient, worker_mode=worker_mode,
+                        two_stage=two_stage)
 
 
 def _ranking(engine, spec, k: int) -> list:
@@ -145,7 +144,7 @@ def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
 
             # Unquotiented exhaustive reference for this shard count.
             engine = SamaEngine.open(shard_path,
-                                     config=_config("off", serial=True))
+                                     config=_config("off"))
             total, rankings = _timed_rankings(engine, queries, k, rounds)
             engine.close()
             arms[f"shards{shards}-unquotiented"] = total
@@ -158,8 +157,7 @@ def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
                         f"diverges on {qid} — sharding changed the answer")
 
             # The quotiented serial arm (and the rep/member counters).
-            engine = SamaEngine.open(shard_path, config=_config(
-                "auto", serial=True))
+            engine = SamaEngine.open(shard_path, config=_config("auto"))
             try:
                 if engine.quotient_resolver() is None:
                     raise SystemExit(
@@ -186,8 +184,7 @@ def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
                 "share_rate": round(members / max(1.0, reps + members), 4),
             }
 
-            # Scatter-gather arms: both worker modes, sketch filter off
-            # and in safe mode — the full acceptance matrix.
+            # Procs arms, sketch filter off and in safe mode.
             for worker_mode in WORKER_MODES:
                 for two_stage in TWO_STAGE_MODES:
                     arm = (f"shards{shards}-quotient-{worker_mode}"
@@ -218,7 +215,6 @@ def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
             "rounds": rounds,
             "k": k,
             "queries": QUERY_IDS,
-            "workers": WORKERS,
             "page_size": PAGE_SIZE,
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),

@@ -6,7 +6,7 @@ the subsystem makes:
 
 * **safe mode is free of risk** — rankings and scores are bit-identical
   to exhaustive scoring at every shard count and under every worker
-  mode (serial / threads / procs).  The run aborts on the first
+  mode (serial in-process / procs).  The run aborts on the first
   divergence.
 * **approximate mode trades bounded recall for work** — with the
   default 0.95 recall target the top-k answer recall stays at or above
@@ -57,10 +57,10 @@ from repro.obs import get_registry  # noqa: E402
 #: Same workload subset as ``bench_fig6_response_time.py``.
 QUERY_IDS = ["Q1", "Q2", "Q3", "Q5", "Q7"]
 SHARD_COUNTS = (1, 2, 4)
-WORKER_MODES = ("serial", "threads", "procs")
+#: ``serial`` scores in-process on the calling thread.
+WORKER_MODES = ("serial", "procs")
 
 PAGE_SIZE = 1024
-WORKERS = 4
 RECALL_TARGET = 0.95
 
 #: The committed full run must clear these (the ISSUE's acceptance
@@ -78,12 +78,9 @@ COUNTER_PRUNED = "sama_sketch_pruned_total"
 
 
 def _mode_config(worker_mode: str, two_stage: str) -> EngineConfig:
-    if worker_mode == "serial":
-        return EngineConfig(workers=1, worker_mode="threads",
-                            two_stage=two_stage,
-                            recall_target=RECALL_TARGET)
-    return EngineConfig(workers=WORKERS, worker_mode=worker_mode,
-                        two_stage=two_stage, recall_target=RECALL_TARGET)
+    return EngineConfig(
+        worker_mode=None if worker_mode == "serial" else worker_mode,
+        two_stage=two_stage, recall_target=RECALL_TARGET)
 
 
 def _ranking(engine, spec, k: int) -> list:
@@ -220,7 +217,6 @@ def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
             "rounds": rounds,
             "k": k,
             "queries": QUERY_IDS,
-            "workers": WORKERS,
             "page_size": PAGE_SIZE,
             "num_perm": params.num_perm,
             "bands": params.bands,

@@ -91,14 +91,10 @@ def _live_children() -> "dict[int, str]":
 def pytest_sessionfinish(session, exitstatus):
     """Fail the session if a child process is still running.
 
-    ``repro.parallel``'s atexit hook is run first (it stops the shared
-    worker pools the way interpreter exit would), children get a short
-    grace to finish dying, and whatever is left is named — pid and
-    command line — and turns the exit status into a failure.
+    Children get a short grace to finish dying, and whatever is left is
+    named — pid and command line — and turns the exit status into a
+    failure.
     """
-    parallel = sys.modules.get("repro.parallel")
-    if parallel is not None:
-        parallel._shutdown()
     deadline = time.monotonic() + 3.0
     leaked = _live_children()
     while leaked and time.monotonic() < deadline:

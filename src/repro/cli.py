@@ -45,6 +45,7 @@ from .engine.sama import EngineConfig, SamaEngine
 from .evaluation.reporting import format_bytes, format_seconds
 from .index.builder import build_index
 from .index.pathindex import PathIndex
+from .parallel import worker_mode
 from .paths.extraction import ExtractionLimits
 from .rdf import ntriples, turtle
 from .rdf.graph import DataGraph
@@ -205,22 +206,18 @@ def _cmd_index_quotient(args) -> int:
 
 
 def _parse_workers(raw: str) -> "tuple[int, str | None]":
-    """Decode ``serve --workers``: a count, ``"threads"``, or ``"procs"``.
-
-    Returns ``(serving_workers, worker_mode)``.  A bare integer keeps
-    the historical meaning (concurrent query workers, thread-mode shard
-    execution); a mode name keeps the default serving concurrency and
-    selects the shard execution mode (``sama serve --workers=procs``).
-    """
-    value = raw.strip().lower()
-    if value in ("threads", "procs"):
-        return 4, value
+    """Decode ``serve --workers`` into ``(serving_workers,
+    worker_mode)``: a count of concurrent query workers, or ``procs``
+    (default serving concurrency, shards scored in worker processes)."""
+    value = raw.strip()
     try:
         return int(value), None
     except ValueError:
-        raise SystemExit(
-            f"error: --workers must be an integer, 'threads', or 'procs'; "
-            f"got {raw!r}")
+        pass
+    try:
+        return 4, worker_mode(value)
+    except ValueError as exc:
+        raise SystemExit(f"error: --workers: {exc}") from None
 
 
 def _cmd_serve(args) -> int:
@@ -231,10 +228,9 @@ def _cmd_serve(args) -> int:
     from .serving import ServingConfig, ServingEngine
     from .serving.aserve import serve_async
 
-    serving_workers, worker_mode = _parse_workers(args.workers)
+    serving_workers, shard_mode = _parse_workers(args.workers)
     config = EngineConfig(matcher_level=args.matcher,
-                          hedge_ms=args.hedge_ms,
-                          worker_mode=worker_mode,
+                          worker_mode=shard_mode,
                           two_stage=args.two_stage,
                           recall_target=args.recall_target,
                           quotient=args.quotient)
@@ -270,7 +266,7 @@ def _cmd_serve(args) -> int:
     # Bind now so the printed URL shows the real port (port=0 picks
     # a free one); serve_forever below just blocks.
     server.serve_background()
-    mode_note = f", shard workers: {worker_mode}" if worker_mode else ""
+    mode_note = f", shard workers: {shard_mode}" if shard_mode else ""
     quota_note = (f", quota {args.tenant_rate:g}/s×{args.tenant_burst:g}"
                   if args.tenant_rate is not None else "")
     print(f"serving {args.index_dir} on {server.url} "
@@ -703,12 +699,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("index_dir")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--workers", default="4", metavar="N|threads|procs",
-                       help="concurrent query workers (default 4), or a "
-                            "shard execution mode: 'procs' scores shards "
-                            "in worker processes, 'threads' (default mode) "
-                            "on the shared thread pool; SAMA_WORKER_MODE "
-                            "sets the mode when a count is given")
+    serve.add_argument("--workers", default="4", metavar="N|procs",
+                       help="concurrent query workers (default 4; shards "
+                            "score in-process), or 'procs' to score each "
+                            "shard in a worker process")
     serve.add_argument("--max-queue", type=int, default=8,
                        help="admitted requests allowed to wait beyond the "
                             "busy workers; anything more is shed (503)")
@@ -730,10 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="slow-query log file (default: stderr)")
     serve.add_argument("--matcher", choices=["exact", "lexical", "semantic"],
                        default="semantic")
-    serve.add_argument("--hedge-ms", type=_non_negative_ms, default=None,
-                       help="duplicate a straggling shard task after this "
-                            "many ms; first result wins (sharded indexes "
-                            "only)")
     serve.add_argument("--two-stage", choices=["off", "safe", "approx"],
                        default="off",
                        help="sketch-based candidate recall before exact "

@@ -20,10 +20,6 @@ entries that become answers or ``explain`` output.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import FIRST_COMPLETED
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -39,29 +35,15 @@ from ..scoring.weights import PAPER_WEIGHTS, ScoringWeights
 from .preprocess import PreparedQuery
 
 #: Exception types treated as "this shard failed" rather than "this
-#: query failed" when they escape a per-shard task or a per-candidate
-#: decode over a sharded index.  Everything the storage stack raises
+#: query failed" when they escape a per-candidate decode over a sharded
+#: index.  Everything the storage stack raises
 #: deliberately (ShardUnavailableError, TransientStorageError after
 #: retries, checksum failures) plus raw OS-level trouble.
 _SHARD_FAULTS = (StorageError, IndexCorruptError, OSError)
 
-#: Extra seconds granted beyond the budget's remaining deadline before
-#: a dispatched shard task is declared overrun and its partial dropped.
-#: Not a tuning knob for straggler latency (that is ``hedge_ms``) —
-#: just the slack that separates "cooperatively degraded inside the
-#: task" from "the task itself is wedged".
-_SHARD_DEADLINE_GRACE_S = 0.25
-
 #: Candidates charged to the budget per call (granularity of the
 #: ``max_candidates`` cap inside one cluster).
 _CHARGE_BLOCK = 64
-
-#: Minimum candidates before a cluster over a sharded index
-#: scatter-gathers: dispatch is one task per shard, and the win it
-#: buys — overlapping each shard's physical page reads — already pays
-#: at small clusters when the buffer pool is cold (measured in
-#: ``benchmarks/bench_sharding.py``).
-SCATTER_THRESHOLD = 64
 
 #: Cluster order: best (lowest) λ first, gid breaking ties.
 _BY_SCORE_THEN_GID = itemgetter(0, 1)
@@ -210,9 +192,6 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex, ids_match,
                    semantic_lookup: bool = True,
                    max_cluster_size: "int | None" = None,
                    budget: "Budget | None" = None,
-                   executor=None,
-                   scatter_threshold: int = SCATTER_THRESHOLD,
-                   hedge_ms: "float | None" = None,
                    proc_pool=None,
                    sketch_filter=None,
                    quotient=None,
@@ -251,9 +230,8 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex, ids_match,
     4. **score** — trim, scan and λ-sum in id space, by the one loop
        every scorer calls (:func:`~repro.index.columnar.score_rows`,
        bound to the cluster by :class:`_Scorer`), run over the whole
-       list on the calling thread or — scatter-gather, below — over one
-       shard's slice per task; a candidate's row is the ``(node ids,
-       edge ids)`` its decoded path carries.  ``quotient`` is the
+       list on the calling thread; a candidate's row is the ``(node
+       ids, edge ids)`` its decoded path carries.  ``quotient`` is the
        optional class-compression hook (a
        :class:`repro.quotient.resolve.QuotientResolver`): per cluster
        it yields a refine-key context, and candidates sharing a refine
@@ -272,41 +250,21 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex, ids_match,
        set is built once per epoch, not per query (default: a store
        for this call).
 
-    **Scatter-gather.**  A :class:`~repro.index.sharded.ShardedIndex`
-    runs through the same stages over global ids; when an ``executor``
-    (or ``proc_pool``) is available and the cluster holds at least
-    ``scatter_threshold`` charged candidates, the score stage fans out
-    with one task per shard — each shard's buffer pool is touched by
-    exactly one thread, so simulated or real page-read latency overlaps
-    across shards.  Global ids ascend in build-walk order exactly like
-    the unsharded index's byte offsets and the merge key is unchanged,
-    so rankings are bit-identical to the single-shard engine at any
-    shard count (``tests/test_sharded.py``).
-
-    ``proc_pool`` (a :class:`~repro.parallel.ProcessShardPool`) routes
-    shard tasks to per-shard worker processes — the
-    ``worker_mode="procs"`` execution mode.  Workers run the same scan
-    over rows of their columnar view — every candidate, no decode, no
-    class grouping — and ship back the rows the in-process loop
-    produces, so every ranking is bit-identical across serial, threads,
-    and procs.  Hedge dispatches and shards with an armed fault injector
-    score in-process (a duplicate task to a wedged worker would wait in
-    the same queue, and injected faults must keep their exact
-    chaos-harness semantics); a crashed or overrun worker surfaces as a
-    per-shard storage fault on the usual ``SHARD_FAILED`` + breaker
-    path.
-
-    **Fault isolation** (sharded indexes only): a shard that raises a
-    storage-level error, is quarantined or circuit-open on the index's
-    health board, or overruns the per-shard deadline contributes an
-    *empty* partial — the surviving shards' candidates still merge, and
-    the loss is recorded on the budget as a ``SHARD_FAILED``
-    degradation reason naming the lost shards.  ``hedge_ms`` arms
-    straggler hedging on the scatter path: a shard task still running
-    after that many milliseconds gets a duplicate dispatch and the
-    first result wins (both compute the same rows, so hedging never
-    changes a ranking).  Over a single-directory :class:`PathIndex`
-    there is no shard to blame, so storage failures propagate.
+    **Sharded indexes.**  A :class:`~repro.index.sharded.ShardedIndex`
+    runs through the same stages over global ids, which ascend in
+    build-walk order exactly like the unsharded index's byte offsets,
+    so rankings are bit-identical at any shard count
+    (``tests/test_sharded.py``).  Its score stage
+    (:func:`_score_sharded`) isolates faults per shard: a shard that is
+    quarantined, refused by its circuit breaker, or fails while scored
+    contributes an empty partial, and the loss is recorded on the
+    budget as one ``SHARD_FAILED`` reason naming the lost shards.
+    ``proc_pool`` (a :class:`~repro.parallel.ProcessShardPool`, the
+    ``worker_mode="procs"`` mode) scores shard slices in worker
+    processes that run the same scan over their columnar views, so
+    rankings are bit-identical there too.  Over a single-directory
+    :class:`PathIndex` there is no shard to blame, so storage failures
+    propagate.
     """
     if columns is None:
         columns = PathColumns(index)
@@ -324,8 +282,6 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex, ids_match,
             dead_shards[shard_no] = reason or "quarantined"
     ids_of = (_isolating_ids(index, health, dead_shards) if sharded
               else _path_ids(index))    # one directory: nothing to isolate
-    scatters = (sharded and index.shard_count > 1
-                and (executor is not None or proc_pool is not None))
     clusters = []
     tripped = False
     for query_path, anchors in zip(prepared.paths, prepared.anchor_lists):
@@ -349,11 +305,10 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex, ids_match,
             kept, tripped = _charge(offsets, budget)
             scorer = _Scorer(query_path, trim_anchor, query, weights, budget,
                              qctx.key_of if qctx is not None else None)
-            scattered = scatters and len(offsets) >= max(2, scatter_threshold)
-            if scattered:
-                rows, score_tripped = _scatter(
-                    index, kept, scorer, executor, proc_pool, hedge_ms,
-                    dead_shards)
+            if sharded:
+                rows, score_tripped = _score_sharded(
+                    index, kept, scorer, ids_of, health, dead_shards,
+                    proc_pool)
             else:
                 rows, score_tripped = scorer(kept, ids_of)
             tripped = tripped or score_tripped
@@ -363,10 +318,7 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex, ids_match,
                     members=sum(row[3] is None for row in rows),
                     reps=sum(verdict is not DROPPED
                              for verdict in scorer.verdicts.values()))
-            merge_started = time.monotonic()
             rows.sort(key=_BY_SCORE_THEN_GID)
-            if scattered and proc_pool is not None:
-                proc_pool.observe_merge(time.monotonic() - merge_started)
             # Entries only for the rows that survive the cut.
             context = _EntryContext(index, query_path, ids_match.matcher,
                                     columns)
@@ -477,11 +429,11 @@ class _Scorer:
     (:func:`~repro.index.columnar.score_rows`) bound to the cluster's
     encoded query, budget and class verdicts.
 
-    Called as ``scorer(gids, ids_of)`` — over the cluster's whole
-    charged list, or once per shard slice by the in-process tasks of
-    :func:`_scatter` (hedges included), which share this object and so
-    its ``verdicts``: the first candidate of a refined class — on *any*
-    shard, classes span shards — is decoded and scanned; later members
+    Called as ``scorer(gids, ids_of)`` over the cluster's charged list
+    (in procs mode, over the part no worker scores), and its
+    ``verdicts`` span the whole cluster: the first candidate of a
+    refined class — on *any* shard, classes span shards — is decoded
+    and scanned; later members
     ship a row copied from its verdict (no ids: the column store
     derives each member's own from its class).  A representative that
     fails to decode does *not* register its key — the next member of
@@ -512,119 +464,70 @@ class _Scorer:
                           self.expired, self.key_of, self.verdicts)
 
 
-def _scatter(index, gids: list[int], scorer: _Scorer, executor, proc_pool,
-             hedge_ms: "float | None",
-             dead_shards: "dict[int, str]") -> "tuple[list[tuple], bool]":
-    """The score stage fanned out: one task per non-empty shard.
+def _score_sharded(index, gids: list[int], scorer: _Scorer, ids_of,
+                   health, dead_shards: "dict[int, str]",
+                   proc_pool) -> "tuple[list[tuple], bool]":
+    """The score stage over a sharded index: the rows of every shard
+    that may be read, and whether the deadline tripped mid-scoring.
 
-    Each task scores its shard's slice of the (already budget-charged)
-    candidate list; returns every surviving shard's rows and whether
-    any task saw the budget deadline trip mid-scoring (its cluster
-    keeps what was scored; later clusters come back empty, the serial
-    contract).
-
-    In-process tasks call ``scorer`` itself.  With ``proc_pool``,
-    eligible shards are scored inside their worker processes instead
-    (same scan, same rows, every candidate scanned — class sharing is
-    the coordinator's), dispatched through the pool's own threads so
-    blocked IPC waits never starve the shared executor; a shard whose
-    coordinator-side page store has a fault injector armed stays
-    in-process so injected chaos keeps its exact semantics, and hedge
-    dispatches always run in-process because a duplicate envelope to a
-    wedged worker would queue behind the very task being hedged.
-
-    Each shard task is *isolated*: a storage-level error escaping it, a
-    circuit-open verdict from the index's health board, or an overrun
-    of the per-shard deadline (budget remaining plus a small grace)
-    drops that one shard's partial — recorded in ``dead_shards`` and on
-    the health board — while every surviving shard still merges.  When
-    ``hedge_ms`` is set, a task still running after that long gets a
-    duplicate submission and the first completed result wins; both
-    compute the same rows, so a hedge can only change *when* the answer
-    arrives, never what it ranks.
+    Each shard holding candidates is asked once (``health.allow``); a
+    refused one is marked dead as circuit-open and never decoded.  The
+    rest score here through ``ids_of`` (:func:`_isolating_ids`) — or,
+    with ``proc_pool``, in their workers while the others score here.
+    A shard lost on the way keeps no row, not even a class member's
+    copied one, and every admitted shard that scored cleanly reports
+    success.
     """
     budget = scorer.budget
-    health = getattr(index, "health", None)
-    if proc_pool is not None:
-        executor = proc_pool.executor
-
-    # A fault escaping an in-process task loses the whole shard, so it
-    # decodes without the calling thread's per-candidate isolation.
-    ids_of = _path_ids(index)
-
-    def in_process(pairs):
-        return scorer([gid for gid, _offset in pairs], ids_of)
-
-    def deadline_cap() -> "float | None":
-        """Seconds a gather may still wait before a task is overrun."""
-        if budget is None:
-            return None
-        remaining = budget.remaining_ms()
-        if remaining is None:
-            return None
-        return remaining / 1000.0 + _SHARD_DEADLINE_GRACE_S
-
-    tasks = []
-    for shard_no, pairs in enumerate(index.group_by_shard(gids)):
-        if not pairs:
-            continue
+    locate = index.locate
+    admitted = []
+    for shard_no in sorted({locate(gid)[0] for gid in gids}):
         if shard_no in dead_shards:
-            continue           # already failed earlier in this query
+            continue           # already lost earlier in this query
         if health is not None and not health.allow(shard_no):
             dead_shards.setdefault(shard_no, "circuit open")
             continue
-        if proc_pool is not None and _pool_eligible(index, shard_no):
-            remaining = budget.remaining_ms() if budget is not None else None
-            future = executor.submit(
-                proc_pool.run_shard, shard_no, pairs, scorer.query_path,
-                scorer.trim_anchor, scorer.weights, remaining)
-        else:
-            future = executor.submit(in_process, pairs)
-        tasks.append((shard_no, pairs, future))
-
-    rows: list[tuple] = []
-    tripped = False
-    for shard_no, pairs, future in tasks:
-        try:
-            if hedge_ms is not None:
-                try:
-                    shard_rows, shard_tripped = future.result(
-                        timeout=hedge_ms / 1000.0)
-                except FutureTimeout:
-                    # Straggler: duplicate the task, first result wins.
-                    if health is not None:
-                        health.note_hedge(shard_no)
-                    hedge = executor.submit(in_process, pairs)
-                    shard_rows, shard_tripped = _first_of(
-                        future, hedge, deadline_cap())
-            else:
-                shard_rows, shard_tripped = future.result(
-                    timeout=deadline_cap())
-        except FutureTimeout:
-            dead_shards.setdefault(shard_no, "per-shard deadline overrun")
-            if health is not None:
-                health.record_failure(shard_no, "deadline overrun")
-            continue
-        except _SHARD_FAULTS as exc:
-            dead_shards.setdefault(shard_no, str(exc))
-            if health is not None:
-                health.record_failure(shard_no, exc)
-            continue
-        if health is not None:
-            health.record_success(shard_no)
-        rows.extend(shard_rows)
-        tripped = tripped or shard_tripped
+        admitted.append(shard_no)
+    remote = ([shard_no for shard_no in admitted
+               if _pool_eligible(index, shard_no)]
+              if proc_pool is not None else [])
+    if remote:
+        groups = index.group_by_shard(gids)
+        in_workers = set(remote)
+        local = [gid for gid in gids if locate(gid)[0] not in in_workers]
+        remaining = budget.remaining_ms() if budget is not None else None
+        (rows, tripped), replies = proc_pool.score(
+            [(shard_no, groups[shard_no]) for shard_no in remote],
+            scorer.query_path, scorer.trim_anchor, scorer.weights,
+            remaining, partial(scorer, local, ids_of))
+        for shard_no, reply in replies.items():
+            if isinstance(reply, _SHARD_FAULTS):
+                dead_shards.setdefault(shard_no, str(reply))
+                if health is not None:
+                    health.record_failure(shard_no, reply)
+                continue
+            shard_rows, shard_tripped = reply
+            rows.extend(shard_rows)
+            tripped = tripped or shard_tripped
+    else:
+        rows, tripped = scorer(gids, ids_of)
+    if dead_shards:
+        rows = [row for row in rows if locate(row[1])[0] not in dead_shards]
+    if health is not None:
+        for shard_no in admitted:
+            if shard_no not in dead_shards:
+                health.record_success(shard_no)
     if tripped and budget is not None:
         # A worker trips on its own clock against its budget slice; the
         # coordinator's budget must still record the deadline so the
         # degradation reason reaches the PartialResult.  (In-process
-        # this is a no-op: the task's own poll already noted it.)
+        # this is a no-op: the scan's own poll already noted it.)
         budget.out_of_time("cluster")
     return rows, tripped
 
 
 def _pool_eligible(index, shard_no: int) -> bool:
-    """Whether a shard task may run in a worker process.
+    """Whether a shard's slice may be scored in a worker process.
 
     A shard whose coordinator-side page store carries an armed fault
     injector must score in-process: the injector cannot fire inside a
@@ -635,28 +538,3 @@ def _pool_eligible(index, shard_no: int) -> bool:
     shard = index.shards[shard_no]
     store = getattr(shard, "page_store", None)
     return store is not None and getattr(store, "fault_injector", None) is None
-
-
-def _first_of(primary, hedge, cap: "float | None"):
-    """The first successful result of two racing shard tasks.
-
-    Waits for whichever future completes first (bounded by ``cap``
-    seconds when given); a completed future that *failed* defers to the
-    other one, and only when both have failed does the first error
-    propagate.  Both compute the same pure function over the same
-    candidates, so whichever wins returns the same rows.
-    """
-    pending = {primary, hedge}
-    first_error = None
-    while pending:
-        done, pending = wait_futures(pending, timeout=cap,
-                                     return_when=FIRST_COMPLETED)
-        if not done:
-            raise FutureTimeout()
-        for finished in done:
-            try:
-                return finished.result()
-            except _SHARD_FAULTS as exc:
-                if first_error is None:
-                    first_error = exc
-    raise first_error

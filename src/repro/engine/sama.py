@@ -24,6 +24,7 @@ best-first by the paper's score.
 from __future__ import annotations
 
 import gc
+import shutil
 import tempfile
 import threading
 from dataclasses import dataclass, field, replace
@@ -35,7 +36,7 @@ from ..index.labels import SemanticMatcher
 from ..index.pathindex import PathIndex
 from ..index.thesaurus import Thesaurus, default_thesaurus
 from ..obs import span
-from ..parallel import ProcessShardPool, shared_executor
+from ..parallel import ProcessShardPool
 from ..parallel import worker_mode as resolve_worker_mode
 from ..paths.alignment import LabelMatcher, exact_match
 from ..paths.extraction import DEFAULT_LIMITS, ExtractionLimits
@@ -45,7 +46,7 @@ from ..resilience.budget import Budget, PartialResult
 from ..resilience.errors import QueryTimeout
 from ..scoring.weights import PAPER_WEIGHTS, ScoringWeights
 from .answers import Answer
-from .clustering import SCATTER_THRESHOLD, Cluster, build_clusters
+from .clustering import Cluster, build_clusters
 from .forest import PathForest
 from .preprocess import PreparedQuery, prepare_query, validate_query_graph
 from .search import SearchConfig, SearchResult, top_k
@@ -60,10 +61,10 @@ class EngineConfig:
     controls thesaurus widening during index retrieval.  The defaults
     reproduce the prototype's behaviour (WordNet-backed matching).
 
-    ``workers`` sizes the shared thread pool that dispatches the
-    per-shard scatter tasks of clustering over a sharded index and
-    parallel path extraction (``None`` defers to ``SAMA_WORKERS`` /
-    ``os.cpu_count()``; 1 or 0 forces serial).
+    Over a sharded index clustering scores every shard on the calling
+    thread, each shard behind its circuit breaker, unless
+    ``worker_mode="procs"`` moves the λ scan into per-shard worker
+    processes.
     """
 
     weights: ScoringWeights = field(default_factory=ScoringWeights.paper)
@@ -75,26 +76,18 @@ class EngineConfig:
     index_limits: "ExtractionLimits | None" = None
     max_cluster_size: "int | None" = 4_000
     search: SearchConfig = field(default_factory=SearchConfig)
+    #: Accepted and ignored: nothing reads it since sharded clustering
+    #: lost its thread pool.  ``benchmarks/e2e/adapter.py`` still
+    #: passes it, so it goes in the same change as that benchmark's
+    #: next revision (ROADMAP items 3(a) and 7(a)).
     workers: "int | None" = None
-    #: Straggler hedging over sharded indexes: a scatter-gather shard
-    #: task still running after this many milliseconds is dispatched a
-    #: second time and the first result wins.  ``None`` disables
-    #: hedging.  Rankings are unaffected either way.
-    hedge_ms: "float | None" = None
-    #: Minimum candidates before a cluster over a sharded index
-    #: scatter-gathers (see ``repro.engine.clustering.SCATTER_THRESHOLD``).
-    #: Exposed mainly so tests and small benchmarks can engage the
-    #: scatter path on graphs below the production default.
-    scatter_threshold: "int | None" = None
-    #: Shard execution mode for scatter-gather over a sharded index:
-    #: ``"threads"`` keeps shard tasks on the shared thread pool (best
-    #: when page reads dominate), ``"procs"`` scores each shard inside
-    #: a long-lived worker process with a columnar view of its paths —
-    #: the same λ scan, outside the coordinator's GIL and over rows that
-    #: need no decode (best for in-memory data on several cores; see
-    #: DESIGN.md §11).  ``None`` defers
-    #: to ``SAMA_WORKER_MODE``, default ``"threads"``.  Rankings are
-    #: bit-identical across modes.
+    #: Shard execution mode over a sharded index: ``None`` scores every
+    #: shard in-process on the calling thread; ``"procs"`` scores each
+    #: shard inside a long-lived worker process with a columnar view of
+    #: its paths — the same λ scan, outside the coordinator's GIL and
+    #: over rows that need no decode (see DESIGN.md §11).  Rankings are
+    #: bit-identical across modes.  ``"threads"`` and any other value
+    #: raise :class:`ValueError` when the engine is constructed.
     worker_mode: "str | None" = None
     #: Two-stage retrieval mode (``repro.sketch``): ``"off"`` scores
     #: every retrieved candidate exactly (the paper's behaviour);
@@ -133,9 +126,8 @@ class SamaEngine:
             raise ValueError(f"quotient must be 'auto' or 'off', "
                              f"got {self.config.quotient!r}")
         # An invalid string fails here, not from shard_pool() on every
-        # query; ``None`` defers to SAMA_WORKER_MODE, read per query.
-        if self.config.worker_mode is not None:
-            resolve_worker_mode(self.config.worker_mode)
+        # query.
+        resolve_worker_mode(self.config.worker_mode)
         self.thesaurus = thesaurus if thesaurus is not None else default_thesaurus()
         self._build_matcher()
         self.last_result: "SearchResult | None" = None
@@ -149,6 +141,8 @@ class SamaEngine:
         self._quotient_resolver = None
         self._columns: "PathColumns | None" = None
         self._quotient_epoch = None
+        #: A temp dir the index lives in and :meth:`close` removes.
+        self._owned_directory: "str | None" = None
 
     def _build_matcher(self) -> None:
         level = self.config.matcher_level
@@ -167,19 +161,30 @@ class SamaEngine:
     def from_graph(cls, graph: DataGraph, directory=None,
                    config: "EngineConfig | None" = None,
                    thesaurus: "Thesaurus | None" = None) -> "SamaEngine":
-        """Index ``graph`` (under ``directory`` or a temp dir) and wrap it."""
+        """Index ``graph`` (under ``directory`` or a temp dir) and wrap it.
+
+        A temp dir made here belongs to the engine: :meth:`close`
+        removes it.
+        """
         config = config or EngineConfig()
         if thesaurus is None:
             thesaurus = default_thesaurus()
+        owned = None
         if directory is None:
-            directory = tempfile.mkdtemp(prefix="sama-index-")
+            directory = owned = tempfile.mkdtemp(prefix="sama-index-")
         from ..index.builder import INDEXER_LIMITS
-        index, stats = build_index(
-            graph, directory,
-            limits=config.index_limits or INDEXER_LIMITS,
-            thesaurus=thesaurus)
-        engine = cls(index, config=config, thesaurus=thesaurus)
+        try:
+            index, stats = build_index(
+                graph, directory,
+                limits=config.index_limits or INDEXER_LIMITS,
+                thesaurus=thesaurus)
+            engine = cls(index, config=config, thesaurus=thesaurus)
+        except BaseException:
+            if owned is not None:
+                shutil.rmtree(owned, ignore_errors=True)
+            raise
         engine.index_stats = stats
+        engine._owned_directory = owned
         return engine
 
     @classmethod
@@ -248,18 +253,12 @@ class SamaEngine:
         retrieve → filter → charge → score → merge pipeline of
         :func:`~repro.engine.clustering.build_clusters`, wired to this
         engine's per-epoch state and execution mode."""
-        scatter_threshold = (self.config.scatter_threshold
-                             if self.config.scatter_threshold is not None
-                             else SCATTER_THRESHOLD)
         with span("cluster"):
             return build_clusters(prepared, self.index, self.ids_match,
                                   weights=self.config.weights,
                                   semantic_lookup=self.config.semantic_lookup,
                                   max_cluster_size=self.config.max_cluster_size,
                                   budget=budget,
-                                  executor=shared_executor(self.config.workers),
-                                  scatter_threshold=scatter_threshold,
-                                  hedge_ms=self.config.hedge_ms,
                                   proc_pool=self.shard_pool(),
                                   sketch_filter=self.sketch_filter(),
                                   quotient=self.quotient_resolver(),
@@ -513,10 +512,10 @@ class SamaEngine:
     def shard_pool(self) -> "ProcessShardPool | None":
         """The per-shard worker pool, or ``None`` outside procs mode.
 
-        Created once per engine, on first use, when the effective
-        worker mode (``config.worker_mode``, else ``SAMA_WORKER_MODE``,
-        else threads) is ``"procs"`` and the index is sharded across
-        more than one shard — a single shard has nothing to fan out.
+        Created once per engine, on first use, when
+        ``config.worker_mode`` is ``"procs"`` and the index is sharded
+        across more than one shard — a single shard has nothing to fan
+        out.
         The pool survives ``cold_cache()`` on purpose: workers hold
         their columnar views for the life of the engine, which is the
         point of the execution mode.
@@ -540,7 +539,8 @@ class SamaEngine:
         """Spawn procs-mode shard workers now and wait until ready.
 
         Concentrates worker startup (process spawn + columnar build) at
-        open time instead of the first query; a no-op in threads mode.
+        open time instead of the first query; a no-op outside procs
+        mode.
         """
         pool = self.shard_pool()
         if pool is not None:
@@ -563,6 +563,9 @@ class SamaEngine:
         if pool is not None:
             pool.close()
         self.index.close()
+        owned, self._owned_directory = self._owned_directory, None
+        if owned is not None:
+            shutil.rmtree(owned, ignore_errors=True)
 
     def __enter__(self):
         return self

@@ -55,8 +55,9 @@ def run_table1(scale: float = 1.0, seed: int = 0,
     for spec in all_datasets():
         triples = max(100, int(spec.default_triples * scale))
         graph = spec.build(triples, seed=seed)
-        _index, stats = build_index(graph, tempfile.mkdtemp(prefix="t1-"),
-                                    limits=limits)
+        with tempfile.TemporaryDirectory(prefix="t1-") as directory:
+            index, stats = build_index(graph, directory, limits=limits)
+            index.close()
         rows.append([spec.name.upper(), f"(paper {spec.paper_triples})",
                      stats.triple_count, stats.hv_count, stats.he_count,
                      format_seconds(stats.build_seconds),
@@ -79,6 +80,7 @@ def _lubm_engine(scale: float, seed: int,
         from ..index.pathindex import PathIndex
         index = PathIndex.open(directory, read_latency=read_latency)
     engine = SamaEngine(index, config=EngineConfig())
+    engine._owned_directory = directory    # close() removes it
     engine.index_stats = stats
     engine._graph = graph  # used by baselines below
     return engine
@@ -104,43 +106,44 @@ def run_fig6(cold: bool, scale: float = 1.0, seed: int = 0, runs: int = 3,
     """
     from ..rdf.latency import AccessAccountedGraph
 
-    engine = _lubm_engine(scale, seed, read_latency=INDEX_PAGE_LATENCY)
-    view = AccessAccountedGraph(engine._graph,
-                                access_latency=GRAPH_ACCESS_LATENCY)
-    with view.offline():
-        baselines = [cls(view) for cls in _BASELINE_CLASSES]
+    with _lubm_engine(scale, seed,
+                      read_latency=INDEX_PAGE_LATENCY) as engine:
+        view = AccessAccountedGraph(engine._graph,
+                                    access_latency=GRAPH_ACCESS_LATENCY)
+        with view.offline():
+            baselines = [cls(view) for cls in _BASELINE_CLASSES]
 
-    def reset_baselines() -> None:
-        for baseline in baselines:
-            if hasattr(baseline, "clear_cache"):
-                baseline.clear_cache()
+        def reset_baselines() -> None:
+            for baseline in baselines:
+                if hasattr(baseline, "clear_cache"):
+                    baseline.clear_cache()
 
-    from .timing import time_callable
-    labels = []
-    series: dict[str, list[float]] = {"sama": []}
-    for baseline in baselines:
-        series[baseline.name] = []
-    for spec in lubm_queries():
-        labels.append(spec.qid)
-        query = spec.graph
-        if cold:
-            sample = time_cold(engine, query, k=k, runs=runs)
-        else:
-            sample = time_warm(engine, query, k=k, runs=runs)
-        series["sama"].append(sample.mean_ms)
+        from .timing import time_callable
+        labels = []
+        series: dict[str, list[float]] = {"sama": []}
         for baseline in baselines:
-            before = reset_baselines if cold else None
-            if not cold:
-                baseline.search(query, limit=k)  # prime caches
-            sample = time_callable(
-                lambda b=baseline: b.search(query, limit=k),
-                runs=runs, before_each=before)
-            series[baseline.name].append(sample.mean_ms)
-    condition = "cold-cache" if cold else "warm-cache"
-    return log_bar_chart(labels, series,
-                         title=f"Fig. 6{'a' if cold else 'b'}: average "
-                               f"response time on LUBM ({condition}, "
-                               f"simulated disk residency)")
+            series[baseline.name] = []
+        for spec in lubm_queries():
+            labels.append(spec.qid)
+            query = spec.graph
+            if cold:
+                sample = time_cold(engine, query, k=k, runs=runs)
+            else:
+                sample = time_warm(engine, query, k=k, runs=runs)
+            series["sama"].append(sample.mean_ms)
+            for baseline in baselines:
+                before = reset_baselines if cold else None
+                if not cold:
+                    baseline.search(query, limit=k)  # prime caches
+                sample = time_callable(
+                    lambda b=baseline: b.search(query, limit=k),
+                    runs=runs, before_each=before)
+                series[baseline.name].append(sample.mean_ms)
+        condition = "cold-cache" if cold else "warm-cache"
+        return log_bar_chart(labels, series,
+                             title=f"Fig. 6{'a' if cold else 'b'}: average "
+                                   f"response time on LUBM ({condition}, "
+                                   f"simulated disk residency)")
 
 
 def run_fig7a(scale: float = 1.0, seed: int = 0) -> str:
@@ -173,20 +176,20 @@ def run_fig7c(scale: float = 1.0, seed: int = 0) -> str:
 
 def run_fig8(scale: float = 1.0, seed: int = 0) -> str:
     """Fig. 8: number of matches per query per system (unbounded k)."""
-    engine = _lubm_engine(scale, seed)
-    graph = engine._graph
-    baselines = [cls(graph) for cls in _BASELINE_CLASSES]
-    labels = []
-    series: dict[str, list[float]] = {"sama": []}
-    for baseline in baselines:
-        series[baseline.name] = []
-    for spec in lubm_queries():
-        labels.append(spec.qid)
-        series["sama"].append(
-            float(sama_match_count(engine, spec.graph, spec.qid).count))
+    with _lubm_engine(scale, seed) as engine:
+        graph = engine._graph
+        baselines = [cls(graph) for cls in _BASELINE_CLASSES]
+        labels = []
+        series: dict[str, list[float]] = {"sama": []}
         for baseline in baselines:
-            series[baseline.name].append(float(
-                baseline_match_count(baseline, spec.graph, spec.qid).count))
+            series[baseline.name] = []
+        for spec in lubm_queries():
+            labels.append(spec.qid)
+            series["sama"].append(
+                float(sama_match_count(engine, spec.graph, spec.qid).count))
+            for baseline in baselines:
+                series[baseline.name].append(float(baseline_match_count(
+                    baseline, spec.graph, spec.qid).count))
     return log_bar_chart(labels, series, unit="# of matches",
                          title="Fig. 8: matches found on LUBM (no k imposed)")
 
@@ -212,63 +215,64 @@ def run_fig9(scale: float = 1.0, seed: int = 0, k: int = 50) -> str:
     Sama is split by query-path band like the paper; the baselines get
     one curve each over all 12 queries.
     """
-    engine = _lubm_engine(scale, seed)
-    graph = engine._graph
-    oracle = RelevanceOracle(graph)
-    baselines = [cls(graph) for cls in _BASELINE_CLASSES]
+    with _lubm_engine(scale, seed) as engine:
+        graph = engine._graph
+        oracle = RelevanceOracle(graph)
+        baselines = [cls(graph) for cls in _BASELINE_CLASSES]
 
-    def sama_curve(specs) -> list:
-        curves = []
-        for spec in specs:
-            truth = oracle.ground_truth(spec.graph, key=spec.qid)
-            if truth.is_empty:
-                continue
-            answers = engine.query(spec.graph, k=k)
-            flags = [oracle.judge_sama_answer(truth, a) for a in answers]
-            curves.append(interpolated_precision(
-                precision_recall_curve(flags, len(truth))))
-        return average_interpolated(curves)
+        def sama_curve(specs) -> list:
+            curves = []
+            for spec in specs:
+                truth = oracle.ground_truth(spec.graph, key=spec.qid)
+                if truth.is_empty:
+                    continue
+                answers = engine.query(spec.graph, k=k)
+                flags = [oracle.judge_sama_answer(truth, a) for a in answers]
+                curves.append(interpolated_precision(
+                    precision_recall_curve(flags, len(truth))))
+            return average_interpolated(curves)
 
-    def baseline_curve(matcher) -> list:
-        curves = []
-        for spec in lubm_queries():
-            truth = oracle.ground_truth(spec.graph, key=spec.qid)
-            if truth.is_empty:
-                continue
-            matches = matcher.search(spec.graph, limit=k)
-            flags = [oracle.judge_match(truth, m) for m in matches]
-            curves.append(interpolated_precision(
-                precision_recall_curve(flags, len(truth))))
-        return average_interpolated(curves)
+        def baseline_curve(matcher) -> list:
+            curves = []
+            for spec in lubm_queries():
+                truth = oracle.ground_truth(spec.graph, key=spec.qid)
+                if truth.is_empty:
+                    continue
+                matches = matcher.search(spec.graph, limit=k)
+                flags = [oracle.judge_match(truth, m) for m in matches]
+                curves.append(interpolated_precision(
+                    precision_recall_curve(flags, len(truth))))
+            return average_interpolated(curves)
 
-    bands = _query_bands()
-    headers = ["recall"] + [f"sama {band}" for band in bands] \
-        + [m.name for m in baselines]
-    band_curves = [sama_curve(specs) for specs in bands.values()]
-    baseline_curves = [baseline_curve(m) for m in baselines]
-    rows = []
-    for position in range(11):
-        row = [band_curves[0][position].recall]
-        for curve in band_curves + baseline_curves:
-            row.append(curve[position].precision)
-        rows.append(row)
+        bands = _query_bands()
+        headers = ["recall"] + [f"sama {band}" for band in bands] \
+            + [m.name for m in baselines]
+        band_curves = [sama_curve(specs) for specs in bands.values()]
+        baseline_curves = [baseline_curve(m) for m in baselines]
+        rows = []
+        for position in range(11):
+            row = [band_curves[0][position].recall]
+            for curve in band_curves + baseline_curves:
+                row.append(curve[position].precision)
+            rows.append(row)
     return format_table(headers, rows,
                         title="Fig. 9: interpolated precision/recall on LUBM")
 
 
 def run_rr(scale: float = 1.0, seed: int = 0, k: int = 10) -> str:
     """§6.3: reciprocal rank of Sama on the 12 queries (paper: all 1)."""
-    engine = _lubm_engine(scale, seed)
-    oracle = RelevanceOracle(engine._graph)
-    rows = []
-    for spec in lubm_queries():
-        truth = oracle.ground_truth(spec.graph, key=spec.qid)
-        answers = engine.query(spec.graph, k=k)
-        flags = [oracle.judge_sama_answer(truth, a) for a in answers]
-        value = reciprocal_rank(flags) if not truth.is_empty else float("nan")
-        rows.append([spec.qid, len(truth), value])
-    return format_table(["query", "#relevant", "RR"], rows,
-                        title="Reciprocal rank of Sama on LUBM (§6.3)")
+    with _lubm_engine(scale, seed) as engine:
+        oracle = RelevanceOracle(engine._graph)
+        rows = []
+        for spec in lubm_queries():
+            truth = oracle.ground_truth(spec.graph, key=spec.qid)
+            answers = engine.query(spec.graph, k=k)
+            flags = [oracle.judge_sama_answer(truth, a) for a in answers]
+            value = (reciprocal_rank(flags) if not truth.is_empty
+                     else float("nan"))
+            rows.append([spec.qid, len(truth), value])
+        return format_table(["query", "#relevant", "RR"], rows,
+                            title="Reciprocal rank of Sama on LUBM (§6.3)")
 
 
 def run_extensions(scale: float = 1.0, seed: int = 0) -> str:
@@ -327,33 +331,33 @@ def run_weights_ablation(scale: float = 1.0, seed: int = 0,
     """
     from ..scoring import ScoringWeights
 
-    engine = _lubm_engine(scale, seed)
-    oracle = RelevanceOracle(engine._graph)
-    configurations = [
-        ("paper", ScoringWeights.paper()),
-        ("uniform", ScoringWeights.uniform()),
-        ("structure-only", ScoringWeights.structure_only()),
-        ("labels-only", ScoringWeights.labels_only()),
-    ]
-    specs = lubm_queries()[:6]
-    rows = []
-    for name, weights in configurations:
-        engine.config.weights = weights
-        rr_values = []
-        coverage = []
-        for spec in specs:
-            truth = oracle.ground_truth(spec.graph, key=spec.qid)
-            if truth.is_empty:
-                continue
-            answers = engine.query(spec.graph, k=k)
-            flags = [oracle.judge_sama_answer(truth, a) for a in answers]
-            rr_values.append(reciprocal_rank(flags))
-            coverage.append(answers[0].matched_count / len(answers[0].entries)
-                            if answers else 0.0)
-        rows.append([name,
-                     sum(rr_values) / len(rr_values) if rr_values else 0.0,
-                     sum(coverage) / len(coverage) if coverage else 0.0])
-    engine.config.weights = ScoringWeights.paper()
+    with _lubm_engine(scale, seed) as engine:
+        oracle = RelevanceOracle(engine._graph)
+        configurations = [
+            ("paper", ScoringWeights.paper()),
+            ("uniform", ScoringWeights.uniform()),
+            ("structure-only", ScoringWeights.structure_only()),
+            ("labels-only", ScoringWeights.labels_only()),
+        ]
+        specs = lubm_queries()[:6]
+        rows = []
+        for name, weights in configurations:
+            engine.config.weights = weights
+            rr_values = []
+            coverage = []
+            for spec in specs:
+                truth = oracle.ground_truth(spec.graph, key=spec.qid)
+                if truth.is_empty:
+                    continue
+                answers = engine.query(spec.graph, k=k)
+                flags = [oracle.judge_sama_answer(truth, a) for a in answers]
+                rr_values.append(reciprocal_rank(flags))
+                coverage.append(
+                    answers[0].matched_count / len(answers[0].entries)
+                    if answers else 0.0)
+            rows.append([name,
+                         sum(rr_values) / len(rr_values) if rr_values else 0.0,
+                         sum(coverage) / len(coverage) if coverage else 0.0])
     return format_table(["weights", "mean RR", "mean top-1 coverage"], rows,
                         title="Ablation: scoring weight configurations "
                               "(LUBM Q1-Q6)")

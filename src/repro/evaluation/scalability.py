@@ -89,8 +89,11 @@ def quadratic_fit(points: list[SweepPoint]) -> QuadraticFit:
 
 def _engine_for(triples: int, seed: int = 0) -> SamaEngine:
     graph = lubm.generate(triples, seed=seed)
-    index, _stats = build_index(graph, tempfile.mkdtemp(prefix="sama-sweep-"))
-    return SamaEngine(index, config=EngineConfig())
+    directory = tempfile.mkdtemp(prefix="sama-sweep-")
+    index, _stats = build_index(graph, directory)
+    engine = SamaEngine(index, config=EngineConfig())
+    engine._owned_directory = directory    # close() removes it
+    return engine
 
 
 def retrieved_path_count(engine: SamaEngine, query: QueryGraph) -> int:

@@ -7,8 +7,7 @@ its :class:`~repro.index.labels.LabelInterner` id, so
 :func:`score_rows` runs the scan — anchor trim, backward walk,
 insertion-budget rule, variable bindings, the six-term weighted sum —
 over ``(node ids, edge ids)`` rows of small ints, and every scorer is a
-caller of it: clustering on the coordinator (serial path, in-process
-shard tasks, hedges; rows are the ids a decoded
+caller of it: clustering on the coordinator (rows are the ids a decoded
 :class:`~repro.paths.model.Path` carries) and the ``worker_mode="procs"``
 shard workers (rows are slices of a :class:`ColumnarView`).  It replays
 :func:`repro.paths.alignment.align` — the paper-shaped reference that

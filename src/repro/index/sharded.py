@@ -249,8 +249,8 @@ class QuarantinedShard:
     gid routing, the epoch vector and the health board all index by
     shard number — while answering like a shard that has nothing:
     lookups return no candidates, and any attempt to actually decode a
-    record raises :class:`ShardUnavailableError` so the scatter-gather
-    layer degrades the query with ``SHARD_FAILED`` instead of serving
+    record raises :class:`ShardUnavailableError` so clustering
+    degrades the query with ``SHARD_FAILED`` instead of serving
     silently wrong bytes.
     """
 
@@ -325,10 +325,10 @@ class ShardedIndex:
     ``offsets_containing`` return sorted gids and :meth:`path_at` takes
     one, so every consumer of the single-shard surface (clustering,
     the serving layer, ``sama inspect``) runs on a sharded index
-    unchanged.  The scatter-gather fast path in
-    :func:`repro.engine.clustering.build_clusters` additionally uses
-    :meth:`locate` and :attr:`shards` to fan decode + alignment out
-    with one task per shard.
+    unchanged.  :func:`repro.engine.clustering.build_clusters`
+    additionally uses :meth:`locate` and :attr:`shards` to isolate
+    shard faults and, in procs mode, to send each shard's slice to its
+    worker process.
     """
 
     is_sharded = True
@@ -371,8 +371,8 @@ class ShardedIndex:
             self._gid_of.append(mapping)
         self._io = _AggregateIO(shards)
         self._cache = _AggregateCache(shards)
-        #: Per-shard circuit breakers; the scatter-gather layer consults
-        #: this board before dispatch and reports outcomes back to it.
+        #: Per-shard circuit breakers; clustering consults this board
+        #: before reading a shard and reports outcomes back to it.
         self.health = health or ShardHealth(len(shards))
         for shard_no, shard in enumerate(shards):
             if getattr(shard, "quarantined", False):
@@ -520,12 +520,8 @@ class ShardedIndex:
                              for shard in self.shards])
 
     def group_by_shard(self, gids: "list[int]") -> "list[list[tuple[int, int]]]":
-        """Partition ``gids`` into per-shard ``(gid, local offset)`` lists.
-
-        Within each shard the input order (ascending gids) is kept, so
-        a per-shard worker that scores its list and sorts by
-        ``(score, gid)`` feeds a deterministic k-way merge.
-        """
+        """Partition ``gids`` into per-shard ``(gid, local offset)``
+        lists, keeping the input order within each shard."""
         groups: "list[list[tuple[int, int]]]" = \
             [[] for _ in range(self.shard_count)]
         locate = self._locate

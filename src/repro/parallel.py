@@ -1,174 +1,71 @@
-"""Execution resources for the engine's parallel stages.
+"""The per-shard process pool behind ``EngineConfig(worker_mode="procs")``.
 
-Two kinds of parallelism live here:
+Sharded clustering scores in-process, on the calling thread, unless
+the engine is configured with ``worker_mode="procs"``: then
+:class:`ProcessShardPool` keeps long-lived, spawn-safe worker
+processes, one per shard, each holding its shard's
+:class:`~repro.index.columnar.ColumnarView`, so the CPU-bound λ scan
+(:func:`~repro.index.columnar.score_rows`, the same loop the
+coordinator runs) happens outside the coordinator's GIL, over rows that
+need no decode.  A worker scans every candidate it is sent: refine-key
+class sharing (:mod:`repro.quotient.resolve`) is the coordinator's,
+where it saves decodes.  See DESIGN.md §11 for the in-process-vs-procs
+decision table.
 
-- the process-wide **thread pool** (:func:`shared_executor`) used by
-  thread-mode scatter-gather dispatch over shards.  Threads are the
-  right tool when the work overlaps I/O (page reads, simulated storage
-  latency) — the GIL only serializes the pure-Python parts;
-
-- the **per-shard process pool** (:class:`ProcessShardPool`) behind
-  ``EngineConfig(worker_mode="procs")``: long-lived, spawn-safe worker
-  processes, one per shard, each holding its shard's
-  :class:`~repro.index.columnar.ColumnarView` so the CPU-bound λ scan
-  (:func:`~repro.index.columnar.score_rows`, the same loop the
-  coordinator runs) happens outside the coordinator's GIL, over rows
-  that need no decode.  A worker scans every candidate it is sent:
-  refine-key class sharing (:mod:`repro.quotient.resolve`) is the
-  coordinator's, where it saves decodes.  See DESIGN.md §11 for the
-  threads-vs-procs decision table.
-
-Setting ``SAMA_WORKERS=1`` (or 0) disables thread parallelism
-entirely: :func:`shared_executor` then returns ``None`` and callers
-take their serial paths.  Callers may also pass their own executor
-explicitly, which always wins over the shared one.
+The pool starts no threads of its own: the coordinator sends every
+shard's task, scores what stays in-process while the workers run, then
+gathers each reply (:meth:`ProcessShardPool.score`).
 """
 
 from __future__ import annotations
 
-import atexit
+import gc
 import multiprocessing
 import os
 import queue as queue_mod
 import threading
 import time
-import warnings
 from array import array
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from multiprocessing.resource_tracker import _resource_tracker as _TRACKER
 
-_lock = threading.Lock()
-_executor: "ThreadPoolExecutor | None" = None
-_executor_workers = 0
-#: Pools replaced by a regrow, kept alive until interpreter exit:
-#: callers from before the regrow may still hold them and submit
-#: follow-up work mid-query (see ``shared_executor``).
-_retired_executors: "list[ThreadPoolExecutor]" = []
-
-#: Invalid ``SAMA_WORKERS`` values already warned about (warn once per
-#: distinct bad value, not once per query).
-_warned_worker_values: "set[str]" = set()
-
-#: Recognised ``worker_mode`` / ``SAMA_WORKER_MODE`` values.
-WORKER_MODES = ("threads", "procs")
-_warned_mode_values: "set[str]" = set()
+#: Open pools that have spawned workers; the last one to close stops
+#: the ``multiprocessing`` resource tracker their spawns started — but
+#: not one that was already running for someone else when the first
+#: of them spawned (stopping it would unlink that owner's semaphores).
+_open_pools = 0
+_tracker_is_ours = False
+_open_pools_lock = threading.Lock()
 
 
-def worker_count(explicit: "int | None" = None) -> int:
-    """The effective worker count for thread-parallel stages.
-
-    Precedence: an ``explicit`` argument (what
-    ``EngineConfig(workers=...)`` passes through) always wins; next the
-    ``SAMA_WORKERS`` environment variable; finally ``os.cpu_count()``.
-    A value of 1 (or less) means "serial": the shared executor is not
-    created and parallel stages fall back to their single-threaded code
-    paths.
-
-    A non-integer ``SAMA_WORKERS`` is ignored with a one-time
-    :class:`RuntimeWarning` naming the bad value — silently treating it
-    as unset hid typos like ``SAMA_WORKERS=four`` behind cpu-count
-    behaviour.
-    """
-    if explicit is not None:
-        return max(0, explicit)
-    raw = os.environ.get("SAMA_WORKERS", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            if raw not in _warned_worker_values:
-                _warned_worker_values.add(raw)
-                warnings.warn(
-                    f"ignoring invalid SAMA_WORKERS={raw!r} (not an "
-                    f"integer); falling back to cpu count",
-                    RuntimeWarning, stacklevel=2)
-    return os.cpu_count() or 1
-
-
-def worker_mode(explicit: "str | None" = None) -> str:
-    """Resolve the shard execution mode: ``"threads"`` or ``"procs"``.
-
-    Precedence mirrors :func:`worker_count`: an explicit
-    ``EngineConfig(worker_mode=...)`` wins, then ``SAMA_WORKER_MODE``,
-    then the ``"threads"`` default.  An invalid explicit value raises;
-    an invalid environment value warns once and falls back to threads
-    (a typo in a deployment environment should degrade, not take the
-    server down).
-    """
-    if explicit is not None:
-        mode = explicit.strip().lower()
-        if mode not in WORKER_MODES:
-            raise ValueError(f"worker_mode must be one of {WORKER_MODES}, "
-                             f"got {explicit!r}")
-        return mode
-    raw = os.environ.get("SAMA_WORKER_MODE", "").strip()
-    if raw:
-        mode = raw.lower()
-        if mode in WORKER_MODES:
-            return mode
-        if raw not in _warned_mode_values:
-            _warned_mode_values.add(raw)
-            warnings.warn(
-                f"ignoring invalid SAMA_WORKER_MODE={raw!r} "
-                f"(expected one of {WORKER_MODES}); using threads",
-                RuntimeWarning, stacklevel=2)
-    return "threads"
-
-
-def shared_executor(workers: "int | None" = None) -> "ThreadPoolExecutor | None":
-    """The process-wide executor, or ``None`` when running serially.
-
-    ``workers`` overrides the environment-derived count for this call;
-    the pool is (re)created when the effective count grows beyond what
-    the current pool was sized for.  The pool's threads are daemonic
-    idle workers — there is no per-query creation cost.
-
-    A regrow *retires* the old pool instead of shutting it down: a
-    caller that grabbed the executor before the regrow may still hold
-    futures from it and submit follow-up work (hedge dispatches)
-    mid-query, and ``shutdown()`` would turn
-    those submits into ``RuntimeError``.  Retired pools idle at zero
-    cost once drained and are reaped at interpreter exit.
-    """
-    global _executor, _executor_workers
-    count = worker_count(workers)
-    if count <= 1:
+def worker_mode(explicit: "str | None") -> "str | None":
+    """Validate a shard execution mode: ``None`` (in-process, on the
+    calling thread) or ``"procs"``; anything else raises
+    :class:`ValueError`, and ``"threads"`` names its removal."""
+    if explicit is None:
         return None
-    with _lock:
-        if _executor is None or _executor_workers < count:
-            if _executor is not None:
-                _retired_executors.append(_executor)
-            _executor = ThreadPoolExecutor(
-                max_workers=count, thread_name_prefix="sama-worker")
-            _executor_workers = count
-        return _executor
-
-
-def _shutdown() -> None:  # pragma: no cover - interpreter teardown
-    global _executor
-    with _lock:
-        pools = list(_retired_executors)
-        _retired_executors.clear()
-        if _executor is not None:
-            pools.append(_executor)
-            _executor = None
-    for pool in pools:
-        pool.shutdown(wait=False)
-
-
-atexit.register(_shutdown)
+    mode = explicit.strip().lower()
+    if mode == "procs":
+        return mode
+    if mode == "threads":
+        raise ValueError(
+            "worker_mode 'threads' was removed: sharded clustering scores "
+            "in-process (worker_mode=None) or in worker processes "
+            "(worker_mode='procs')")
+    raise ValueError(f"worker_mode must be None or 'procs', "
+                     f"got {explicit!r}")
 
 
 # -- process-pool execution mode ------------------------------------------------
 
 #: Seconds granted beyond a task's budget slice before the worker's
-#: response is declared overdue (mirrors the scatter layer's
-#: ``_SHARD_DEADLINE_GRACE_S``).
+#: response is declared overdue and its shard lost.
 _RESPONSE_GRACE_S = 0.25
 
 #: Poll interval while waiting on a worker's result queue — short
 #: enough that a SIGKILLed worker is noticed promptly, long enough not
-#: to burn the dispatch thread.
+#: to burn the coordinator.
 _LIVENESS_POLL_S = 0.1
 
 
@@ -264,7 +161,7 @@ class _ShardWorker:
     """Coordinator-side handle of one worker process and its queues."""
 
     __slots__ = ("shard_no", "process", "tasks", "results", "ready",
-                 "next_task_id", "lock")
+                 "retired", "next_task_id", "lock")
 
     def __init__(self, shard_no, process, tasks, results):
         self.shard_no = shard_no
@@ -272,15 +169,38 @@ class _ShardWorker:
         self.tasks = tasks
         self.results = results
         self.ready = False
+        #: Set once the worker is stopped and its queues closed: a
+        #: coordinator that checked it out earlier must not touch it.
+        self.retired = False
         self.next_task_id = 0
         #: Serialises request/response per worker: the process handles
         #: one task at a time anyway, and exclusive queue access means
-        #: no dispatch thread can steal another's response.
+        #: no coordinator can steal another's response.
         self.lock = threading.Lock()
+
+    def stop(self, grace_s: float = 0.0) -> None:
+        """End the process (after ``grace_s`` to exit on its own), reap
+        it, and close both queues, so their feeder threads exit and
+        nothing holds the queue semaphores.  Called with :attr:`lock`
+        held, once the worker is out of the pool's table."""
+        if self.retired:
+            return
+        self.retired = True
+        self.ready = False
+        process = self.process
+        process.join(timeout=grace_s)
+        for signal_it in (process.terminate, process.kill):
+            if not process.is_alive():
+                break
+            signal_it()
+            process.join(timeout=1.0)
+        for pipe in (self.tasks, self.results):
+            pipe.close()
+            pipe.join_thread()
 
 
 class ProcessShardPool:
-    """Long-lived per-shard worker processes for scatter-gather scoring.
+    """Long-lived per-shard worker processes for sharded scoring.
 
     Created once per engine (``worker_mode="procs"`` over a sharded
     index) and reused across queries.  Workers are spawned — never
@@ -290,13 +210,16 @@ class ProcessShardPool:
 
     Fault contract: a worker that dies (crash, SIGKILL, OOM) or whose
     response overruns its budget slice surfaces as
-    :class:`~repro.resilience.errors.ShardUnavailableError` — a storage
-    -level fault the scatter layer already maps to ``SHARD_FAILED``
-    degradation plus breaker accounting — never as a hang.  The dead
-    worker is respawned lazily on the shard's next dispatch (counted in
-    ``sama_worker_restarts_total``), so one crash costs one degraded
-    query while the breaker's cooldown, not a permanent hole in the
-    fleet.
+    :class:`~repro.resilience.errors.ShardUnavailableError` — which
+    clustering maps to ``SHARD_FAILED`` plus a breaker failure — never
+    as a hang.  The next dispatch respawns it (counted in
+    ``sama_worker_restarts_total``): one crash costs one degraded
+    query, not a permanent hole in the fleet.
+
+    Closing the last open pool of the process also stops the
+    ``multiprocessing`` resource tracker that the spawns started, once
+    every worker is reaped and every queue closed: nothing the pool
+    started outlives it.
     """
 
     def __init__(self, directory, shard_count: int, thesaurus=None,
@@ -313,12 +236,7 @@ class ProcessShardPool:
         self._workers: "list[_ShardWorker | None]" = [None] * shard_count
         self._lock = threading.Lock()
         self._closed = False
-        #: Dispatch threads wrap worker round-trips in futures so the
-        #: scatter layer's hedging, deadlines, and breaker logic work
-        #: identically for both execution modes.  Sized above the shard
-        #: count so hedge fallbacks never queue behind blocked waits.
-        self._dispatch = ThreadPoolExecutor(
-            max_workers=shard_count + 2, thread_name_prefix="sama-shard-io")
+        self._counted = False     # whether this pool is in _open_pools
         registry = get_registry()
         self._dispatch_hist = registry.histogram(
             "sama_worker_dispatch_seconds",
@@ -326,19 +244,11 @@ class ProcessShardPool:
         self._result_hist = registry.histogram(
             "sama_worker_result_seconds",
             "Dispatch-to-gathered-result time per shard task")
-        self._merge_hist = registry.histogram(
-            "sama_worker_merge_seconds",
-            "Coordinator-side k-way merge time per procs-mode scatter")
         self._restart_counter = registry.counter(
             "sama_worker_restarts_total",
             "Shard worker processes respawned after death or overrun")
 
     # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def executor(self) -> ThreadPoolExecutor:
-        """The dispatch-thread executor scatter-gather submits to."""
-        return self._dispatch
 
     def warm(self) -> None:
         """Spawn every worker now and wait until all are ready.
@@ -350,30 +260,29 @@ class ProcessShardPool:
             workers = [self._spawn_locked(shard) for shard
                        in range(self.shard_count)]
         for worker in workers:
-            self._await_ready(worker)
+            with worker.lock:
+                self._await_ready(worker)
 
     def close(self) -> None:
-        """Stop every worker and release the dispatch threads."""
+        """Stop every worker; the last pool to close also stops the
+        resource tracker."""
+        global _open_pools
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             workers = [w for w in self._workers if w is not None]
             self._workers = [None] * self.shard_count
-        for worker in workers:
-            try:
-                worker.tasks.put_nowait(None)
-            except (ValueError, OSError, queue_mod.Full):
-                pass
-        for worker in workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-            for pipe in (worker.tasks, worker.results):
-                pipe.cancel_join_thread()
-                pipe.close()
-        self._dispatch.shutdown(wait=False)
+        _stop_all(workers)
+        # The last references to the queues: their semaphores must be
+        # released before the tracker that counts them stops.
+        workers.clear()
+        if not self._counted:
+            return
+        with _open_pools_lock:
+            _open_pools -= 1
+            if _open_pools == 0 and _tracker_is_ours:
+                _stop_resource_tracker()
 
     def worker_pids(self) -> "dict[int, int]":
         """Live worker pids by shard (diagnostics and chaos tests)."""
@@ -384,15 +293,73 @@ class ProcessShardPool:
 
     # -- scoring -----------------------------------------------------------
 
-    def run_shard(self, shard_no: int, pairs, query_path, anchor,
-                  weights, remaining_ms: "float | None"):
-        """Score one shard's candidate slice in its worker process.
+    def score(self, slices, query_path, anchor, weights,
+              remaining_ms: "float | None", local):
+        """Score each ``(shard number, (gid, offset) pairs)`` slice in
+        its worker while ``local()`` runs on the calling thread.
 
-        Returns the same ``(rows, tripped)`` pair as the in-process
-        shard task: ``(score, gid, prefix_length, node label ids)``
-        rows in candidate order.  Runs on a dispatch thread; worker
-        death or an overdue response raises
-        :class:`~repro.resilience.errors.ShardUnavailableError`.
+        Takes the workers' locks in ascending shard order (two
+        concurrent queries never hold each other's), sends every task,
+        calls ``local()``, then gathers each reply within its budget
+        slice plus a grace.  Returns ``(local(), replies)``: each shard
+        maps to the in-process scan's ``(rows, tripped)`` pair, or to
+        the :class:`~repro.resilience.errors.ShardUnavailableError`
+        that lost it.
+        """
+        from .resilience.errors import ShardUnavailableError
+        replies: dict = {}
+        checked_out = []
+        for shard_no, pairs in slices:
+            try:
+                checked_out.append((self._checkout(shard_no), pairs))
+            except ShardUnavailableError as exc:
+                replies[shard_no] = exc
+        sent = []
+        with ExitStack() as held:
+            for worker, pairs in checked_out:
+                held.enter_context(worker.lock)
+                try:
+                    if worker.retired:
+                        raise ShardUnavailableError(
+                            f"shard {worker.shard_no}: worker retired",
+                            shard=worker.shard_no)
+                    self._await_ready(worker)
+                except ShardUnavailableError as exc:
+                    replies[worker.shard_no] = exc
+                    continue
+                task = ShardTask(
+                    task_id=worker.next_task_id,
+                    gids=array("q", [gid for gid, _offset in pairs]),
+                    offsets=array("q", [offset for _gid, offset in pairs]),
+                    query_path=query_path, anchor=anchor, weights=weights,
+                    remaining_ms=remaining_ms)
+                worker.next_task_id += 1
+                started = time.monotonic()
+                worker.tasks.put(task)
+                self._dispatch_hist.observe(time.monotonic() - started)
+                sent.append((worker, task.task_id, started))
+            result = local()
+            for worker, task_id, started in sent:
+                deadline = (None if remaining_ms is None else started
+                            + remaining_ms / 1000.0 + _RESPONSE_GRACE_S)
+                try:
+                    payload = self._receive(worker, task_id, deadline,
+                                            "worker response overdue")
+                except ShardUnavailableError as exc:
+                    replies[worker.shard_no] = exc
+                    continue
+                self._result_hist.observe(time.monotonic() - started)
+                replies[worker.shard_no] = _unpack(payload)
+        return result, replies
+
+    # -- internals ---------------------------------------------------------
+
+    def _checkout(self, shard_no: int) -> _ShardWorker:
+        """The shard's live worker, spawning it if there is none.
+
+        A worker found dead between queries is replaced for the *next*
+        dispatch, but this one fails: the failure must reach the
+        breaker — a silent heal would hide flapping workers.
         """
         from .resilience.errors import ShardUnavailableError
         with self._lock:
@@ -400,63 +367,30 @@ class ProcessShardPool:
                 raise ShardUnavailableError(
                     f"shard {shard_no}: worker pool closed", shard=shard_no)
             previous = self._workers[shard_no]
-            if previous is not None and not previous.process.is_alive():
-                # Died between queries (crash, OOM kill, operator).
-                # Respawn for the *next* dispatch but fail this one:
-                # the shard's candidates are lost right now, and the
-                # failure must reach the breaker — a silent heal would
-                # hide flapping workers from the health board.
-                exitcode = previous.process.exitcode
-                self._spawn_locked(shard_no)
-                raise ShardUnavailableError(
-                    f"shard {shard_no}: worker died (exit {exitcode})",
-                    shard=shard_no)
-            worker = self._spawn_locked(shard_no)
-        gid_column = array("q")
-        offset_column = array("q")
-        for gid, offset in pairs:
-            gid_column.append(gid)
-            offset_column.append(offset)
-        with worker.lock:
-            self._await_ready(worker)
-            task = ShardTask(
-                task_id=worker.next_task_id, gids=gid_column,
-                offsets=offset_column, query_path=query_path, anchor=anchor,
-                weights=weights, remaining_ms=remaining_ms)
-            worker.next_task_id += 1
-            started = time.monotonic()
-            worker.tasks.put(task)
-            self._dispatch_hist.observe(time.monotonic() - started)
-            cap = (None if remaining_ms is None
-                   else remaining_ms / 1000.0 + _RESPONSE_GRACE_S)
-            payload = self._gather(worker, task.task_id, cap)
-            self._result_hist.observe(time.monotonic() - started)
-        scores, gids, plens, flat_ids, tripped = payload
-        rows = []
-        position = 0
-        for score, gid, plen in zip(scores, gids, plens):
-            bound = position + plen
-            # Array slices, not tuples: a C-level copy per row, and
-            # everything downstream (frozenset, iteration) takes any
-            # sequence.  The merge key is (score, gid), so the slice
-            # is never compared.
-            rows.append((score, gid, plen, flat_ids[position:bound]))
-            position = bound
-        return rows, tripped
-
-    def observe_merge(self, seconds: float) -> None:
-        """Record one scatter's coordinator-side merge time."""
-        self._merge_hist.observe(seconds)
-
-    # -- internals ---------------------------------------------------------
+            if previous is None or previous.process.is_alive():
+                return self._spawn_locked(shard_no)
+            exitcode = previous.process.exitcode
+            self._spawn_locked(shard_no)
+        with previous.lock:
+            previous.stop()
+        raise ShardUnavailableError(
+            f"shard {shard_no}: worker died (exit {exitcode})",
+            shard=shard_no)
 
     def _spawn_locked(self, shard_no: int) -> _ShardWorker:
+        global _open_pools, _tracker_is_ours
         worker = self._workers[shard_no]
         if worker is not None and worker.process.is_alive():
             return worker
         if worker is not None:
             self.restarts += 1
             self._restart_counter.inc()
+        if not self._counted:
+            self._counted = True
+            with _open_pools_lock:
+                if _open_pools == 0:
+                    _tracker_is_ours = _TRACKER._fd is None
+                _open_pools += 1
         from .index.sharded import shard_dir
         tasks = self._context.Queue()
         results = self._context.Queue()
@@ -471,85 +405,93 @@ class ProcessShardPool:
         return worker
 
     def _await_ready(self, worker: _ShardWorker) -> None:
-        from .resilience.errors import ShardUnavailableError
-        if worker.ready:
-            return
-        deadline = time.monotonic() + self.ready_timeout_s
-        while True:
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
-                self._retire(worker, kill=True)
-                raise ShardUnavailableError(
-                    f"shard {worker.shard_no}: worker not ready after "
-                    f"{self.ready_timeout_s:g}s", shard=worker.shard_no)
-            try:
-                kind, _pid, _err = worker.results.get(
-                    timeout=min(timeout, _LIVENESS_POLL_S))
-            except queue_mod.Empty:
-                if not worker.process.is_alive():
-                    self._retire(worker, kill=False)
-                    raise ShardUnavailableError(
-                        f"shard {worker.shard_no}: worker died during "
-                        f"startup (exit {worker.process.exitcode})",
-                        shard=worker.shard_no)
-                continue
-            if kind == "ready":
-                worker.ready = True
-                return
+        if not worker.ready:
+            self._receive(worker, "ready",
+                          time.monotonic() + self.ready_timeout_s,
+                          f"worker not ready after {self.ready_timeout_s:g}s")
+            worker.ready = True
 
-    def _gather(self, worker: _ShardWorker, task_id: int,
-                cap: "float | None"):
+    def _receive(self, worker: _ShardWorker, key, deadline: "float | None",
+                 overdue: str):
+        """The payload of the worker's next message keyed ``key`` (a
+        task id, or ``"ready"``), skipping replies to abandoned tasks.
+
+        A worker found dead, or silent until ``deadline``, is retired —
+        killed if wedged, so a stale reply can never mix into a later
+        query; the next dispatch respawns it — and the wait raises
+        :class:`~repro.resilience.errors.ShardUnavailableError`.
+        """
         from .resilience.errors import ShardUnavailableError
-        deadline = None if cap is None else time.monotonic() + cap
+        shard_no = worker.shard_no
         while True:
             timeout = _LIVENESS_POLL_S
             if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    # Wedged or far beyond its slice: kill it so the
-                    # stale response can never mix into a later query,
-                    # and let the next dispatch respawn.
-                    self._retire(worker, kill=True)
+                timeout = min(timeout, deadline - time.monotonic())
+                if timeout <= 0:
+                    self._retire(worker)
                     raise ShardUnavailableError(
-                        f"shard {worker.shard_no}: worker response "
-                        f"overdue", shard=worker.shard_no)
-                timeout = min(timeout, remaining)
+                        f"shard {shard_no}: {overdue}", shard=shard_no)
             try:
-                got_id, payload, error = worker.results.get(timeout=timeout)
+                got, payload, error = worker.results.get(timeout=timeout)
             except queue_mod.Empty:
-                if not worker.process.is_alive():
-                    self._retire(worker, kill=False)
-                    raise ShardUnavailableError(
-                        f"shard {worker.shard_no}: worker died (exit "
-                        f"{worker.process.exitcode})", shard=worker.shard_no)
+                if worker.process.is_alive():
+                    continue
+                exitcode = worker.process.exitcode
+                self._retire(worker)
+                raise ShardUnavailableError(
+                    f"shard {shard_no}: worker died (exit {exitcode})",
+                    shard=shard_no) from None
+            if got != key:
                 continue
-            if got_id != task_id:
-                continue         # response from an abandoned prior task
             if error is not None:
                 raise ShardUnavailableError(
-                    f"shard {worker.shard_no}: worker error: {error}",
-                    shard=worker.shard_no)
+                    f"shard {shard_no}: worker error: {error}",
+                    shard=shard_no)
             return payload
 
-    def _retire(self, worker: _ShardWorker, kill: bool) -> None:
-        """Drop a dead or wedged worker; the next dispatch respawns."""
-        worker.ready = False
-        if kill and worker.process.is_alive():
-            worker.process.terminate()
+    def _retire(self, worker: _ShardWorker) -> None:
+        """Stop a dead or wedged worker (its lock held); the next
+        dispatch respawns."""
         with self._lock:
             if self._workers[worker.shard_no] is worker:
                 self._workers[worker.shard_no] = None
                 self.restarts += 1
                 self._restart_counter.inc()
+        worker.stop()
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        self.close()
-        return False
+def _stop_all(workers: "list[_ShardWorker]") -> None:
+    """Ask every worker to exit, then stop and reap each."""
+    for worker in workers:
+        try:
+            worker.tasks.put_nowait(None)
+        except (ValueError, OSError, queue_mod.Full):
+            pass
+    for worker in workers:
+        with worker.lock:
+            worker.stop(grace_s=2.0)
 
-    def __repr__(self):
-        live = len(self.worker_pids())
-        return (f"<ProcessShardPool {self.directory!r}: "
-                f"{live}/{self.shard_count} workers live>")
+
+def _unpack(payload) -> "tuple[list[tuple], bool]":
+    """A worker's flat reply as ``(rows, tripped)``."""
+    scores, gids, plens, flat_ids, tripped = payload
+    rows = []
+    position = 0
+    for score, gid, plen in zip(scores, gids, plens):
+        bound = position + plen
+        # Array slices, not tuples: a C-level copy per row, and
+        # everything downstream (frozenset, iteration) takes any
+        # sequence.  The merge key is (score, gid), so the slice is
+        # never compared.
+        rows.append((score, gid, plen, flat_ids[position:bound]))
+        position = bound
+    return rows, tripped
+
+
+def _stop_resource_tracker() -> None:
+    """Stop the ``multiprocessing`` resource tracker the spawns
+    started, once every worker is reaped and every queue closed.  The
+    collection first frees queue semaphores held by reference cycles,
+    so none unregisters later and starts a new tracker."""
+    gc.collect()
+    _TRACKER._stop()

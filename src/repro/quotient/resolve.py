@@ -44,8 +44,8 @@ buckets, final answers — sees the member's true labels.  Rankings are
 asserted bit-identical to unquotiented scoring across shard counts,
 worker modes and two-stage modes by ``benchmarks/bench_quotient.py``.
 
-Refine keys exist here and nowhere else, and only the coordinator uses
-them (serial path, in-process shard tasks, hedges): what a class saves
+Refine keys exist here and nowhere else, and only the coordinator's
+in-process scan uses them: what a class saves
 is the record decode of its members, and a ``worker_mode="procs"``
 worker holds its shard as id columns it never decodes, so it scans
 every candidate — measured faster than grouping them first (DESIGN

@@ -133,8 +133,8 @@ class ShardUnavailableError(StorageError):
 
     Raised when a lookup touches a shard that the recovery scan
     quarantined at open time (damaged manifest, unreadable log) or that
-    the health board has taken out of rotation.  The scatter-gather
-    layer treats it like any other per-shard storage failure: the
+    the health board has taken out of rotation.  Sharded clustering
+    treats it like any other per-shard storage failure: the
     shard's partial comes back empty and the query degrades with
     :data:`~repro.resilience.budget.DegradationCause.SHARD_FAILED`
     instead of failing outright.

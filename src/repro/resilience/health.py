@@ -26,8 +26,8 @@ decision) admits no probes at all until :meth:`ShardHealth.readmit`.
 
 Determinism: the board only changes behaviour after a failure is
 recorded, so a fault-free run dispatches exactly as if the board did
-not exist — the bit-identical-rankings guarantee of the scatter-gather
-merge is untouched.  The clock and jitter seed are injectable, so
+not exist — the bit-identical-rankings guarantee of sharded clustering
+is untouched.  The clock and jitter seed are injectable, so
 breaker trajectories are replayable in tests.
 
 >>> health = ShardHealth(2, BreakerConfig(failure_threshold=2))
@@ -95,7 +95,7 @@ class ShardBreaker:
     __slots__ = ("config", "state", "consecutive_failures", "cooldown_s",
                  "retry_at", "probe_in_flight", "last_error",
                  "failures_total", "successes_total", "trips_total",
-                 "probes_total", "hedges_total", "_rng")
+                 "probes_total", "_rng")
 
     def __init__(self, config: BreakerConfig, shard: int = 0):
         self.config = config
@@ -109,7 +109,6 @@ class ShardBreaker:
         self.successes_total = 0
         self.trips_total = 0
         self.probes_total = 0
-        self.hedges_total = 0
         # Per-shard stream: two shards of one board never share draws,
         # and the same (seed, shard) always jitters identically.
         self._rng = random.Random((config.seed << 8) ^ (shard * 0x61C88647))
@@ -184,9 +183,9 @@ class ShardBreaker:
 class ShardHealth:
     """The health board of one sharded index: N breakers, one lock.
 
-    The scatter-gather layer asks :meth:`allow` before dispatching a
-    shard task and reports the outcome with :meth:`record_success` /
-    :meth:`record_failure`; the serving layer projects
+    Clustering asks :meth:`allow` once per cluster for every shard that
+    holds candidates and reports the outcome with :meth:`record_success`
+    / :meth:`record_failure`; the serving layer projects
     :meth:`snapshot` into ``/healthz``, ``/stats`` and the
     ``sama_shard_*`` metric families.
     """
@@ -221,11 +220,6 @@ class ShardHealth:
     def record_failure(self, shard: int, error: "object" = "") -> None:
         with self._lock:
             self._breakers[shard].record_failure(self.clock(), str(error))
-
-    def note_hedge(self, shard: int) -> None:
-        """Count one hedged (duplicated) dispatch against ``shard``."""
-        with self._lock:
-            self._breakers[shard].hedges_total += 1
 
     # -- administration -----------------------------------------------------
 
@@ -269,12 +263,6 @@ class ShardHealth:
                     for shard, breaker in enumerate(self._breakers)
                     if breaker.state == QUARANTINED]
 
-    def unhealthy_shards(self) -> "list[int]":
-        """Shards in any non-closed state (includes half-open probes)."""
-        with self._lock:
-            return [shard for shard, breaker in enumerate(self._breakers)
-                    if breaker.state != CLOSED]
-
     @property
     def degraded(self) -> bool:
         """True when any shard is not fully healthy."""
@@ -293,7 +281,6 @@ class ShardHealth:
                 "successes": breaker.successes_total,
                 "trips": breaker.trips_total,
                 "probes": breaker.probes_total,
-                "hedges": breaker.hedges_total,
                 "last_error": breaker.last_error,
             } for shard, breaker in enumerate(self._breakers)]
 

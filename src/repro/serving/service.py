@@ -793,9 +793,6 @@ class ServingEngine:
                     yield Sample("sama_shard_probes_total", "counter",
                                  "Half-open probe dispatches admitted",
                                  row["probes"], label)
-                    yield Sample("sama_shard_hedges_total", "counter",
-                                 "Hedged (duplicated) dispatches sent to "
-                                 "the shard", row["hedges"], label)
 
     def render_metrics(self) -> str:
         """The Prometheus text exposition (``GET /metrics``)."""

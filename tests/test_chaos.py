@@ -6,8 +6,8 @@ yields a *partial* result naming the lost shards (``SHARD_FAILED``)
 whose rankings are bit-identical to what the surviving shards alone
 would produce; circuit breakers take the dead shard out of rotation so
 it costs one probe per cooldown window instead of a storage timeout
-per query; hedged dispatch hides stragglers without touching rankings;
-and the serving layer drains gracefully on shutdown.  Every fault here
+per query, at every cluster size; and the serving layer drains
+gracefully on shutdown.  Every fault here
 comes from a seeded :class:`FaultPlan`, so each failure is replayable.
 """
 
@@ -56,8 +56,8 @@ def shard_failed_reasons(result):
 
 
 def open_engine(directory, recover: bool = False, **overrides) -> SamaEngine:
-    """A chaos-ready engine: scatter engages on the tiny GovTrack graph."""
-    config = EngineConfig(scatter_threshold=2, workers=4, **overrides)
+    """A chaos-ready engine over a sharded index."""
+    config = EngineConfig(**overrides)
     return SamaEngine.open(directory, config=config, recover=recover)
 
 
@@ -66,6 +66,21 @@ def chaos_dir(tmp_path_factory, govtrack):
     """A persistent 4-shard GovTrack index shared by this module."""
     directory = tmp_path_factory.mktemp("chaos") / "sharded4"
     index, _ = build_sharded_index(govtrack, str(directory), shards=SHARDS)
+    index.close()
+    return str(directory)
+
+
+#: A LUBM query whose largest cluster holds more than 64 candidates.
+LUBM_QUERY = """
+    PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+    SELECT * WHERE { ?x a ub:GraduateStudent . ?x ub:takesCourse ?c . }"""
+
+
+@pytest.fixture(scope="module")
+def lubm_chaos_dir(tmp_path_factory, lubm_small):
+    """A 4-shard LUBM index: clusters large enough to matter."""
+    directory = tmp_path_factory.mktemp("chaos-lubm") / "sharded4"
+    index, _ = build_sharded_index(lubm_small, str(directory), shards=SHARDS)
     index.close()
     return str(directory)
 
@@ -300,12 +315,10 @@ class TestShardHealth:
     def test_snapshot_is_json_ready(self):
         health = ShardHealth(2)
         health.record_failure(0, "io timeout")
-        health.note_hedge(1)
         rows = health.snapshot()
         assert [row["shard"] for row in rows] == [0, 1]
         assert rows[0]["failures"] == 1
         assert rows[0]["last_error"] == "io timeout"
-        assert rows[1]["hedges"] == 1
 
     def test_shard_count_validation(self):
         with pytest.raises(ValueError):
@@ -364,28 +377,41 @@ class TestBreakerIntegration:
             assert ranking(result) == baseline["q1"]
 
 
-# -- hedged dispatch ----------------------------------------------------------
+    @pytest.mark.parametrize("layout", ["govtrack", "lubm"])
+    def test_open_breaker_is_honoured_at_every_cluster_size(
+            self, layout, chaos_dir, lubm_chaos_dir, q1):
+        """Regression: only the threaded scatter (clusters of 64+
+        candidates) used to consult the breaker, so on the other path an
+        open shard was read — and failed — again on every query and its
+        breaker never closed.  GovTrack's clusters are all below 64
+        candidates, LUBM's largest above; the default config decides."""
+        directory, query = ((chaos_dir, q1) if layout == "govtrack"
+                            else (lubm_chaos_dir, LUBM_QUERY))
+        with open_engine(directory) as engine:
+            largest = max(len(cluster) for cluster
+                          in engine.clusters(engine.prepare(query)))
+            assert (largest < 64) == (layout == "govtrack")
+            baseline = ranking(engine.query(query, k=10))
+            faults = install(engine, FaultPlan(fail_shards=(1,), seed=7))
+            for _ in range(3):
+                engine.cold_cache()
+                engine.query(query, k=10)
+            health = engine.index.health
+            assert health.state(1) == OPEN
 
-
-class TestHedgedDispatch:
-    def test_hedging_fires_and_preserves_rankings(self, chaos_dir, q1,
-                                                  baseline):
-        with open_engine(chaos_dir, hedge_ms=20.0) as engine:
-            install(engine, FaultPlan(slow_shards=(2,), slow_shard_ms=60.0))
+            paid = faults[1].failures_injected
             engine.cold_cache()
-            result = engine.query(q1, k=10)
-            hedges = sum(row["hedges"]
-                         for row in engine.index.health.snapshot())
-            assert hedges >= 1
-            assert result.complete
-            assert ranking(result) == baseline["q1"]
+            result = engine.query(query, k=10)
+            assert shard_failed_reasons(result)
+            assert faults[1].failures_injected == paid
 
-    def test_hedging_idle_without_stragglers(self, chaos_dir, q1, baseline):
-        with open_engine(chaos_dir, hedge_ms=30_000.0) as engine:
-            result = engine.query(q1, k=10)
-            assert sum(row["hedges"]
-                       for row in engine.index.health.snapshot()) == 0
-            assert result.complete and ranking(result) == baseline["q1"]
+            uninstall(engine)
+            health.clock = lambda: time.monotonic() + 3600.0
+            engine.cold_cache()
+            result = engine.query(query, k=10)
+            assert health.state(1) == CLOSED and not health.degraded
+            assert result.complete
+            assert ranking(result) == baseline
 
 
 # -- startup recovery scan and quarantine -------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the SamaEngine facade."""
 
+import os
+
 import pytest
 
 from repro.engine import EngineConfig, SamaEngine
@@ -66,6 +68,17 @@ class TestLifecycle:
     def test_context_manager(self, govtrack):
         with SamaEngine.from_graph(govtrack) as engine:
             assert engine.query(SPARQL_Q1, k=1)
+
+    def test_close_removes_the_temp_dir_it_made(self, govtrack, tmp_path):
+        engine = SamaEngine.from_graph(govtrack)
+        directory = engine.index.directory
+        assert os.path.isdir(directory)
+        engine.close()
+        assert not os.path.exists(directory)
+        # A directory the caller named is the caller's to keep.
+        named = str(tmp_path / "kept")
+        SamaEngine.from_graph(govtrack, directory=named).close()
+        assert os.path.isdir(named)
 
 
 class TestConfiguration:

@@ -23,7 +23,6 @@ from repro.index.labels import LabelInterner
 from repro.index.pathindex import PathIndex
 from repro.index.sharded import build_sharded_index
 from repro.index.thesaurus import default_thesaurus
-from repro.parallel import shared_executor, worker_count
 from repro.paths.alignment import align
 from repro.paths.model import Path
 from repro.resilience.errors import IndexCorruptError
@@ -313,24 +312,6 @@ class TestParallelClustering:
             assert list(answers)
         finally:
             engine.close()
-
-
-# -- worker pool plumbing ----------------------------------------------------
-
-
-class TestWorkerPool:
-    def test_worker_count_env_override(self, monkeypatch):
-        monkeypatch.setenv("SAMA_WORKERS", "3")
-        assert worker_count() == 3
-
-    def test_single_worker_means_no_pool(self, monkeypatch):
-        monkeypatch.setenv("SAMA_WORKERS", "1")
-        assert shared_executor() is None
-
-    def test_explicit_workers_beat_env(self, monkeypatch):
-        monkeypatch.setenv("SAMA_WORKERS", "1")
-        pool = shared_executor(2)
-        assert pool is not None
 
 
 # -- buffer pool read-ahead --------------------------------------------------

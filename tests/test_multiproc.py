@@ -6,13 +6,12 @@ reference (``align`` + ``prefix_at_anchor``), over both of its row
 sources.  The execution-mode contract under test: ``worker_mode="procs"``
 moves each shard's λ scoring into a long-lived worker process scanning a
 columnar view of its shard, and **nothing observable changes except wall-clock**
-— rankings are bit-identical to threads and serial at every shard
-count, fault plans keep their exact chaos semantics, and a killed
-worker degrades the query (``SHARD_FAILED`` + breaker accounting)
-instead of hanging it.  Alongside ride the satellite regressions:
-pickle round-trips for everything that crosses the process boundary,
-the shared-executor regrowth fix, and ``SAMA_WORKERS`` /
-``SAMA_WORKER_MODE`` validation.
+— rankings are bit-identical to in-process scoring at every shard
+count, fault plans keep their exact chaos semantics, a killed worker
+degrades the query (``SHARD_FAILED`` + breaker accounting) instead of
+hanging it, and closing the engines leaves no process behind.
+Alongside ride pickle round-trips for everything that crosses the
+process boundary and ``worker_mode`` validation.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import random
 from array import array
 import signal
 import time
-import warnings
 
 import pytest
 
@@ -34,7 +32,7 @@ from repro.index.columnar import (ColumnarView, encode_query, make_id_matcher,
                                   score_rows)
 from repro.index.labels import SemanticMatcher
 from repro.index.thesaurus import default_thesaurus
-from repro.parallel import ShardTask, worker_count, worker_mode
+from repro.parallel import ShardTask, worker_mode
 from repro.paths.alignment import align, exact_match, prefix_at_anchor
 from repro.paths.model import Path
 from repro.rdf.terms import BlankNode, Literal, URI, Variable
@@ -66,10 +64,7 @@ def wait_for(predicate, timeout: float = 15.0) -> bool:
 
 
 def open_engine(directory, **overrides) -> SamaEngine:
-    """Scatter engages on the tiny GovTrack graph (threshold 2)."""
-    overrides.setdefault("workers", 4)
-    config = EngineConfig(scatter_threshold=2, **overrides)
-    return SamaEngine.open(directory, config=config)
+    return SamaEngine.open(directory, config=EngineConfig(**overrides))
 
 
 # -- pickle round-trips (everything that crosses the spawn boundary) -----------
@@ -268,76 +263,25 @@ class TestColumnarScoring:
             assert len(got) == 64
 
 
-# -- satellite: shared_executor regrowth + SAMA_WORKERS validation ------------
-
-
-class TestSharedExecutor:
-
-    def test_regrow_keeps_old_pool_usable(self, monkeypatch):
-        import repro.parallel as parallel
-        monkeypatch.setattr(parallel, "_executor", None)
-        monkeypatch.setattr(parallel, "_executor_workers", 0)
-        monkeypatch.setattr(parallel, "_retired_executors", [])
-        small = parallel.shared_executor(2)
-        big = parallel.shared_executor(4)
-        assert big is not small
-        # A caller that grabbed the pool before the regrow is mid-query:
-        # its follow-up submits must not hit a shut-down executor.
-        assert small.submit(lambda: 21 * 2).result(timeout=10) == 42
-        assert small in parallel._retired_executors
-        small.shutdown(wait=False)
-        big.shutdown(wait=False)
-
-    def test_same_size_reuses_pool(self, monkeypatch):
-        import repro.parallel as parallel
-        monkeypatch.setattr(parallel, "_executor", None)
-        monkeypatch.setattr(parallel, "_executor_workers", 0)
-        monkeypatch.setattr(parallel, "_retired_executors", [])
-        first = parallel.shared_executor(3)
-        assert parallel.shared_executor(3) is first
-        assert parallel.shared_executor(2) is first   # shrink: no churn
-        assert not parallel._retired_executors
-        first.shutdown(wait=False)
-
-    def test_invalid_sama_workers_warns_once(self, monkeypatch):
-        import repro.parallel as parallel
-        monkeypatch.setenv("SAMA_WORKERS", "four")
-        monkeypatch.setattr(parallel, "_warned_worker_values", set())
-        with pytest.warns(RuntimeWarning, match="four"):
-            assert worker_count() == (os.cpu_count() or 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            worker_count()     # second call with the same value: silent
-
-    def test_explicit_workers_beat_environment(self, monkeypatch):
-        monkeypatch.setenv("SAMA_WORKERS", "8")
-        assert worker_count(2) == 2
-        monkeypatch.delenv("SAMA_WORKERS")
-        assert worker_count(3) == 3
+# -- worker_mode validation ----------------------------------------------------
 
 
 class TestWorkerMode:
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("SAMA_WORKER_MODE", "procs")
-        assert worker_mode("threads") == "threads"
-
-    def test_environment_default(self, monkeypatch):
-        monkeypatch.delenv("SAMA_WORKER_MODE", raising=False)
-        assert worker_mode() == "threads"
-        monkeypatch.setenv("SAMA_WORKER_MODE", "procs")
-        assert worker_mode() == "procs"
 
     def test_invalid_explicit_raises(self):
         with pytest.raises(ValueError, match="worker_mode"):
             worker_mode("fibers")
 
-    def test_invalid_environment_warns_and_falls_back(self, monkeypatch):
-        import repro.parallel as parallel
-        monkeypatch.setenv("SAMA_WORKER_MODE", "fibers")
-        monkeypatch.setattr(parallel, "_warned_mode_values", set())
-        with pytest.warns(RuntimeWarning, match="fibers"):
-            assert worker_mode() == "threads"
+    def test_threads_names_its_removal(self, procs_dir):
+        with pytest.raises(ValueError, match="'threads' was removed"):
+            worker_mode("threads")
+        with pytest.raises(ValueError, match="'threads' was removed"):
+            open_engine(procs_dir, worker_mode="threads")
+
+    def test_serve_workers_threads_names_its_removal(self, procs_dir):
+        from repro.cli import main
+        with pytest.raises(SystemExit, match="'threads' was removed"):
+            main(["serve", procs_dir, "--workers", "threads"])
 
 
 # -- procs mode end to end: equivalence, kills, fault plans -------------------
@@ -355,17 +299,15 @@ def procs_dir(tmp_path_factory, govtrack):
 class TestProcsMode:
 
     def test_rankings_identical_across_modes(self, procs_dir, q1):
-        with open_engine(procs_dir, workers=1) as engine:
-            serial = ranking(engine.query(q1, k=10))
-        with open_engine(procs_dir, worker_mode="threads") as engine:
-            threads = ranking(engine.query(q1, k=10))
+        with open_engine(procs_dir) as engine:
+            in_process = ranking(engine.query(q1, k=10))
         with open_engine(procs_dir, worker_mode="procs") as engine:
             procs = ranking(engine.query(q1, k=10))
             # Same engine again: workers are reused, not respawned.
             pool = engine.shard_pool()
             again = ranking(engine.query(q1, k=10))
             assert pool.restarts == 0
-        assert serial == threads == procs == again
+        assert in_process == procs == again
 
     def test_sigkilled_worker_degrades_then_heals(self, procs_dir, q1):
         with open_engine(procs_dir, worker_mode="procs") as engine:
@@ -409,7 +351,7 @@ class TestProcsMode:
 
     def test_fault_plan_semantics_match_threads_mode(self, procs_dir, q1):
         plan = FaultPlan(fail_shards=(1,), seed=7)
-        with open_engine(procs_dir, worker_mode="threads") as engine:
+        with open_engine(procs_dir) as engine:
             install(engine, plan)
             expected = engine.query(q1, k=10)
         with open_engine(procs_dir, worker_mode="procs") as engine:
@@ -417,12 +359,6 @@ class TestProcsMode:
             got = engine.query(q1, k=10)
             assert shard_failed_reasons(got)
         assert ranking(got) == ranking(expected)
-
-    def test_environment_selects_procs(self, procs_dir, q1, monkeypatch):
-        monkeypatch.setenv("SAMA_WORKER_MODE", "procs")
-        with open_engine(procs_dir) as engine:
-            engine.query(q1, k=5)
-            assert engine.shard_pool() is not None
 
     def test_close_stops_every_worker(self, procs_dir, q1):
         engine = open_engine(procs_dir, worker_mode="procs")
@@ -441,3 +377,41 @@ class TestProcsMode:
             return True
 
         assert wait_for(all_gone)
+
+    def test_interleaved_engines_leave_no_process(self, procs_dir, q1):
+        """Two procs engines closed in interleaved order, then a third:
+        its answers are bit-identical, and once it is closed nothing the
+        pools started — workers or the resource tracker their spawns
+        started — is left running."""
+        with open_engine(procs_dir) as engine:
+            want = ranking(engine.query(q1, k=10))
+        first = open_engine(procs_dir, worker_mode="procs")
+        first.query(q1, k=10)
+        second = open_engine(procs_dir, worker_mode="procs")
+        second.query(q1, k=10)
+        first.close()
+        assert second.shard_pool().worker_pids()
+        second.close()
+        with open_engine(procs_dir, worker_mode="procs") as third:
+            assert ranking(third.query(q1, k=10)) == want
+            assert third.shard_pool().worker_pids()
+        assert wait_for(lambda: not live_children()), live_children()
+
+
+def live_children() -> "dict[int, str]":
+    """``pid -> command line`` of this process's running children."""
+    found = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                state, parent = handle.read().rsplit(")", 1)[1].split()[:2]
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                command = handle.read().replace(b"\0", b" ").decode(
+                    errors="replace")
+        except (OSError, ValueError, IndexError):
+            continue            # gone while we looked
+        if int(parent) == os.getpid() and state != "Z":
+            found[int(entry)] = command
+    return found

@@ -370,8 +370,8 @@ class TestEngine:
 
 
 class TestSharded:
-    """Bit-identity over sharded indexes: scatter-gather in both worker
-    modes, with and without the two-stage filter in front."""
+    """Bit-identity over sharded indexes: in-process and procs scoring,
+    with and without the two-stage filter in front."""
 
     def _workload(self):
         triples = []
@@ -400,18 +400,17 @@ class TestSharded:
         return directory
 
     @pytest.mark.parametrize("worker_mode,two_stage", [
-        ("threads", "off"),
-        ("threads", "safe"),
+        pytest.param(None, "off", id="inprocess-off"),
+        pytest.param(None, "safe", id="inprocess-safe"),
         ("procs", "off"),
         ("procs", "safe"),
     ])
     def test_scatter_gather_identical(self, sharded_dir, worker_mode,
                                       two_stage):
         plain = SamaEngine.open(sharded_dir, config=EngineConfig(
-            quotient="off", scatter_threshold=1))
+            quotient="off"))
         quotiented = SamaEngine.open(sharded_dir, config=EngineConfig(
-            quotient="auto", worker_mode=worker_mode, two_stage=two_stage,
-            scatter_threshold=1))
+            quotient="auto", worker_mode=worker_mode, two_stage=two_stage))
         try:
             assert quotiented.quotient_resolver() is not None
             want = [(round(a.score, 12), str(a))

@@ -1,8 +1,11 @@
 """Smoke tests for the experiment runner (the table/figure CLI)."""
 
+import os
+import tempfile
+
 import pytest
 
-from repro.evaluation import runner
+from repro.evaluation import runner, scalability
 
 
 class TestTable1:
@@ -59,3 +62,15 @@ class TestAblations:
         assert "paths.log bytes per record" in report
         assert "labels.dict bytes" in report
         assert "incremental update" in report
+
+
+class TestTempDirs:
+    def test_helpers_remove_what_they_build(self, tmp_path, monkeypatch):
+        """Table 1, the LUBM engine and the scalability sweeps index
+        under temp dirs of their own; none may outlive its use."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        runner.run_table1(scale=0.05)
+        runner._lubm_engine(scale=0.05, seed=0).close()
+        runner._lubm_engine(scale=0.05, seed=0, read_latency=1e-6).close()
+        scalability._engine_for(300).close()
+        assert os.listdir(tmp_path) == []

@@ -130,7 +130,7 @@ class TestPatienceDefect:
     frontier and return fewer than ``k`` answers while still reporting
     ``exhausted=True`` and no reason.  Fixing it changes the forced
     emission order, which only the storage-order ranking change may
-    recapture (ROADMAP items 1 and 3)."""
+    recapture (ROADMAP items 1 and 2(d))."""
 
     @staticmethod
     def _q9(lubm_engine):

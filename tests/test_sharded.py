@@ -1,23 +1,21 @@
 """Sharded path index: layout, determinism, epochs, serving surface.
 
 The load-bearing claim is *bit-identical rankings*: a ShardedIndex at
-any shard count — serial or through the scatter-gather executor path —
-must produce exactly the answers, scores and order of the plain
-single-file index, including under candidate budgets.
+any shard count must produce exactly the answers, scores and order of
+the plain single-file index, including under candidate budgets.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import dataset, lubm_queries
-from repro.engine import EngineConfig, SamaEngine
+from repro.engine import SamaEngine
 from repro.engine.clustering import build_clusters
 from repro.index import (IndexCorruptError, PathIndex, ShardedIndex,
                          build_index, build_sharded_index, is_sharded_dir,
@@ -162,8 +160,7 @@ def lubm_query_graphs():
 
 class TestRankingDeterminism:
     def test_bit_identical_rankings(self, lubm_layouts, lubm_query_graphs):
-        engines = {shards: SamaEngine.open(path,
-                                           config=EngineConfig(workers=4))
+        engines = {shards: SamaEngine.open(path)
                    for shards, path in lubm_layouts.items()}
         try:
             for query in lubm_query_graphs:
@@ -176,8 +173,7 @@ class TestRankingDeterminism:
 
     def test_bit_identical_under_candidate_budget(self, lubm_layouts,
                                                   lubm_query_graphs):
-        engines = {shards: SamaEngine.open(path,
-                                           config=EngineConfig(workers=4))
+        engines = {shards: SamaEngine.open(path)
                    for shards, path in lubm_layouts.items()}
         try:
             for query in lubm_query_graphs:
@@ -194,26 +190,24 @@ class TestRankingDeterminism:
 
     def test_scatter_path_matches_serial_clusters(self, lubm_layouts,
                                                   lubm_query_graphs):
-        """Force every cluster through scatter-gather and compare the
-        entry sequences (score + path text) with the serial engine."""
+        """Compare every cluster's entry sequence (score + path text)
+        over 4 shards with the unsharded engine's."""
         plain = SamaEngine.open(lubm_layouts[0])
         sharded = SamaEngine.open(lubm_layouts[4])
         try:
-            with ThreadPoolExecutor(max_workers=4) as executor:
-                for query in lubm_query_graphs:
-                    prepared_plain = plain.prepare(query)
-                    prepared_sharded = sharded.prepare(query)
-                    serial = build_clusters(
-                        prepared_plain, plain.index, plain.ids_match)
-                    scattered = build_clusters(
-                        prepared_sharded, sharded.index, sharded.ids_match,
-                        executor=executor, scatter_threshold=1)
-                    assert len(serial) == len(scattered)
-                    for want, got in zip(serial, scattered):
-                        assert ([(e.score, e.path.text())
-                                 for e in got.entries]
-                                == [(e.score, e.path.text())
-                                    for e in want.entries])
+            for query in lubm_query_graphs:
+                prepared_plain = plain.prepare(query)
+                prepared_sharded = sharded.prepare(query)
+                serial = build_clusters(
+                    prepared_plain, plain.index, plain.ids_match)
+                scattered = build_clusters(
+                    prepared_sharded, sharded.index, sharded.ids_match)
+                assert len(serial) == len(scattered)
+                for want, got in zip(serial, scattered):
+                    assert ([(e.score, e.path.text())
+                             for e in got.entries]
+                            == [(e.score, e.path.text())
+                                for e in want.entries])
         finally:
             plain.close()
             sharded.close()
@@ -223,8 +217,7 @@ class TestRankingDeterminism:
         """Deadline trips mid-flight are timing-dependent, but the two
         deterministic corners — an already-expired deadline and one
         that can never trip — must agree at every shard count."""
-        engines = {shards: SamaEngine.open(path,
-                                           config=EngineConfig(workers=4))
+        engines = {shards: SamaEngine.open(path)
                    for shards, path in lubm_layouts.items()}
         try:
             for query in lubm_query_graphs:
@@ -286,8 +279,8 @@ def test_property_sharding_preserves_rankings(tmp_path_factory, graph,
                 == [plain.path_at(o).text() for o in plain.all_offsets()])
         subject, predicate, obj = next(iter(graph.triples()))
         query = (f"SELECT ?x WHERE {{ ?x <{predicate}> <{obj}> . }}")
-        plain_engine = SamaEngine(plain, config=EngineConfig(workers=2))
-        sharded_engine = SamaEngine(sharded, config=EngineConfig(workers=2))
+        plain_engine = SamaEngine(plain)
+        sharded_engine = SamaEngine(sharded)
         assert (ranking(sharded_engine.query(query, k=5))
                 == ranking(plain_engine.query(query, k=5)))
         # The already-expired-deadline corner degrades identically.

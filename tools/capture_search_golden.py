@@ -39,13 +39,10 @@ def capture(workdir: str) -> dict:
     build_quotients(resharded)
     resharded.close()
     golden = {}
-    # workers=2 on the resharded layout engages thread scatter-gather
-    # whatever the machine's CPU count.
-    for layout, directory, workers in (("shards1", single, 1),
-                                       ("shards2", double, 2)):
+    for layout, directory in (("shards1", single), ("shards2", double)):
         for quotient in ("auto", "off"):
-            engine = SamaEngine.open(directory, EngineConfig(
-                workers=workers, quotient=quotient, scatter_threshold=2))
+            engine = SamaEngine.open(directory,
+                                     EngineConfig(quotient=quotient))
             try:
                 for spec in lubm_queries():
                     prepared = engine.prepare(spec.sparql)
