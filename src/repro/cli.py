@@ -521,8 +521,7 @@ def _cmd_inspect(args) -> int:
             print(f"  {key}: {value}")
         print(f"  paths: {index.path_count}")
         if getattr(index, "is_sharded", False):
-            print(f"  shards: {index.shard_count} "
-                  f"(epochs {list(index.epoch_vector)})")
+            # The shard count is printed with the metadata above.
             for shard_no, shard in enumerate(index.shards):
                 log = os.path.join(shard_dir(args.index_dir, shard_no),
                                    "paths.log")

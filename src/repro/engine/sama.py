@@ -408,11 +408,11 @@ class SamaEngine:
         if mode == "off":
             return None
         index = self.index
-        epoch_key = self._epoch_key()
+        epoch = index.epoch
         with self._sketch_lock:
-            if self._sketch_epoch == epoch_key:
+            if self._sketch_epoch == epoch:
                 return self._sketch_filter
-            self._sketch_epoch = epoch_key
+            self._sketch_epoch = epoch
             self._sketch_filter = None
             from ..obs import get_registry
             from ..sketch import SketchIndex, TwoStageFilter
@@ -444,11 +444,6 @@ class SamaEngine:
 
     # -- per-epoch state: quotient classes and path columns --------------------
 
-    def _epoch_key(self) -> tuple:
-        epoch_vector = getattr(self.index, "epoch_vector", None)
-        return (tuple(epoch_vector) if epoch_vector is not None
-                else (getattr(self.index, "epoch", 0),))
-
     def quotient_resolver(self):
         """The class-compression hook, or ``None`` (per-path scoring).
 
@@ -474,10 +469,10 @@ class SamaEngine:
         return self._per_epoch()[1]
 
     def _per_epoch(self) -> tuple:
-        epoch_key = self._epoch_key()
+        epoch = self.index.epoch
         with self._quotient_lock:
-            if self._quotient_epoch != epoch_key:
-                self._quotient_epoch = epoch_key
+            if self._quotient_epoch != epoch:
+                self._quotient_epoch = epoch
                 self._quotient_resolver = resolver = self._load_quotients()
                 self._columns = PathColumns(
                     self.index, resolver.quotients if resolver else None)

@@ -20,7 +20,7 @@ writer interns, readers only look up.  A row costs its set, an int key
 and a dict slot (label-id ints are shared): 3.5 MiB if every path of
 LUBM 8000 is touched.
 Nothing is keyed by anything a query brings: the engine owns one store
-per epoch key and drops it when the epoch moves.
+per index epoch and drops it when the epoch moves.
 """
 
 from __future__ import annotations

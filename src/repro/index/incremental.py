@@ -50,7 +50,7 @@ from ..storage.bufferpool import BufferPool
 from ..storage.pagestore import PageStore
 from ..storage.recordfile import RecordFile
 from .builder import INDEXER_LIMITS
-from .labels import LABELS_FILE, LabelIndex, LabelInterner
+from .labels import LABELS_FILE, LabelIndex, LabelInterner, first_tier
 from .thesaurus import Thesaurus, default_thesaurus
 
 #: Sidecar persisting which records of ``paths.log`` are alive (and
@@ -88,19 +88,14 @@ class IncrementalIndex:
     def __init__(self, graph: DataGraph, directory,
                  limits: ExtractionLimits = INDEXER_LIMITS,
                  thesaurus: "Thesaurus | None" = None,
-                 page_size: int = 4096,
-                 shards: int = 1, hash_seed: int = 0):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
+                 page_size: int = 4096):
         self._init(graph, directory, limits,
                    thesaurus if thesaurus is not None else default_thesaurus(),
-                   page_size, shards, hash_seed, LabelInterner(),
-                   epochs=[0] * shards, extract=True)
+                   page_size, LabelInterner(), epoch=0, extract=True)
 
     def _init(self, graph: DataGraph, directory, limits: ExtractionLimits,
-              thesaurus: Thesaurus, page_size: int, shards: int,
-              hash_seed: int, interner: LabelInterner, epochs: "list[int]",
-              extract: bool) -> None:
+              thesaurus: Thesaurus, page_size: int, interner: LabelInterner,
+              epoch: int, extract: bool) -> None:
         """Every field of the index — the constructor and :meth:`compact`
         both come through here."""
         self.graph = graph
@@ -121,49 +116,18 @@ class IncrementalIndex:
         self._decoded: dict[int, Path] = {}
         self._hub_mode = not graph.sources() and graph.node_count() > 0
         #: The label dictionary: every stored path carries ``label_ids``
-        #: from it (the χ operand of the search, like any built index),
-        #: and shard routing hashes the same ids.  Ids are append-only,
-        #: so a stored row never changes; only the writer — an update
-        #: round — assigns new ones, readers only look labels up.
+        #: from it (the χ operand of the search, like any built index).
+        #: Ids are append-only, so a stored row never changes; only the
+        #: writer — an update round — assigns new ones, readers only
+        #: look labels up.
         self.interner = interner
-        #: Logical shards for epoch accounting: each stored path is
-        #: routed by the same stable label-signature hash the on-disk
-        #: :class:`~repro.index.sharded.ShardedIndex` uses, and an
-        #: update bumps only the epochs of the shards it touched.  The
-        #: serving cache keys on the resulting epoch *vector*, so an
-        #: update invalidates per-shard instead of flushing globally.
-        self.shards = shards
-        self.hash_seed = hash_seed
-        self._epochs = epochs
-        self._shard_by_offset: dict[int, int] = {}
-        #: Shards touched by the update round in progress (None when
-        #: no round is open — construction-time extraction bumps
-        #: nothing: epoch 0 is the freshly built index).
-        self._touched: "set[int] | None" = None
+        #: Data version: +1 per effective update round and per
+        #: compaction, never down.  It keys the serving cache, the
+        #: sidecars and the engine's per-epoch state; construction-time
+        #: extraction bumps nothing (epoch 0 is the freshly built index).
+        self.epoch = epoch
         if extract:
             self._extract_roots(self.graph.path_roots())
-
-    @property
-    def epoch(self) -> int:
-        """Scalar data version: the sum of per-shard epochs.
-
-        Bumped on every observable change to the index contents —
-        effective insertions, deletions, rebuilds, compactions.
-        Monotone, so the serving layer's check-and-set logic is
-        unchanged; result caches key on the finer-grained
-        :attr:`epoch_vector` when more than one shard is configured.
-        """
-        return sum(self._epochs)
-
-    @property
-    def epoch_vector(self) -> tuple:
-        """Per-shard epochs, the composite result-cache key part."""
-        return tuple(self._epochs)
-
-    @property
-    def shard_count(self) -> int:
-        """Logical shard count (mirrors ``ShardedIndex.shard_count``)."""
-        return self.shards
 
     # -- construction helpers ------------------------------------------------
 
@@ -186,34 +150,7 @@ class IncrementalIndex:
         for label in set(path.nodes) | set(path.edges):
             self._contains_index.add(label, offset)
         self._decoded[offset] = path
-        owner = 0
-        if self.shards > 1:
-            from .sharded import shard_of
-            owner = shard_of(path, self.interner, self.shards,
-                             self.hash_seed)
-        self._shard_by_offset[offset] = owner
-        if self._touched is not None:
-            self._touched.add(owner)
         self.stats.paths_added += 1
-
-    # -- epoch rounds --------------------------------------------------------
-
-    def _begin_round(self) -> None:
-        self._touched = set()
-
-    def _commit_round(self) -> None:
-        """Bump the epochs of every shard the round touched.
-
-        A round that changed the graph without moving any path still
-        bumps all shards (conservative, and vanishingly rare: it means
-        the update was effective yet produced and removed no paths).
-        """
-        touched = self._touched
-        self._touched = None
-        if not touched:
-            touched = set(range(self.shards))
-        for shard in touched:
-            self._epochs[shard] += 1
 
     # -- updates -------------------------------------------------------------------
 
@@ -261,7 +198,6 @@ class IncrementalIndex:
         ``src`` (they run, or ran, through it), plus roots that appear
         or disappear with it (its other end may stop or start being a
         source; ``src`` may be new)."""
-        self._begin_round()
         try:
             after_sources = set(self.graph.sources())
             if self._hub_mode or not after_sources:
@@ -276,7 +212,10 @@ class IncrementalIndex:
                 self._invalidate_root(root)
             self._extract_roots(sorted(affected))
         finally:
-            self._commit_round()
+            # Bumped last: a read that overlapped the round keyed its
+            # result at the old epoch, so the serving engine's re-check
+            # keeps it out of the cache.
+            self.epoch += 1
 
     def _roots_reaching(self, node: int, sources: set[int]) -> set[int]:
         """Sources with a directed path to ``node`` (reverse BFS)."""
@@ -300,17 +239,11 @@ class IncrementalIndex:
             self._alive.discard(offset)
             self._root_of.pop(offset, None)
             self._decoded.pop(offset, None)
-            owner = self._shard_by_offset.pop(offset, 0)
-            if self._touched is not None:
-                self._touched.add(owner)
             self.stats.paths_invalidated += 1
             self.stats.dead_bytes += self._record_size.pop(offset, 0)
 
     def _full_rebuild(self) -> None:
         self.stats.full_rebuilds += 1
-        if self._touched is not None:
-            # A rebuild rewrites every shard's contents by definition.
-            self._touched.update(range(self.shards))
         for root in list(self._offsets_by_root):
             self._invalidate_root(root)
         self._sink_index = LabelIndex(self.thesaurus)
@@ -339,13 +272,20 @@ class IncrementalIndex:
     def all_paths(self) -> list[Path]:
         return [self.path_at(offset) for offset in self.all_offsets()]
 
+    def _live_lookup(self, labels: LabelIndex, label: Term,
+                     semantic: bool) -> list[int]:
+        # Tombstoned entries stay in the label maps, so a tier is
+        # judged by its live entries: a tier whose every path is dead
+        # falls through, as it would in a fresh build.
+        alive = self._alive
+        tiers = (tier & alive for tier in labels.tiers(label, semantic))
+        return sorted(first_tier([tiers])[0])
+
     def offsets_with_sink(self, label: Term, semantic: bool = True) -> list[int]:
-        found = self._sink_index.lookup(label, semantic=semantic)
-        return sorted(found & self._alive)
+        return self._live_lookup(self._sink_index, label, semantic)
 
     def offsets_containing(self, label: Term, semantic: bool = True) -> list[int]:
-        found = self._contains_index.lookup(label, semantic=semantic)
-        return sorted(found & self._alive)
+        return self._live_lookup(self._contains_index, label, semantic)
 
     def clear_cache(self) -> None:
         self._records.pool.clear()
@@ -366,8 +306,7 @@ class IncrementalIndex:
     @property
     def metadata(self) -> dict:
         return {"dataset": self.graph.name, "incremental": True,
-                "triples": self.graph.edge_count(), "epoch": self.epoch,
-                "epochs": list(self._epochs), "shards": self.shards}
+                "triples": self.graph.edge_count(), "epoch": self.epoch}
 
     def close(self) -> None:
         self._records.store.close()
@@ -388,13 +327,10 @@ class IncrementalIndex:
         """
         fresh = IncrementalIndex.__new__(IncrementalIndex)
         # The interner carries over: a path keeps the ids of the
-        # dictionary that attached them.  Compaction renumbers offsets
-        # in every shard, so all epochs bump.
+        # dictionary that attached them.
         fresh._init(self.graph, directory, self.limits, self.thesaurus,
-                    self._records.store.page_size, self.shards,
-                    self.hash_seed, self.interner,
-                    epochs=[epoch + 1 for epoch in self._epochs],
-                    extract=False)
+                    self._records.store.page_size, self.interner,
+                    epoch=self.epoch + 1, extract=False)
         for offset in self.all_offsets():
             fresh._store_path(self._root_of[offset], self.path_at(offset))
         fresh.stats = UpdateStats()
@@ -419,8 +355,6 @@ class IncrementalIndex:
         payload = {
             "version": _MANIFEST_VERSION,
             "epoch": self.epoch,
-            "epochs": list(self._epochs),
-            "shards": self.shards,
             "page_size": self._records.store.page_size,
             "dead_bytes": self.stats.dead_bytes,
             "alive": [[offset, self._root_of[offset]]
@@ -485,7 +419,7 @@ def compact_directory(directory, output=None) -> CompactionReport:
     :mod:`repro.sketch.store`) and quotient classes (``quotient.bin``,
     :mod:`repro.quotient.store`) — are deleted up front *only when
     compacting in place*: the rewrite renumbers every record offset
-    and bumps every epoch, so they are stale the moment compaction
+    and bumps the epoch, so they are stale the moment compaction
     succeeds.  Deleting early is safe — a crashed compaction leaves
     the old index authoritative and a missing sidecar merely falls
     back to exhaustive scoring (rebuild with ``sama index sketch`` /
@@ -530,13 +464,9 @@ def compact_directory(directory, output=None) -> CompactionReport:
     new_log_bytes = fresh_store.size_bytes()
     fresh_store.close()
     store.close()
-    old_epochs = manifest.get("epochs") or [manifest["epoch"]]
-    new_epochs = [epoch + 1 for epoch in old_epochs]
     atomic_write_json(os.path.join(target, MANIFEST_FILE), {
         "version": _MANIFEST_VERSION,
-        "epoch": sum(new_epochs),
-        "epochs": new_epochs,
-        "shards": manifest.get("shards", len(new_epochs)),
+        "epoch": manifest["epoch"] + 1,
         "page_size": manifest["page_size"],
         "dead_bytes": 0,
         "alive": alive,

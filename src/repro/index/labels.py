@@ -14,7 +14,8 @@ from __future__ import annotations
 import io
 import os
 from array import array
-from typing import BinaryIO, Iterable
+from itertools import zip_longest
+from typing import BinaryIO, Iterable, Iterator
 
 from ..paths.model import Path
 from ..rdf.terms import Literal, Term, URI, Variable
@@ -222,6 +223,23 @@ class LabelInterner:
         return interner
 
 
+def first_tier(parts: "Iterable[Iterator[set[int]]]") -> "list[set[int]]":
+    """One fallback decision over the tier streams of one index's parts.
+
+    ``parts`` holds one :meth:`LabelIndex.tiers` stream per part of an
+    index (a shard, or the whole index).  The answer is the first tier
+    that matches on *any* part, as one set per part, so a part's exact
+    hit suppresses every part's fallback and the result does not
+    depend on how entries are partitioned.  All sets are empty when no
+    tier matches anywhere.
+    """
+    streams = list(parts)
+    for level in zip_longest(*streams, fillvalue=set()):
+        if any(level):
+            return list(level)
+    return [set() for _ in streams]
+
+
 class LabelIndex:
     """Inverted index: exact label / token → entry ids."""
 
@@ -281,28 +299,32 @@ class LabelIndex:
         """Entries whose labels contain the word ``token``."""
         return set(self._tokens.get(token.lower(), ()))
 
-    def lookup(self, label: Term, semantic: bool = True) -> set[int]:
-        """Entries matching ``label`` exactly, lexically, or semantically.
+    def tiers(self, label: Term, semantic: bool = True) -> Iterator[set[int]]:
+        """The match tiers of ``label``, lazily, in fallback order.
 
-        Tries exact match first (the cheap common case); falls back to
-        token conjunction (all the label's words), then — when a
-        thesaurus is configured and ``semantic`` is true — to the union
-        over thesaurus expansions of each token.
+        Exact match first (the cheap common case), then the token
+        conjunction (all the label's words), then — when a thesaurus
+        is configured and ``semantic`` is true — the union over
+        thesaurus expansions of each token.  :func:`first_tier` picks
+        the tier that answers.
         """
-        exact = self.lookup_exact(label)
-        if exact:
-            return exact
+        yield self.lookup_exact(label)
         tokens = tokenize_label(label)
         if not tokens:
-            return set()
-        matched = self._conjunction(tokens)
-        if matched or not (semantic and self.thesaurus):
-            return matched
+            return
+        yield self._conjunction(tokens)
+        if not (semantic and self.thesaurus):
+            return
         widened: set[int] = set()
         for token in tokens:
             for variant in self.thesaurus.expand(token):
                 widened |= self.lookup_token(variant)
-        return widened
+        yield widened
+
+    def lookup(self, label: Term, semantic: bool = True) -> set[int]:
+        """Entries matching ``label`` exactly, lexically, or semantically:
+        the first non-empty of its :meth:`tiers`."""
+        return first_tier([self.tiers(label, semantic)])[0]
 
     def _conjunction(self, tokens: list[str]) -> set[int]:
         result: "set[int] | None" = None

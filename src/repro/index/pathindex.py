@@ -204,6 +204,16 @@ class PathIndex:
         """Offsets of paths containing a label matching ``label``."""
         return sorted(self._contains_index.lookup(label, semantic=semantic))
 
+    def sink_tiers(self, label: Term, semantic: bool = True):
+        """The match tiers behind :meth:`offsets_with_sink`
+        (:meth:`LabelIndex.tiers`); a sharded index decides the tier
+        over all its shards at once."""
+        return self._sink_index.tiers(label, semantic)
+
+    def containing_tiers(self, label: Term, semantic: bool = True):
+        """The match tiers behind :meth:`offsets_containing`."""
+        return self._contains_index.tiers(label, semantic)
+
     # -- cache control (cold / warm experiments) ---------------------------------
 
     def clear_cache(self) -> None:

@@ -16,7 +16,7 @@ downstream never re-intern.
 Layout::
 
     index-dir/
-      manifest.json        # kind, shard count, hash seed, per-shard epochs,
+      manifest.json        # kind, shard count, hash seed,
                            # per-shard global-id lists  (atomic write)
       shard-00/            # a full PathIndex directory
       shard-01/
@@ -26,8 +26,10 @@ Determinism is the load-bearing property.  Build order assigns every
 path a **global id** (gid) in the exact order the unsharded builder
 walks paths; because the unsharded index stores paths in that same
 order, its byte offsets are monotone in gid.  Query-time lookups
-return *gids* in sorted order — the same candidate order the unsharded
-index produces — and the engine's cluster sort key ``(λ, gid)``
+pick one label-match tier for the whole index (an exact hit on any
+shard beats token matches on all of them) and return *gids* in sorted
+order — exactly the unsharded index's candidates, in its order — and
+the engine's cluster sort key ``(λ, gid)``
 therefore reproduces the unsharded ``(λ, offset)`` order exactly:
 rankings are bit-identical at any shard count (asserted by
 ``benchmarks/bench_sharding.py`` and ``tests/test_sharded.py``).
@@ -45,8 +47,8 @@ Example (two shards over the Fig. 1 US-Congress graph)::
     >>> index.path_count == sum(s.path_count for s in index.shards)
     True
     >>> reopened = ShardedIndex.open(directory)
-    >>> reopened.epoch_vector
-    (0, 0)
+    >>> reopened.epoch
+    0
     >>> reopened.all_offsets() == list(range(reopened.path_count))
     True
 """
@@ -68,7 +70,7 @@ from ..resilience.errors import (IndexCorruptError, ShardUnavailableError,
 from ..resilience.health import BreakerConfig, ShardHealth
 from ..storage.atomic import atomic_write_json, sweep_tmp_debris
 from .builder import INDEXER_LIMITS, IndexStats
-from .labels import LabelInterner
+from .labels import LabelInterner, first_tier
 from .pathindex import DEFAULT_READ_AHEAD, PathIndex, PathIndexWriter
 from .thesaurus import Thesaurus, default_thesaurus
 
@@ -149,13 +151,12 @@ def is_sharded_dir(directory) -> bool:
 
 
 def _write_manifest(directory, shards: int, hash_seed: int,
-                    epochs: list, gids: list, metadata: dict) -> None:
+                    gids: list, metadata: dict) -> None:
     atomic_write_json(os.path.join(os.fspath(directory), MANIFEST_FILE), {
         "version": _MANIFEST_VERSION,
         "kind": _MANIFEST_KIND,
         "shards": shards,
         "hash_seed": hash_seed,
-        "epochs": list(epochs),
         "gids": [list(shard_gids) for shard_gids in gids],
         "metadata": metadata or {},
     })
@@ -246,9 +247,9 @@ class QuarantinedShard:
     the startup recovery scan finds a shard it cannot serve (unreadable
     ``maps.json``, record count disagreeing with the manifest, first
     record failing to decode).  It keeps the shard *numbering* intact —
-    gid routing, the epoch vector and the health board all index by
-    shard number — while answering like a shard that has nothing:
-    lookups return no candidates, and any attempt to actually decode a
+    gid routing and the health board both index by shard number —
+    while answering like a shard that has nothing: lookups find no
+    match tier, and any attempt to actually decode a
     record raises :class:`ShardUnavailableError` so clustering
     degrades the query with ``SHARD_FAILED`` instead of serving
     silently wrong bytes.
@@ -268,11 +269,11 @@ class QuarantinedShard:
     def all_offsets(self) -> list:
         return []
 
-    def offsets_with_sink(self, label, semantic: bool = True) -> list:
-        return []
+    def sink_tiers(self, label, semantic: bool = True):
+        return iter(())
 
-    def offsets_containing(self, label, semantic: bool = True) -> list:
-        return []
+    def containing_tiers(self, label, semantic: bool = True):
+        return iter(())
 
     def path_at(self, offset: int):
         raise ShardUnavailableError(
@@ -335,14 +336,17 @@ class ShardedIndex:
 
     def __init__(self, directory, shards: list[PathIndex],
                  interner: LabelInterner, hash_seed: int,
-                 epochs: list[int], gids: list[list[int]],
+                 gids: list[list[int]],
                  metadata: "dict | None" = None,
                  health: "ShardHealth | None" = None):
         self.directory = os.fspath(directory)
         self.shards = shards
         self.interner = interner
         self.hash_seed = hash_seed
-        self._epochs = list(epochs)
+        #: Data version: a sharded index is immutable once built (a
+        #: reshard writes a new one), so it stays 0, as for
+        #: :class:`PathIndex`.
+        self.epoch = 0
         self.metadata = dict(metadata or {})
         # gid -> (shard, local offset); shard-local offset -> gid.
         total = sum(len(shard_gids) for shard_gids in gids)
@@ -448,7 +452,6 @@ class ShardedIndex:
                 f"every shard of {directory} is damaged; nothing to serve")
         return cls(directory, shards, interner,
                    hash_seed=manifest.get("hash_seed", 0),
-                   epochs=manifest.get("epochs", [0] * shard_count),
                    gids=gid_lists,
                    metadata=manifest.get("metadata", {}),
                    health=ShardHealth(shard_count, breaker_config))
@@ -464,21 +467,9 @@ class ShardedIndex:
         self.close()
         return False
 
-    # -- data version ----------------------------------------------------------
-
     @property
     def shard_count(self) -> int:
         return len(self.shards)
-
-    @property
-    def epoch(self) -> int:
-        """Scalar data version: the sum of per-shard epochs (monotone)."""
-        return sum(self._epochs)
-
-    @property
-    def epoch_vector(self) -> tuple:
-        """Per-shard epochs — the serving cache's composite key part."""
-        return tuple(self._epochs)
 
     # -- the PathIndex lookup surface (over gids) ------------------------------
 
@@ -501,9 +492,12 @@ class ShardedIndex:
     def all_paths(self) -> list[Path]:
         return [self.path_at(gid) for gid in self.all_offsets()]
 
-    def _gather(self, per_shard: "list[list[int]]") -> list[int]:
+    def _gather(self, per_shard) -> list[int]:
+        """Gids of the first match tier found on any shard (sorted):
+        :func:`~repro.index.labels.first_tier` decides once over every
+        shard's tier stream, so the answer is the unsharded one."""
         gids = []
-        for shard_no, offsets in enumerate(per_shard):
+        for shard_no, offsets in enumerate(first_tier(per_shard)):
             mapping = self._gid_of[shard_no]
             gids.extend(mapping[offset] for offset in offsets)
         gids.sort()
@@ -511,12 +505,12 @@ class ShardedIndex:
 
     def offsets_with_sink(self, label: Term, semantic: bool = True) -> list[int]:
         """Gids of paths whose sink matches ``label`` (sorted)."""
-        return self._gather([shard.offsets_with_sink(label, semantic)
+        return self._gather([shard.sink_tiers(label, semantic)
                              for shard in self.shards])
 
     def offsets_containing(self, label: Term, semantic: bool = True) -> list[int]:
         """Gids of paths containing a label matching ``label`` (sorted)."""
-        return self._gather([shard.offsets_containing(label, semantic)
+        return self._gather([shard.containing_tiers(label, semantic)
                              for shard in self.shards])
 
     def group_by_shard(self, gids: "list[int]") -> "list[list[tuple[int, int]]]":
@@ -556,8 +550,7 @@ class ShardedIndex:
 
     def __repr__(self):
         return (f"<ShardedIndex {self.directory!r}: {self.shard_count} "
-                f"shards, {self.path_count} paths, "
-                f"epochs {self._epochs}>")
+                f"shards, {self.path_count} paths>")
 
 
 def build_sharded_index(graph: DataGraph, directory, shards: int,
@@ -639,11 +632,11 @@ def build_sharded_index(graph: DataGraph, directory, shards: int,
     # atomically last, so a crash mid-build leaves either no index or a
     # complete one.
     _write_manifest(directory, shards, hash_seed,
-                    epochs=[0] * shards, gids=gids, metadata=metadata)
+                    gids=gids, metadata=metadata)
     stats.size_bytes = sum(writer.size_bytes for writer in writers)
     stats.build_seconds = time.perf_counter() - total_started
     index = ShardedIndex(directory, opened, interner, hash_seed,
-                         epochs=[0] * shards, gids=gids, metadata=metadata)
+                         gids=gids, metadata=metadata)
     return index, stats
 
 
@@ -656,9 +649,9 @@ def reshard(directory, shards: int, output=None,
     order — so gids, and therefore rankings, are preserved — and
     rewrites it as a sharded layout.  With ``output=None`` the new
     layout atomically replaces ``directory`` (staged build + directory
-    swap, same crash contract as compaction); epochs restart at zero
-    because the byte-level layout changed and nothing keyed to the old
-    data version survives the swap.
+    swap, same crash contract as compaction).  The result starts at
+    epoch 0 like any fresh build: the byte-level layout changed and
+    nothing keyed to the old data version survives the swap.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -695,7 +688,7 @@ def reshard(directory, shards: int, output=None,
         for shard in opened:
             shard.close()
         _write_manifest(target, shards, hash_seed,
-                        epochs=[0] * shards, gids=gids, metadata=metadata)
+                        gids=gids, metadata=metadata)
     finally:
         source.close()
 

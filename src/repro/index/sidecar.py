@@ -8,7 +8,7 @@ own bytes, and all kinds share one lifecycle, which lives here:
 - one file per healthy persistence surface of the index (the directory
   of a plain :class:`~repro.index.pathindex.PathIndex`, each
   ``shard-NN/`` of a :class:`~repro.index.sharded.ShardedIndex`);
-- the file records the shard **epoch** it was built at, and a loader
+- the file records the index **epoch** it was built at, and a loader
   treats a missing, corrupt or other-epoch file as *no sidecar*:
   compaction renumbers offsets and incremental rounds add paths, so a
   stale file must fall back to the exhaustive path rather than serve
@@ -42,12 +42,11 @@ def shard_surfaces(index):
     fresh-epoch sidecar anyway.
     """
     if isinstance(index, ShardedIndex):
-        epochs = index.epoch_vector
         for shard_no, shard in enumerate(index.shards):
             if getattr(shard, "quarantined", False):
                 continue
             yield (shard_dir(index.directory, shard_no), shard_no,
-                   epochs[shard_no])
+                   index.epoch)
     else:
         directory = getattr(index, "directory", None)
         if directory:
@@ -104,7 +103,7 @@ class Sidecar:
         returns the written paths.  Works for a plain
         :class:`~repro.index.pathindex.PathIndex` and a
         :class:`~repro.index.sharded.ShardedIndex`; each file is keyed
-        by its shard's current epoch so later compaction or incremental
+        by the index's current epoch so later compaction or incremental
         rounds orphan it."""
         written = []
         for directory, shard_no, epoch in shard_surfaces(index):

@@ -30,7 +30,7 @@ On disk, one class record per distinct slot pattern plus one row per
 stored path carrying its class id and its concrete slot fillers
 (``params``) — the multiplicity of a class is its row count and the
 compact gid list is the rows pointing at it.  The file is written via
-:func:`repro.storage.atomic.atomic_write_bytes` and carries the shard
+:func:`repro.storage.atomic.atomic_write_bytes` and carries the index
 **epoch** at build time, exactly like ``sketch.bin``: building per
 shard, the load-or-``None`` epoch check (stale ⇒ score every path
 exhaustively) and eager invalidation after rewrites are the shared

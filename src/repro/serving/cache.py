@@ -8,19 +8,10 @@ invalidates every affected entry *by construction*: post-update
 lookups carry the new epoch and miss, while the stale entries age out
 of the LRU (or are dropped eagerly via :meth:`drop_stale_epochs`).
 
-**Composite epochs.**  Over a sharded index the epoch in the key is
-not a scalar but the *per-shard epoch vector* — e.g.
-``epoch=(3, 0, 1, 0)|k=10|<canonical form>`` — taken from the index's
-``epoch_vector``.  An update bumps only the epochs of the shards it
-touched, so the key (and therefore the set of invalidated entries)
-tracks exactly which partitions moved; the serving engine's monotone
-freshness check still uses the scalar sum, which only ever grows.
-Because query execution fans out to *all* shards, any component
-differing from the current vector makes an entry unreachable — vector
-entries are stale under :meth:`drop_stale_epochs` exactly when they
-differ from the current vector (components never decrease, so a
-differing vector can never become current again).  Single-shard and
-static indexes keep the plain integer epoch key unchanged.
+Every index has one integer epoch: static and sharded indexes stay at
+0, and a live index adds 1 per effective update round and per
+compaction.  A query reads every shard, so one scalar is all a key
+needs — an update invalidates every entry built before it.
 
 The budget is in bytes of wire payload, not entry count, so one huge
 k=1000 ranking cannot pin the cache while hundreds of small results
@@ -34,18 +25,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any
-
-
-def _is_stale(entry_epoch: "int | tuple", current: "int | tuple") -> bool:
-    """True when an entry keyed at ``entry_epoch`` can never hit again.
-
-    Mixed types (an integer entry surviving a reshard to a vector
-    epoch, or vice versa) are trivially stale: the key format changed,
-    so the entry is unreachable.
-    """
-    if isinstance(entry_epoch, tuple) or isinstance(current, tuple):
-        return entry_epoch != current
-    return entry_epoch < current
 
 
 @dataclass
@@ -74,7 +53,7 @@ class CachedResult:
     answers: Any               # PartialResult — returned verbatim on a hit
     payload: dict              # JSON-ready wire form
     size_bytes: int
-    epoch: "int | tuple"       # scalar epoch, or per-shard vector (sharded)
+    epoch: int                 # the index epoch the key embeds
     key: str = field(repr=False, default="")
     #: ``payload`` as JSON bytes, kept from the first hit onwards so a
     #: hit renders nothing; an entry that is never hit never holds it.
@@ -155,21 +134,16 @@ class ResultCache:
                 self.stats.evictions += 1
             return True
 
-    def drop_stale_epochs(self, current_epoch: "int | tuple") -> int:
+    def drop_stale_epochs(self, current_epoch: int) -> int:
         """Eagerly drop entries from epochs before ``current_epoch``.
 
         Purely a byte-budget optimisation: stale entries can never be
         *returned* (their keys embed the old epoch), but until evicted
         they occupy budget that live results could use.
-
-        Scalar epochs are ordered, so "stale" means ``<``.  Composite
-        (per-shard vector) epochs are compared for *inequality*: shard
-        epochs never decrease, so any entry whose vector differs from
-        the current one can never be looked up again.
         """
         with self._lock:
             stale = [key for key, entry in self._entries.items()
-                     if _is_stale(entry.epoch, current_epoch)]
+                     if entry.epoch < current_epoch]
             for key in stale:
                 entry = self._entries.pop(key)
                 self._bytes -= entry.size_bytes

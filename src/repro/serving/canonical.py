@@ -69,7 +69,7 @@ def cache_key(query, k: int, epoch: int, mode: str = "off") -> str:
     return key_of_form(canonical_form(query), k, epoch, mode)
 
 
-def key_of_form(form: str, k: int, epoch, mode: str = "off") -> str:
+def key_of_form(form: str, k: int, epoch: int, mode: str = "off") -> str:
     """:func:`cache_key` for a query whose canonical form is already
     known (the serving engine's request memo keeps forms by text)."""
     return f"epoch={epoch}|k={k}|mode={mode}|{form}"

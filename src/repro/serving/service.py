@@ -164,19 +164,23 @@ class RequestFingerprint:
     result cache missed.
     """
 
-    __slots__ = ("k", "key", "form", "epoch_key", "epoch", "_graph",
-                 "_parse")
+    __slots__ = ("k", "key", "form", "epoch", "_graph", "_parse")
 
-    def __init__(self, k: int, key: str, form: str,
-                 epoch_key: "int | tuple", epoch: int, graph=None,
-                 parse=None):
+    def __init__(self, k: int, key: str, form: str, epoch: int,
+                 graph=None, parse=None):
         self.k = k
         self.key = key
         self.form = form            # canonical text, epoch/k/mode-free
-        self.epoch_key = epoch_key  # scalar epoch or per-shard vector
-        self.epoch = epoch          # monotone scalar (vector sum if sharded)
+        self.epoch = epoch          # the index epoch the key embeds
         self._graph = graph
         self._parse = parse         # () -> QueryGraph, when graph is None
+
+    @property
+    def epoch_key(self) -> int:
+        """:attr:`epoch` under its old name, which
+        ``benchmarks/e2e/adapter.py`` still reads; it goes with the
+        benchmark's next revision, as ``EngineConfig.workers`` does."""
+        return self.epoch
 
     @property
     def graph(self):
@@ -360,36 +364,10 @@ class ServingEngine:
 
     @property
     def epoch(self) -> int:
-        """The index's current data epoch (0 for static indexes).
-
-        Over a sharded index this is the *sum* of the per-shard epochs
-        — still monotone, which is all the check-and-set in
-        :meth:`submit` needs.
-        """
+        """The index's current data epoch: 0 for static and sharded
+        indexes, monotone for a live one.  It is the epoch component
+        of every cache key (see :mod:`repro.serving.cache`)."""
         return getattr(self.engine.index, "epoch", 0)
-
-    @property
-    def epoch_vector(self) -> "tuple[int, ...]":
-        """Per-shard data epochs; a one-tuple for unsharded indexes."""
-        vector = getattr(self.engine.index, "epoch_vector", None)
-        if vector is None:
-            return (self.epoch,)
-        return tuple(vector)
-
-    @property
-    def epoch_key(self) -> "int | tuple":
-        """The epoch component of cache keys.
-
-        A plain integer for unsharded indexes (keys stay byte-identical
-        to pre-sharding deployments); the full per-shard epoch vector
-        when the index has more than one shard, so an update
-        invalidates exactly the entries whose shards moved (see
-        :mod:`repro.serving.cache`).
-        """
-        vector = self.epoch_vector
-        if len(vector) <= 1:
-            return self.epoch
-        return vector
 
     @property
     def in_flight(self) -> int:
@@ -426,12 +404,11 @@ class ServingEngine:
         nothing is lexed, parsed or canonicalised.
         """
         k = self.config.default_k if k is None else k
-        return self._fingerprint(query, k, self.epoch_key)
+        return self._fingerprint(query, k, self.epoch)
 
-    def _fingerprint(self, query, k: int,
-                     epoch_key: "int | tuple") -> RequestFingerprint:
+    def _fingerprint(self, query, k: int, epoch: int) -> RequestFingerprint:
         """Fingerprint ``query`` — or re-key a stale fingerprint, whose
-        canonical form and graph carry over — at ``epoch_key``."""
+        canonical form and graph carry over — at ``epoch``."""
         if isinstance(query, RequestFingerprint):
             form, graph, parse = query.form, query._graph, query._parse
         elif (isinstance(query, str)
@@ -442,10 +419,9 @@ class ServingEngine:
             form = canonical_form(graph)
             if isinstance(query, str):
                 self.memo.put(query, form)
-        epoch = epoch_key if isinstance(epoch_key, int) else sum(epoch_key)
-        key = key_of_form(form, k, epoch_key, self._retrieval_mode())
-        return RequestFingerprint(k, key, form, epoch_key, epoch,
-                                  graph=graph, parse=parse)
+        key = key_of_form(form, k, epoch, self._retrieval_mode())
+        return RequestFingerprint(k, key, form, epoch, graph=graph,
+                                  parse=parse)
 
     def submit(self, query, k: "int | None" = None, *,
                deadline_ms: "float | None" = None,
@@ -477,30 +453,28 @@ class ServingEngine:
         if deadline_ms is None:
             deadline_ms = self.config.default_deadline_ms
 
-        epoch_key = self.epoch_key
-        epoch = epoch_key if isinstance(epoch_key, int) else sum(epoch_key)
+        epoch = self.epoch
         with self._epoch_lock:
             # Monotone check-and-set: only the single thread that
             # advances _seen_epoch drops stale entries, and a reader
             # that raced in with an older epoch cannot regress it.
-            # Sharded epochs reduce to their (monotone) sum here.
             advanced = epoch > self._seen_epoch
             if advanced:
                 self._seen_epoch = epoch
         if advanced:
             # The data moved under us: eagerly release the bytes held
             # by entries no future request can reach.
-            self.cache.drop_stale_epochs(epoch_key)
+            self.cache.drop_stale_epochs(epoch)
 
         if self.cache.max_bytes:
             if (fingerprint is None or fingerprint.k != k
-                    or fingerprint.epoch_key != epoch_key):
+                    or fingerprint.epoch != epoch):
                 # No fingerprint, or a stale one: the epoch moved since
                 # the front end computed it, and the fresh key keeps
                 # the entry from being filed (or looked up) under the
                 # dead epoch.
                 fingerprint = self._fingerprint(fingerprint or query, k,
-                                                epoch_key)
+                                                epoch)
             key = fingerprint.key
             entry = self.cache.get(key)
             if entry is not None:
@@ -538,7 +512,7 @@ class ServingEngine:
                 deadline_ms = min(deadline_ms, self.config.queue_deadline_ms)
         try:
             return self._pool.submit(self._serve, source, k, deadline_ms,
-                                     key, epoch, epoch_key, started)
+                                     key, epoch, started)
         except BaseException:
             with self._flight_lock:
                 self._in_flight -= 1
@@ -551,8 +525,7 @@ class ServingEngine:
         return self.submit(query, k, deadline_ms=deadline_ms).result()
 
     def _serve(self, source, k: int, deadline_ms: "float | None",
-               key: str, epoch: int, epoch_key: "int | tuple",
-               started: float) -> ServedResult:
+               key: str, epoch: int, started: float) -> ServedResult:
         try:
             graph = (source.graph if isinstance(source, RequestFingerprint)
                      else source)
@@ -569,7 +542,7 @@ class ServingEngine:
                 stages_ms = None
             payload = answers_payload(answers, k, epoch)
             body = None
-            if key and answers.complete and self.epoch_key == epoch_key:
+            if key and answers.complete and self.epoch == epoch:
                 # Complete results only: a degraded ranking must not be
                 # replayed to callers with healthier budgets.  The
                 # epoch re-check keeps a result computed during an
@@ -579,7 +552,7 @@ class ServingEngine:
                 body = json.dumps(payload).encode("utf-8")
                 self.cache.put(CachedResult(
                     answers=answers, payload=payload, size_bytes=len(body),
-                    epoch=epoch_key, key=key))
+                    epoch=epoch, key=key))
             latency = (time.perf_counter() - started) * 1000.0
             self.stats.record(latency, degraded=answers.degraded)
             self._latency_hist.observe(latency / 1000.0)
@@ -622,7 +595,6 @@ class ServingEngine:
         return {
             "epoch": self.epoch,
             "shards": getattr(self.engine.index, "shard_count", 1),
-            "epochs": list(self.epoch_vector),
             "in_flight": self._in_flight,
             "capacity": self.capacity,
             "workers": self.config.workers,
@@ -683,12 +655,6 @@ class ServingEngine:
                      self.capacity)
         yield Sample("sama_index_epoch", "gauge",
                      "Data epoch of the served index", self.epoch)
-        vector = self.epoch_vector
-        if len(vector) > 1:
-            for shard_no, shard_epoch in enumerate(vector):
-                yield Sample("sama_index_shard_epoch", "gauge",
-                             "Data epoch of one index shard", shard_epoch,
-                             (("shard", str(shard_no)),))
 
         cache = self.cache.stats_snapshot()
         for result, value in (("hit", cache.hits), ("miss", cache.misses)):

@@ -12,7 +12,7 @@ The file is written through :func:`repro.storage.atomic.atomic_write_bytes`
 — the same tmp-fsync-rename path every other artifact uses — so a
 crash mid-build leaves either the old sketch or none, never a torn one.
 
-The header records the shard **epoch** at build time; building per
+The header records the index **epoch** at build time; building per
 shard, the load-or-``None`` epoch check (stale ⇒ exhaustive recall)
 and eager invalidation after rewrites are the shared sidecar lifecycle
 of :mod:`repro.index.sidecar`, bound to this format at the bottom of

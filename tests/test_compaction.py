@@ -145,6 +145,55 @@ class TestCompactDirectory:
             compact_directory(str(tmp_path / "empty"))
 
 
+class TestManifestsWithEpochVectors:
+    """Indexes once kept a per-shard epoch vector beside the scalar
+    epoch; directories written that way open and compact unchanged,
+    and the vector is ignored."""
+
+    def test_sharded_manifest_with_epochs_opens(self, tmp_path, govtrack,
+                                                q1):
+        from repro.index import build_sharded_index, reshard
+        from repro.index.sharded import ShardedIndex
+
+        directory = str(tmp_path / "gov2")
+        build_sharded_index(govtrack, directory, 2)[0].close()
+        manifest_path = os.path.join(directory, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["epochs"] = [3, 1]
+        atomic_write_json(manifest_path, manifest)
+        reference = SamaEngine.from_graph(govtrack)
+        try:
+            want = [(a.score, str(a)) for a in reference.query(q1, k=5)]
+        finally:
+            reference.close()
+
+        with ShardedIndex.open(directory) as index:
+            assert index.epoch == 0 and index.shard_count == 2
+        resharded = reshard(directory, 3)
+        resharded.close()
+        assert "epochs" not in json.load(open(manifest_path))
+        engine = SamaEngine.open(directory)
+        try:
+            assert engine.index.epoch == 0
+            assert [(a.score, str(a)) for a in engine.query(q1, k=5)] == want
+        finally:
+            engine.close()
+
+    def test_incremental_manifest_with_epochs_compacts(self, dirty_index):
+        directory, paths_before = dirty_index
+        manifest_path = os.path.join(directory, MANIFEST_FILE)
+        manifest = json.load(open(manifest_path))
+        manifest.update(epoch=3, epochs=[2, 1], shards=2)
+        atomic_write_json(manifest_path, manifest)
+        report = compact_directory(directory)
+        assert report.live_paths == len(paths_before)
+        after = json.load(open(manifest_path))
+        assert after["epoch"] == 4
+        assert "epochs" not in after and "shards" not in after
+        assert sorted(str(p) for p in _decode_alive(directory)) == \
+            paths_before
+
+
 class TestCompactCli:
     def test_cli_reports_reclaimed_bytes(self, dirty_index, capsys):
         directory, paths_before = dirty_index

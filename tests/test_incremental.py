@@ -87,6 +87,21 @@ class TestSingleUpdates:
         assert chain.stats.live_efficiency == 1.0
 
 
+    def test_epoch_counts_effective_rounds(self, chain, tmp_path):
+        """One scalar epoch: +1 per effective update round and per
+        compaction; a duplicate insert or a missing removal is no
+        round."""
+        assert chain.epoch == 0
+        chain.add_triple(uri("c"), uri("q"), uri("d"))
+        chain.add_triple(uri("a"), uri("p"), uri("b"))        # duplicate
+        assert chain.epoch == 1
+        assert not chain.remove_triple(uri("x"), uri("p"), uri("y"))
+        assert chain.remove_triple(uri("c"), uri("q"), uri("d"))
+        assert chain.epoch == 2
+        compacted = chain.compact(str(tmp_path / "vacuumed"))
+        assert compacted.epoch == 3
+        assert compacted.metadata["epoch"] == 3
+
 class TestCycleFallback:
     def test_cycle_creation_triggers_rebuild(self, tmp_path):
         graph = DataGraph.from_triples([
@@ -121,6 +136,32 @@ class TestLookupSurface:
         # The a-...-b path is gone; b is not a sink anymore.
         assert index.offsets_with_sink(URI(uri("b"))) == []
         assert len(index.offsets_with_sink(URI(uri("c")))) == 1
+
+    def test_dead_exact_tier_falls_through_like_a_fresh_build(self,
+                                                              tmp_path):
+        """Tombstoned paths stay in the label maps; a tier that only
+        they match must not hide the next tier's live matches."""
+        from repro.rdf.terms import URI
+        graph = DataGraph.from_triples([
+            (uri("a"), uri("healthCare"), uri("b")),
+            (uri("c"), uri("healthCarePolicy"), uri("d")),
+        ])
+        index = IncrementalIndex(graph, str(tmp_path / "inc"))
+        assert index.remove_triple(uri("a"), uri("healthCare"), uri("b"))
+        fresh = IncrementalIndex(graph.copy(), str(tmp_path / "fresh"))
+        try:
+            label = URI(uri("healthCare"))
+            for lookup in ("offsets_with_sink", "offsets_containing"):
+                assert ([index.path_at(o).text()
+                         for o in getattr(index, lookup)(label)]
+                        == [fresh.path_at(o).text()
+                            for o in getattr(fresh, lookup)(label)])
+            assert [index.path_at(o).text()
+                    for o in index.offsets_containing(label)] == \
+                ["c-healthCarePolicy-d"]
+        finally:
+            index.close()
+            fresh.close()
 
     def test_engine_runs_on_incremental_index(self, tmp_path, govtrack,
                                               q1):
@@ -288,13 +329,12 @@ class TestInternedLabels:
             assert list(clipped.edge_ids) == \
                 list(path.edge_ids[:clipped.length - 1])
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_every_path_carries_label_ids(self, tmp_path, shards):
+    def test_every_path_carries_label_ids(self, tmp_path):
         graph = DataGraph.from_triples([
             (uri("a"), uri("p"), uri("b")),
             (uri("b"), uri("p"), uri("c")),
         ])
-        index = IncrementalIndex(graph, str(tmp_path / "inc"), shards=shards)
+        index = IncrementalIndex(graph, str(tmp_path / "inc"))
         self.assert_interned(index)
         index.add_triples([(uri("c"), uri("q"), uri("d")),
                            (uri("z"), uri("q"), Literal("new label"))])

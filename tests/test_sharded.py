@@ -1,4 +1,4 @@
-"""Sharded path index: layout, determinism, epochs, serving surface.
+"""Sharded path index: layout, determinism, lookups, serving surface.
 
 The load-bearing claim is *bit-identical rankings*: a ShardedIndex at
 any shard count must produce exactly the answers, scores and order of
@@ -20,7 +20,6 @@ from repro.engine.clustering import build_clusters
 from repro.index import (IndexCorruptError, PathIndex, ShardedIndex,
                          build_index, build_sharded_index, is_sharded_dir,
                          reshard, shard_of, signature_hash)
-from repro.index.incremental import IncrementalIndex
 from repro.resilience.budget import Budget
 from repro.serving import ServingConfig, ServingEngine
 
@@ -71,7 +70,6 @@ class TestLayout:
             manifest = json.load(handle)
         assert manifest["kind"] == "sharded"
         assert manifest["shards"] == 3
-        assert manifest["epochs"] == [0, 0, 0]
         assert len(manifest["gids"]) == 3
         for shard_no in range(3):
             shard = PathIndex.open(
@@ -130,6 +128,81 @@ class TestLayout:
             handle.write('{"version": 1, "kind": "sh')
         with pytest.raises(IndexCorruptError):
             ShardedIndex.open(directory)
+
+
+# -- lookups: one match tier over all shards ---------------------------------
+
+
+#: Five ``subject`` literals: "Health Care" has one exact hit, and three
+#: others contain both of its words — the token-conjunction tier.
+HEALTH_SUBJECTS = ["Health Care", "Health Care Policy", "Care of Health",
+                   "Taxes", "Health Care Reform"]
+
+
+@pytest.fixture(scope="module")
+def health_layouts(tmp_path_factory):
+    """The five-literal graph stored unsharded and at 2/3/4 shards."""
+    from repro.rdf.graph import DataGraph
+    from repro.rdf.terms import URI, Literal
+
+    graph = DataGraph.from_triples([
+        (URI(f"http://x/bill{i}"), URI("http://x/subject"), Literal(text))
+        for i, text in enumerate(HEALTH_SUBJECTS)])
+    base = tmp_path_factory.mktemp("health")
+    layouts = {0: build_index(graph, str(base / "plain"))[0]}
+    for shards in (2, 3, 4):
+        layouts[shards] = build_sharded_index(
+            graph, str(base / f"s{shards}"), shards)[0]
+    yield layouts
+    for index in layouts.values():
+        index.close()
+
+
+class TestLookupTiers:
+    """A lookup tries exact, then token conjunction, then thesaurus
+    matches — and decides that tier once for the whole index, so a
+    shard without the exact hit adds no fallback matches."""
+
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    @pytest.mark.parametrize("lookup", ["offsets_with_sink",
+                                        "offsets_containing"])
+    @pytest.mark.parametrize("text", ["Health Care", "Health", "Taxes",
+                                      "Medical Care", "Absent"])
+    def test_same_paths_as_unsharded(self, health_layouts, shards, lookup,
+                                     text):
+        from repro.rdf.terms import Literal
+
+        def texts(index):
+            return [index.path_at(entry).text()
+                    for entry in getattr(index, lookup)(Literal(text))]
+
+        assert texts(health_layouts[shards]) == texts(health_layouts[0])
+
+    def test_exact_hit_suppresses_every_shards_fallback(self,
+                                                        health_layouts):
+        from repro.rdf.terms import Literal
+
+        for index in health_layouts.values():
+            hits = index.offsets_with_sink(Literal("Health Care"))
+            assert [index.path_at(gid).sink.value for gid in hits] == \
+                ["Health Care"]
+
+    def test_q12_matches_unsharded_at_four_shards(self, tmp_path):
+        """LUBM 2000 seed 0: Q12's top-10 over 4 shards used to differ
+        from the unsharded one (its anchors fell back per shard)."""
+        graph = dataset("lubm").build(2000, seed=0)
+        build_index(graph, str(tmp_path / "plain"))[0].close()
+        build_sharded_index(graph, str(tmp_path / "s4"), 4)[0].close()
+        query = next(spec.graph for spec in lubm_queries()
+                     if spec.qid == "Q12")
+        plain = SamaEngine.open(str(tmp_path / "plain"))
+        sharded = SamaEngine.open(str(tmp_path / "s4"))
+        try:
+            assert (ranking(sharded.query(query, k=10))
+                    == ranking(plain.query(query, k=10)))
+        finally:
+            plain.close()
+            sharded.close()
 
 
 # -- ranking determinism ------------------------------------------------------
@@ -332,111 +405,28 @@ class TestReshard:
         assert not is_sharded_dir(plain_dir)  # source untouched
 
 
-# -- incremental epoch vector -------------------------------------------------
-
-
-class TestIncrementalEpochVector:
-    def test_update_bumps_only_touched_shards(self, tmp_path, govtrack):
-        index = IncrementalIndex(govtrack.copy(), str(tmp_path / "inc"),
-                                 shards=4)
-        try:
-            assert index.epoch == 0
-            assert index.epoch_vector == (0, 0, 0, 0)
-            index.add_triple("http://example.org/govtrack/NewPerson",
-                             "http://example.org/govtrack/sponsor",
-                             "http://example.org/govtrack/B1432")
-            vector = index.epoch_vector
-            assert index.epoch == sum(vector) > 0
-            assert any(component == 0 for component in vector), \
-                "a single-path insert must not bump every shard"
-        finally:
-            index.close()
-
-    def test_epoch_stays_monotone(self, tmp_path, govtrack):
-        index = IncrementalIndex(govtrack.copy(), str(tmp_path / "inc"),
-                                 shards=3)
-        try:
-            seen = [index.epoch]
-            index.add_triple("http://x/a", "http://x/p", "http://x/b")
-            seen.append(index.epoch)
-            index.remove_triple("http://x/a", "http://x/p", "http://x/b")
-            seen.append(index.epoch)
-            assert seen == sorted(seen)
-            assert len(set(seen)) == len(seen)
-        finally:
-            index.close()
-
-    def test_compact_bumps_every_shard(self, tmp_path, govtrack):
-        index = IncrementalIndex(govtrack.copy(), str(tmp_path / "inc"),
-                                 shards=3)
-        try:
-            index.add_triple("http://x/a", "http://x/p", "http://x/b")
-            before = index.epoch_vector
-            fresh = index.compact(str(tmp_path / "fresh"))
-            try:
-                assert fresh.epoch_vector == tuple(component + 1
-                                                   for component in before)
-            finally:
-                fresh.close()
-        finally:
-            index.close()
-
-
-# -- serving: composite epoch key ---------------------------------------------
+# -- serving a sharded index --------------------------------------------------
 
 
 class TestServingShardedEpochs:
-    def test_stats_expose_shards_and_epochs(self, tmp_path, govtrack, q1):
-        index = IncrementalIndex(govtrack.copy(), str(tmp_path / "inc"),
-                                 shards=2)
-        service = ServingEngine(SamaEngine(index),
-                                ServingConfig(workers=2))
+    def test_sharded_epoch_key_is_int_zero(self, tmp_path, govtrack, q1):
+        """A sharded index is immutable: served, it keys the cache at
+        the plain integer epoch 0, like an unsharded one."""
+        directory = str(tmp_path / "gov2")
+        build_sharded_index(govtrack, directory, 2)[0].close()
+        service = ServingEngine(SamaEngine.open(directory),
+                                ServingConfig(workers=1))
         try:
-            payload = service.stats_payload()
-            assert payload["shards"] == 2
-            assert payload["epochs"] == [0, 0]
-            index.add_triple("http://example.org/govtrack/NewPerson",
-                             "http://example.org/govtrack/sponsor",
-                             "http://example.org/govtrack/B1432")
-            payload = service.stats_payload()
-            assert payload["epochs"] == list(index.epoch_vector)
-            assert payload["epoch"] == sum(payload["epochs"])
-            metrics = service.render_metrics()
-            assert "sama_index_shard_epoch" in metrics
-            assert 'shard="0"' in metrics
-        finally:
-            service.close()
-
-    def test_composite_key_invalidates_on_shard_bump(self, tmp_path,
-                                                     govtrack, q1):
-        index = IncrementalIndex(govtrack.copy(), str(tmp_path / "inc"),
-                                 shards=2)
-        service = ServingEngine(SamaEngine(index),
-                                ServingConfig(workers=2))
-        try:
-            assert service.epoch_key == (0, 0)
+            assert service.epoch == 0
+            fingerprint = service.fingerprint(q1, 5)
+            assert fingerprint.epoch == 0
+            assert fingerprint.key.startswith("epoch=0|")
             service.query(q1, k=5)
-            assert service.query(q1, k=5).cached is True
-            for entry in service.cache._entries.values():
-                assert entry.epoch == (0, 0)
-
-            index.add_triple("http://example.org/govtrack/NewPerson",
-                             "http://example.org/govtrack/sponsor",
-                             "http://example.org/govtrack/B1432")
-            assert service.epoch_key == index.epoch_vector != (0, 0)
-            after = service.query(q1, k=5)
-            assert after.cached is False
-            # The stale vector-keyed entry was physically dropped.
-            for entry in service.cache._entries.values():
-                assert entry.epoch == service.epoch_key
-        finally:
-            service.close()
-
-    def test_unsharded_epoch_key_stays_int(self, tmp_path, govtrack):
-        index = IncrementalIndex(govtrack.copy(), str(tmp_path / "inc"))
-        service = ServingEngine(SamaEngine(index), ServingConfig(workers=1))
-        try:
-            assert isinstance(service.epoch_key, int)
+            assert [entry.epoch
+                    for entry in service.cache._entries.values()] == [0]
+            payload = service.stats_payload()
+            assert payload["shards"] == 2 and payload["epoch"] == 0
+            assert "epochs" not in payload
         finally:
             service.close()
 
