@@ -77,10 +77,10 @@ def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
 
     conditions: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="sama-chaos-") as directory:
-        from repro.index.sharded import build_sharded_index
+        from repro.index import build_index
 
         index_dir = os.path.join(directory, f"shards{SHARDS}")
-        index, _ = build_sharded_index(graph, index_dir, SHARDS)
+        index, _ = build_index(graph, index_dir, shards=SHARDS)
         index.close()
 
         for (prefix, worker_mode), dead in ((mode, dead)

@@ -61,7 +61,6 @@ SHARD_COUNTS = (1, 4)
 WORKER_MODES = ("procs",)
 TWO_STAGE_MODES = ("off", "safe")
 
-PAGE_SIZE = 1024
 
 #: Stored paths per equivalence class the committed full run (LUBM
 #: 3000) and every smoke run must clear.
@@ -110,7 +109,7 @@ def _counter(snapshot: dict, name: str) -> float:
 
 
 def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
-    from repro.index.sharded import build_sharded_index
+    from repro.index import build_index
     from repro.index.thesaurus import default_thesaurus
     from repro.quotient import QuotientIndex, build_quotients
     from repro.sketch import build_sketches
@@ -126,9 +125,8 @@ def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
     with tempfile.TemporaryDirectory(prefix="sama-quotient-") as directory:
         for shards in SHARD_COUNTS:
             shard_path = os.path.join(directory, f"shards{shards}")
-            index, _ = build_sharded_index(graph, shard_path, shards,
-                                           thesaurus=thesaurus,
-                                           page_size=PAGE_SIZE)
+            index, _ = build_index(graph, shard_path, shards=shards,
+                                   thesaurus=thesaurus)
             build_sketches(index)
             build_quotients(index)
             quotients = QuotientIndex.for_index(index)
@@ -215,7 +213,6 @@ def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
             "rounds": rounds,
             "k": k,
             "queries": QUERY_IDS,
-            "page_size": PAGE_SIZE,
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
         },

@@ -1,9 +1,9 @@
 """Sharding benchmark: every shard layout against the single-shard engine.
 
 Times the Fig. 6 LUBM workload end-to-end (cold cache every round)
-over the *same* graph stored four ways: one plain ``PathIndex``
-(``unsharded``) and a ``ShardedIndex`` at 1, 2 and 4 shards scored
-in-process — plus, on the 4-shard layout, a ``procs`` arm
+over the *same* graph stored three ways: one plain ``PathIndex``
+(``unsharded``; a one-shard build is this layout) and a
+``ShardedIndex`` at 2 and 4 shards scored in-process — plus, on the 4-shard layout, a ``procs`` arm
 (``worker_mode="procs"``, one scoring process per shard; DESIGN.md §11
 has the in-memory numbers of that mode).  All arms must produce
 bit-identical rankings and scores on all twelve LUBM templates — the
@@ -47,11 +47,10 @@ from repro.engine import EngineConfig, SamaEngine  # noqa: E402
 #: The timed subset, the same as ``bench_fig6_response_time.py``'s;
 #: rankings are compared on every template of ``lubm_queries()``.
 QUERY_IDS = ["Q1", "Q2", "Q3", "Q5", "Q7"]
-SHARD_COUNTS = (1, 2, 4)
+SHARD_COUNTS = (2, 4)
 #: Arm -> (index layout, ``worker_mode``).
 ARMS = {
     "unsharded": ("unsharded", None),
-    "shards1": ("shards1", None),
     "shards2": ("shards2", None),
     "shards4": ("shards4", None),
     "shards4-procs": ("shards4", "procs"),
@@ -63,9 +62,8 @@ TXT_PATH = REPO_ROOT / "results" / "sharding.txt"
 
 
 def _build_indexes(graph, directory: str) -> dict[str, str]:
-    """Build all four index layouts; returns layout -> directory."""
+    """Build every index layout; returns layout -> directory."""
     from repro.index.builder import build_index
-    from repro.index.sharded import build_sharded_index
     from repro.index.thesaurus import default_thesaurus
 
     thesaurus = default_thesaurus()
@@ -76,8 +74,8 @@ def _build_indexes(graph, directory: str) -> dict[str, str]:
     layout["unsharded"] = plain_dir
     for shards in SHARD_COUNTS:
         shard_path = os.path.join(directory, f"shards{shards}")
-        index, _ = build_sharded_index(graph, shard_path, shards,
-                                       thesaurus=thesaurus)
+        index, _ = build_index(graph, shard_path, shards=shards,
+                               thesaurus=thesaurus)
         index.close()
         layout[f"shards{shards}"] = shard_path
     return layout

@@ -60,7 +60,6 @@ SHARD_COUNTS = (1, 2, 4)
 #: ``serial`` scores in-process on the calling thread.
 WORKER_MODES = ("serial", "procs")
 
-PAGE_SIZE = 1024
 RECALL_TARGET = 0.95
 
 #: The committed full run must clear these (the ISSUE's acceptance
@@ -113,7 +112,7 @@ def _counter(snapshot: dict, name: str) -> float:
 
 
 def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
-    from repro.index.sharded import build_sharded_index
+    from repro.index import build_index
     from repro.index.thesaurus import default_thesaurus
     from repro.sketch import DEFAULT_SEED, SketchParams, build_sketches
 
@@ -128,9 +127,8 @@ def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
     with tempfile.TemporaryDirectory(prefix="sama-twostage-") as directory:
         for shards in SHARD_COUNTS:
             shard_path = os.path.join(directory, f"shards{shards}")
-            index, _ = build_sharded_index(graph, shard_path, shards,
-                                           thesaurus=thesaurus,
-                                           page_size=PAGE_SIZE)
+            index, _ = build_index(graph, shard_path, shards=shards,
+                                   thesaurus=thesaurus)
             build_sketches(index, params)
             index.close()
 
@@ -217,7 +215,6 @@ def run_bench(triples: int, rounds: int, k: int, seed: int = 0) -> dict:
             "rounds": rounds,
             "k": k,
             "queries": QUERY_IDS,
-            "page_size": PAGE_SIZE,
             "num_perm": params.num_perm,
             "bands": params.bands,
             "sketch_seed": DEFAULT_SEED,

@@ -14,7 +14,6 @@ layer and utilities::
     sama query ./my-index --two-stage safe -e 'SELECT ...'
     sama profile ./my-index -e 'SELECT ...' --repeat 3
     sama serve ./my-index --port 8080
-    sama bench-serve ./my-index --clients 8
     sama inspect ./my-index
 
 ``sama query`` accepts SPARQL from a file or inline (``-e``), prints
@@ -27,12 +26,11 @@ incremental index), ``reshard`` (repartition an existing index),
 ``--two-stage`` retrieval) and ``quotient`` (group stored paths into
 label-equality-pattern classes so queries align once per class); the
 historical spelling
-``sama index DATA DIR`` still works as an alias for ``build``.  ``sama serve`` keeps one
-hot engine resident behind the JSON/HTTP API of
-:mod:`repro.serving.aserve`; ``sama bench-serve`` drives the same
-serving engine with concurrent in-process clients and reports
-throughput and cache effectiveness.  ``sama profile`` answers one query under a trace and
-prints the per-stage time/count breakdown (DESIGN.md §9).
+``sama index DATA DIR`` still works as an alias for ``build``.
+``sama serve`` keeps one hot engine resident behind the JSON/HTTP API
+of :mod:`repro.serving.aserve`.  ``sama profile`` answers one query
+under a trace and prints the per-stage time/count breakdown
+(DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -44,13 +42,12 @@ from .datasets.registry import DATASETS, dataset
 from .engine.sama import EngineConfig, SamaEngine
 from .evaluation.reporting import format_bytes, format_seconds
 from .index.builder import build_index
-from .index.pathindex import PathIndex
+from .index.sharded import open_index
 from .parallel import worker_mode
 from .paths.extraction import ExtractionLimits
 from .rdf import ntriples, turtle
 from .rdf.graph import DataGraph
-from .resilience.errors import (OverloadedError, ParseError, QueryTimeout,
-                                ReproError)
+from .resilience.errors import ParseError, QueryTimeout, ReproError
 
 
 def _cmd_generate(args) -> int:
@@ -125,9 +122,10 @@ def _cmd_index_reshard(args) -> int:
     index = reshard(args.index_dir, args.shards, output=args.output)
     try:
         destination = args.output or args.index_dir
+        shards = getattr(index, "shards", [index])
         print(f"resharded {args.index_dir} -> {destination}: "
-              f"{index.shard_count} shard(s), {index.path_count} paths")
-        for shard_no, shard in enumerate(index.shards):
+              f"{len(shards)} shard(s), {index.path_count} paths")
+        for shard_no, shard in enumerate(shards):
             print(f"  shard {shard_no:02d}: {shard.path_count} paths")
         if had_quotient:
             _quotient_pass(index)
@@ -158,15 +156,11 @@ def _cmd_index_compact(args) -> int:
 
 
 def _cmd_index_sketch(args) -> int:
-    from .index.sharded import ShardedIndex, is_sharded_dir
     from .sketch import SketchParams, build_sketches
 
     params = SketchParams(seed=args.seed, num_perm=args.num_perm,
                           bands=args.bands)
-    if is_sharded_dir(args.index_dir):
-        index = ShardedIndex.open(args.index_dir)
-    else:
-        index = PathIndex.open(args.index_dir)
+    index = open_index(args.index_dir)
     try:
         written = build_sketches(index, params=params)
         for path in written:
@@ -181,13 +175,9 @@ def _cmd_index_sketch(args) -> int:
 
 
 def _cmd_index_quotient(args) -> int:
-    from .index.sharded import ShardedIndex, is_sharded_dir
     from .quotient import QuotientIndex, build_quotients
 
-    if is_sharded_dir(args.index_dir):
-        index = ShardedIndex.open(args.index_dir)
-    else:
-        index = PathIndex.open(args.index_dir)
+    index = open_index(args.index_dir)
     try:
         written = build_quotients(index)
         for path in written:
@@ -311,69 +301,6 @@ def _cmd_serve(args) -> int:
             state["drainer"].join(timeout=30)
         else:
             server.shutdown()
-    return 0
-
-
-def _cmd_bench_serve(args) -> int:
-    import threading
-    import time as _time
-
-    from .serving import ServingConfig, ServingEngine
-
-    texts = list(args.expression or [])
-    if args.query_file:
-        with open(args.query_file, encoding="utf-8") as handle:
-            texts.append(handle.read())
-    if not texts:
-        print("error: provide at least one query "
-              "(-e 'SELECT ...' or a query file)", file=sys.stderr)
-        return 2
-
-    config = EngineConfig(matcher_level=args.matcher)
-    engine = SamaEngine.open(args.index_dir, config=config)
-    serving = ServingEngine(engine, ServingConfig(
-        workers=args.workers or args.clients,
-        max_queue=max(args.clients * 2, 8),
-        cache_bytes=0 if args.no_cache else args.cache_mb * (1 << 20),
-        default_k=args.k))
-    errors: list[str] = []
-
-    def client(worker_id: int) -> None:
-        for round_no in range(args.rounds):
-            text = texts[(worker_id + round_no) % len(texts)]
-            try:
-                serving.query(text, k=args.k)
-            except OverloadedError:
-                pass  # counted by the service as shed
-            except Exception as exc:  # pragma: no cover - report & fail
-                errors.append(f"client {worker_id}: "
-                              f"{type(exc).__name__}: {exc}")
-
-    threads = [threading.Thread(target=client, args=(i,), daemon=True)
-               for i in range(args.clients)]
-    started = _time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = _time.perf_counter() - started
-    stats = serving.stats_payload()
-    serving.close()
-    if errors:
-        for line in errors[:5]:
-            print(f"error: {line}", file=sys.stderr)
-        return 3
-    answered = stats["served"]
-    print(f"{answered} requests from {args.clients} clients in "
-          f"{format_seconds(elapsed)} "
-          f"({answered / elapsed if elapsed else 0:.1f} req/s)")
-    print(f"cache hit rate: {stats['cache']['hit_rate']:.1%} "
-          f"({stats['cache']['hits']} hits / "
-          f"{stats['cache']['misses']} misses), shed: {stats['shed']}")
-    p50 = stats["latency_p50_ms"]
-    p95 = stats["latency_p95_ms"]
-    print(f"latency p50 {p50:.2f} ms, p95 {p95:.2f} ms"
-          if p50 is not None else "latency: no samples")
     return 0
 
 
@@ -509,12 +436,9 @@ def _cmd_profile(args) -> int:
 def _cmd_inspect(args) -> int:
     import os
 
-    from .index.sharded import ShardedIndex, is_sharded_dir, shard_dir
+    from .index.sharded import shard_dir
 
-    if is_sharded_dir(args.index_dir):
-        index = ShardedIndex.open(args.index_dir)
-    else:
-        index = PathIndex.open(args.index_dir)
+    index = open_index(args.index_dir)
     try:
         print(f"index: {args.index_dir}")
         for key, value in sorted(index.metadata.items()):
@@ -582,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     index_build.add_argument("--format", choices=["nt", "ttl"], default=None)
     index_build.add_argument("--max-paths", type=int, default=200_000)
     index_build.add_argument("--max-length", type=int, default=32)
-    index_build.add_argument("--shards", type=int, default=1,
+    index_build.add_argument("--shards", type=_positive_int, default=1,
                              help="partition the paths across N "
                                   "self-contained shards (default 1 = "
                                   "plain unsharded index)")
@@ -603,8 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "shard count")
     index_reshard.add_argument("index_dir",
                                help="existing index (sharded or plain)")
-    index_reshard.add_argument("--shards", type=int, required=True,
-                               help="target shard count")
+    index_reshard.add_argument("--shards", type=_positive_int,
+                               required=True,
+                               help="target shard count (1 = plain "
+                                    "unsharded index)")
     index_reshard.add_argument("--output", default=None,
                                help="write the repartitioned index here "
                                     "instead of replacing in place")
@@ -765,28 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("-v", "--verbose", action="store_true",
                        help="log each HTTP request")
     serve.set_defaults(func=_cmd_serve)
-
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="drive a served index with concurrent clients")
-    bench_serve.add_argument("index_dir")
-    bench_serve.add_argument("query_file", nargs="?", default=None,
-                             help="file with a SPARQL SELECT query")
-    bench_serve.add_argument("-e", "--expression", action="append",
-                             help="inline SPARQL (repeatable)")
-    bench_serve.add_argument("--clients", type=int, default=8)
-    bench_serve.add_argument("--rounds", type=int, default=4,
-                             help="requests per client (default 4)")
-    bench_serve.add_argument("--workers", type=int, default=None,
-                             help="service workers (default: --clients)")
-    bench_serve.add_argument("--cache-mb", type=int, default=64)
-    bench_serve.add_argument("--no-cache", action="store_true",
-                             help="disable the result cache")
-    bench_serve.add_argument("-k", type=_positive_int, default=10)
-    bench_serve.add_argument("--matcher",
-                             choices=["exact", "lexical", "semantic"],
-                             default="semantic")
-    bench_serve.set_defaults(func=_cmd_bench_serve)
 
     inspect = sub.add_parser("inspect", help="show index metadata")
     inspect.add_argument("index_dir")

@@ -34,6 +34,7 @@ from ..index.columnar import make_id_matcher
 from ..index.columns import PathColumns
 from ..index.labels import SemanticMatcher
 from ..index.pathindex import PathIndex
+from ..index.sharded import open_index
 from ..index.thesaurus import Thesaurus, default_thesaurus
 from ..obs import span
 from ..parallel import ProcessShardPool
@@ -71,9 +72,6 @@ class EngineConfig:
     matcher_level: str = "semantic"
     semantic_lookup: bool = True
     limits: ExtractionLimits = DEFAULT_LIMITS
-    #: Budget for the offline index build; ``None`` uses the indexer's
-    #: own truncating default (see ``repro.index.builder.INDEXER_LIMITS``).
-    index_limits: "ExtractionLimits | None" = None
     max_cluster_size: "int | None" = 4_000
     search: SearchConfig = field(default_factory=SearchConfig)
     #: Accepted and ignored: nothing reads it since sharded clustering
@@ -163,8 +161,9 @@ class SamaEngine:
                    thesaurus: "Thesaurus | None" = None) -> "SamaEngine":
         """Index ``graph`` (under ``directory`` or a temp dir) and wrap it.
 
-        A temp dir made here belongs to the engine: :meth:`close`
-        removes it.
+        The build runs under the indexer's truncating default budget
+        (``repro.index.builder.INDEXER_LIMITS``).  A temp dir made here
+        belongs to the engine: :meth:`close` removes it.
         """
         config = config or EngineConfig()
         if thesaurus is None:
@@ -172,12 +171,8 @@ class SamaEngine:
         owned = None
         if directory is None:
             directory = owned = tempfile.mkdtemp(prefix="sama-index-")
-        from ..index.builder import INDEXER_LIMITS
         try:
-            index, stats = build_index(
-                graph, directory,
-                limits=config.index_limits or INDEXER_LIMITS,
-                thesaurus=thesaurus)
+            index, stats = build_index(graph, directory, thesaurus=thesaurus)
             engine = cls(index, config=config, thesaurus=thesaurus)
         except BaseException:
             if owned is not None:
@@ -194,11 +189,11 @@ class SamaEngine:
              recover: bool = False) -> "SamaEngine":
         """Reopen a previously built index directory.
 
-        Detects the layout: a directory holding a sharded manifest
-        (built with ``sama index build --shards N`` or
-        :func:`repro.index.sharded.build_sharded_index`) comes back as
-        a :class:`~repro.index.sharded.ShardedIndex`, anything else as
-        a plain :class:`PathIndex`.  The engine runs identically on
+        :func:`repro.index.open_index` detects the layout: a directory
+        holding a sharded manifest (built with ``sama index build
+        --shards N`` or ``build_index(..., shards=N)``) comes back as a
+        :class:`~repro.index.sharded.ShardedIndex`, anything else as a
+        plain :class:`PathIndex`.  The engine runs identically on
         both — sharding changes wall-clock, never rankings.
 
         ``recover=True`` (sharded indexes only) runs the startup
@@ -210,14 +205,9 @@ class SamaEngine:
         """
         if thesaurus is None:
             thesaurus = default_thesaurus()
-        from ..index.sharded import ShardedIndex, is_sharded_dir
-        if is_sharded_dir(directory):
-            index = ShardedIndex.open(
-                directory, thesaurus=thesaurus, read_latency=read_latency,
-                on_damage="quarantine" if recover else "raise")
-        else:
-            index = PathIndex.open(directory, thesaurus=thesaurus,
-                                   read_latency=read_latency)
+        index = open_index(directory, thesaurus=thesaurus,
+                           read_latency=read_latency,
+                           on_damage="quarantine" if recover else "raise")
         engine = cls(index, config=config, thesaurus=thesaurus)
         # What was loaded (label maps, interner, thesaurus, quotient
         # classes) lives as long as the engine and holds no garbage:

@@ -3,10 +3,10 @@
 The paper's indexing process is "(i) hashing of all vertices' and
 edges' labels, (ii) identification of sources and sinks, and (iii)
 computation of the paths" via concurrent BFS from every source.  The
-builder runs those steps, times each, stores the paths on disk through
-:class:`~repro.index.pathindex.PathIndexWriter`, and reports the
-Table 1 statistics: triple count, hypergraph sizes |HV| / |HE|, build
-time, and bytes on disk.
+builder runs those steps, times each, stores the paths on disk (plain,
+or partitioned across shards — one :class:`~repro.index.sharded.IndexWriter`
+writes every layout), and reports the Table 1 statistics: triple
+count, hypergraph sizes |HV| / |HE|, build time, and bytes on disk.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ..paths.extraction import ExtractionLimits, _Budget, _walk_from
 from ..rdf.graph import DataGraph
 from ..rdf.terms import Term
-from .pathindex import PathIndex, PathIndexWriter
+from .sharded import IndexWriter
 from .thesaurus import Thesaurus, default_thesaurus
 
 #: The indexer's default budget.  Unlike ad-hoc extraction (which
@@ -61,32 +61,23 @@ class IndexStats:
 def build_index(graph: DataGraph, directory,
                 limits: ExtractionLimits = INDEXER_LIMITS,
                 thesaurus: "Thesaurus | None" = None,
-                use_default_thesaurus: bool = True,
-                page_size: int = 4096,
                 shards: int = 1):
     """Build the path index of ``graph`` under ``directory``.
 
-    Returns the opened :class:`PathIndex` and its :class:`IndexStats`.
-    ``thesaurus`` defaults to the built-in lexicon (pass
-    ``use_default_thesaurus=False`` for purely lexical matching).
-    Records are label-interned: varint ids into the ``labels.dict``
-    dictionary persisted beside the log
+    Returns the opened index and its :class:`IndexStats`.
+    ``thesaurus`` defaults to the built-in lexicon.  Records are
+    label-interned: varint ids into the ``labels.dict`` dictionary
+    persisted beside the log
     (:class:`~repro.index.labels.LabelInterner`).
 
-    ``shards > 1`` routes to
-    :func:`repro.index.sharded.build_sharded_index`: the same walk
-    order partitioned across N self-contained shard directories, and a
-    :class:`~repro.index.sharded.ShardedIndex` comes back instead of a
-    :class:`PathIndex` (same lookup surface, bit-identical rankings).
+    Paths are stored in walk order through one
+    :class:`~repro.index.sharded.IndexWriter`: at ``shards=1`` a plain
+    :class:`~repro.index.pathindex.PathIndex` comes back; ``shards > 1``
+    partitions them across N self-contained shard directories and a
+    :class:`~repro.index.sharded.ShardedIndex` comes back (same lookup
+    surface, bit-identical rankings).
     """
-    if shards > 1:
-        from .sharded import build_sharded_index
-
-        return build_sharded_index(graph, directory, shards,
-                                   limits=limits, thesaurus=thesaurus,
-                                   use_default_thesaurus=use_default_thesaurus,
-                                   page_size=page_size)
-    if thesaurus is None and use_default_thesaurus:
+    if thesaurus is None:
         thesaurus = default_thesaurus()
     stats = IndexStats(dataset=graph.name or "<anonymous>")
     total_started = time.perf_counter()
@@ -109,8 +100,7 @@ def build_index(graph: DataGraph, directory,
 
     # Step (iii): compute and store the paths (BFS from every root).
     step_started = time.perf_counter()
-    writer = PathIndexWriter(directory, thesaurus=thesaurus,
-                             page_size=page_size)
+    writer = IndexWriter(directory, shards, thesaurus=thesaurus)
     budget = _Budget(limits, graph)
     for root in roots:
         for path in _walk_from(graph, root, budget):
@@ -122,7 +112,7 @@ def build_index(graph: DataGraph, directory,
     stats.hv_count = graph.node_count()
     stats.path_count = budget.emitted
     stats.he_count = budget.emitted
-    index = writer.finish(metadata={
+    index = writer.finish({
         "dataset": stats.dataset,
         "triples": stats.triple_count,
         "hv": stats.hv_count,

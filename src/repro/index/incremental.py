@@ -45,12 +45,13 @@ from ..rdf.graph import DataGraph
 from ..rdf.terms import Term
 from ..rdf.triples import Triple
 from ..resilience.errors import IndexCorruptError
-from ..storage.atomic import atomic_write_json
+from ..storage.atomic import atomic_write_json, rewritten_directory
 from ..storage.bufferpool import BufferPool
 from ..storage.pagestore import PageStore
 from ..storage.recordfile import RecordFile
 from .builder import INDEXER_LIMITS
 from .labels import LABELS_FILE, LabelIndex, LabelInterner, first_tier
+from .pathindex import RecordReader, postings
 from .thesaurus import Thesaurus, default_thesaurus
 
 #: Sidecar persisting which records of ``paths.log`` are alive (and
@@ -82,45 +83,46 @@ class UpdateStats:
         return 1.0 - self.full_rebuilds / total
 
 
-class IncrementalIndex:
-    """A path index that stays consistent under triple insertions."""
+class IncrementalIndex(RecordReader):
+    """A path index that stays consistent under triple insertions.
+
+    Records are read through the same
+    :class:`~repro.index.pathindex.RecordReader` as a built index: one
+    decode cache, ``decode_count``, ``page_store`` and typed decode
+    failures.
+    """
 
     def __init__(self, graph: DataGraph, directory,
                  limits: ExtractionLimits = INDEXER_LIMITS,
-                 thesaurus: "Thesaurus | None" = None,
-                 page_size: int = 4096):
+                 thesaurus: "Thesaurus | None" = None):
         self._init(graph, directory, limits,
                    thesaurus if thesaurus is not None else default_thesaurus(),
-                   page_size, LabelInterner(), epoch=0, extract=True)
+                   LabelInterner(), epoch=0, extract=True)
 
     def _init(self, graph: DataGraph, directory, limits: ExtractionLimits,
-              thesaurus: Thesaurus, page_size: int, interner: LabelInterner,
+              thesaurus: Thesaurus, interner: LabelInterner,
               epoch: int, extract: bool) -> None:
         """Every field of the index — the constructor and :meth:`compact`
         both come through here."""
         self.graph = graph
-        self.directory = directory
         self.limits = limits
         self.thesaurus = thesaurus
         self.stats = UpdateStats()
         os.makedirs(directory, exist_ok=True)
-        store = PageStore(os.path.join(os.fspath(directory), "paths.log"),
-                          page_size=page_size)
-        self._records = RecordFile(store, BufferPool(store))
+        store = PageStore(os.path.join(os.fspath(directory), "paths.log"))
+        # Every stored path carries ``label_ids`` from ``interner`` (the
+        # χ operand of the search, like any built index).  Ids are
+        # append-only, so a stored row never changes; only the writer —
+        # an update round — assigns new ones, readers only look labels up.
+        self._open_reader(directory, RecordFile(store, BufferPool(store)),
+                          interner)
         self._sink_index = LabelIndex(self.thesaurus)
         self._contains_index = LabelIndex(self.thesaurus)
         self._alive: set[int] = set()
         self._record_size: dict[int, int] = {}
         self._root_of: dict[int, int] = {}          # offset -> root node id
         self._offsets_by_root: dict[int, set[int]] = {}
-        self._decoded: dict[int, Path] = {}
         self._hub_mode = not graph.sources() and graph.node_count() > 0
-        #: The label dictionary: every stored path carries ``label_ids``
-        #: from it (the χ operand of the search, like any built index).
-        #: Ids are append-only, so a stored row never changes; only the
-        #: writer — an update round — assigns new ones, readers only
-        #: look labels up.
-        self.interner = interner
         #: Data version: +1 per effective update round and per
         #: compaction, never down.  It keys the serving cache, the
         #: sidecars and the engine's per-epoch state; construction-time
@@ -146,9 +148,10 @@ class IncrementalIndex:
         self._alive.add(offset)
         self._root_of[offset] = root
         self._offsets_by_root.setdefault(root, set()).add(offset)
-        self._sink_index.add(path.sink, offset)
-        for label in set(path.nodes) | set(path.edges):
-            self._contains_index.add(label, offset)
+        sink, labels = postings(path)
+        self._sink_index.add(sink, offset)
+        self._contains_index.add_all(labels, offset)
+        # Write-through: the path is cached, not decoded.
         self._decoded[offset] = path
         self.stats.paths_added += 1
 
@@ -257,20 +260,8 @@ class IncrementalIndex:
     def path_count(self) -> int:
         return len(self._alive)
 
-    def path_at(self, offset: int) -> Path:
-        cached = self._decoded.get(offset)
-        if cached is None:
-            # The record is written in this interner: label_ids come
-            # attached straight from it.
-            cached = self._decoded[offset] = self.interner.decode_path(
-                self._records.read(offset))
-        return cached
-
     def all_offsets(self) -> list[int]:
         return sorted(self._alive)
-
-    def all_paths(self) -> list[Path]:
-        return [self.path_at(offset) for offset in self.all_offsets()]
 
     def _live_lookup(self, labels: LabelIndex, label: Term,
                      semantic: bool) -> list[int]:
@@ -287,29 +278,10 @@ class IncrementalIndex:
     def offsets_containing(self, label: Term, semantic: bool = True) -> list[int]:
         return self._live_lookup(self._contains_index, label, semantic)
 
-    def clear_cache(self) -> None:
-        self._records.pool.clear()
-        self._decoded.clear()
-
-    def warm_up(self) -> None:
-        for offset in self.all_offsets():
-            self.path_at(offset)
-
-    @property
-    def io_stats(self):
-        return self._records.store.stats
-
-    @property
-    def cache_stats(self):
-        return self._records.pool.stats
-
     @property
     def metadata(self) -> dict:
         return {"dataset": self.graph.name, "incremental": True,
                 "triples": self.graph.edge_count(), "epoch": self.epoch}
-
-    def close(self) -> None:
-        self._records.store.close()
 
     def __repr__(self):
         return (f"<IncrementalIndex: {self.path_count} live paths, "
@@ -329,8 +301,7 @@ class IncrementalIndex:
         # The interner carries over: a path keeps the ids of the
         # dictionary that attached them.
         fresh._init(self.graph, directory, self.limits, self.thesaurus,
-                    self._records.store.page_size, self.interner,
-                    epoch=self.epoch + 1, extract=False)
+                    self.interner, epoch=self.epoch + 1, extract=False)
         for offset in self.all_offsets():
             fresh._store_path(self._root_of[offset], self.path_at(offset))
         fresh.stats = UpdateStats()
@@ -350,8 +321,7 @@ class IncrementalIndex:
         (``labels.dict``, also atomic).  Returns the manifest path.
         """
         self._records.sync()
-        self.interner.save(os.path.join(os.fspath(self.directory),
-                                        LABELS_FILE))
+        self.interner.save(os.path.join(self.directory, LABELS_FILE))
         payload = {
             "version": _MANIFEST_VERSION,
             "epoch": self.epoch,
@@ -360,7 +330,7 @@ class IncrementalIndex:
             "alive": [[offset, self._root_of[offset]]
                       for offset in self.all_offsets()],
         }
-        path = os.path.join(os.fspath(self.directory), MANIFEST_FILE)
+        path = os.path.join(self.directory, MANIFEST_FILE)
         atomic_write_json(path, payload)
         return path
 
@@ -448,38 +418,27 @@ def compact_directory(directory, output=None) -> CompactionReport:
     records.discard_tail()
     old_log_bytes = store.size_bytes()
 
-    target = directory + ".compacting" if in_place else os.fspath(output)
-    if os.path.exists(target):
-        shutil.rmtree(target)
-    os.makedirs(target)
-    shutil.copyfile(labels_path, os.path.join(target, LABELS_FILE))
-    fresh_store = PageStore(os.path.join(target, "paths.log"),
-                            page_size=manifest["page_size"])
-    fresh_records = RecordFile(fresh_store, BufferPool(fresh_store))
-    alive = []
-    for offset, root in manifest["alive"]:
-        blob = records.read(offset)
-        alive.append([fresh_records.append(blob), root])
-    fresh_records.sync()
-    new_log_bytes = fresh_store.size_bytes()
-    fresh_store.close()
-    store.close()
-    atomic_write_json(os.path.join(target, MANIFEST_FILE), {
-        "version": _MANIFEST_VERSION,
-        "epoch": manifest["epoch"] + 1,
-        "page_size": manifest["page_size"],
-        "dead_bytes": 0,
-        "alive": alive,
-    })
-
+    with rewritten_directory(directory, output) as target:
+        shutil.copyfile(labels_path, os.path.join(target, LABELS_FILE))
+        fresh_store = PageStore(os.path.join(target, "paths.log"),
+                                page_size=manifest["page_size"])
+        fresh_records = RecordFile(fresh_store, BufferPool(fresh_store))
+        alive = []
+        for offset, root in manifest["alive"]:
+            blob = records.read(offset)
+            alive.append([fresh_records.append(blob), root])
+        fresh_records.sync()
+        new_log_bytes = fresh_store.size_bytes()
+        fresh_store.close()
+        store.close()
+        atomic_write_json(os.path.join(target, MANIFEST_FILE), {
+            "version": _MANIFEST_VERSION,
+            "epoch": manifest["epoch"] + 1,
+            "page_size": manifest["page_size"],
+            "dead_bytes": 0,
+            "alive": alive,
+        })
     final = directory if in_place else target
-    if in_place:
-        staged = directory + ".pre-compact"
-        if os.path.exists(staged):
-            shutil.rmtree(staged)
-        os.rename(directory, staged)
-        os.rename(target, directory)
-        shutil.rmtree(staged)
     return CompactionReport(directory=final,
                             live_paths=len(alive),
                             dead_bytes=manifest["dead_bytes"],

@@ -19,7 +19,7 @@ from typing import BinaryIO, Iterable, Iterator
 
 from ..paths.model import Path
 from ..rdf.terms import Literal, Term, URI, Variable
-from .thesaurus import Thesaurus, tokenize_label
+from .thesaurus import Thesaurus, stem_candidates, tokenize_label
 
 
 def _uvarint(data: bytes, pos: int) -> tuple[int, int]:
@@ -240,6 +240,17 @@ def first_tier(parts: "Iterable[Iterator[set[int]]]") -> "list[set[int]]":
     return [set() for _ in streams]
 
 
+def token_keys(label: Term) -> set[str]:
+    """The token rule of every label index: a label is posted under
+    each of its word tokens and each token's singular stems, so
+    "Database" retrieves entries labelled "Databases"."""
+    keys: set[str] = set()
+    for token in tokenize_label(label):
+        keys.add(token)
+        keys.update(stem_candidates(token))
+    return keys
+
+
 class LabelIndex:
     """Inverted index: exact label / token → entry ids."""
 
@@ -257,14 +268,8 @@ class LabelIndex:
             self._exact[label] = bucket
             self._label_count += 1
         bucket.add(entry_id)
-        from .thesaurus import stem_candidates
-        for token in tokenize_label(label):
-            self._tokens.setdefault(token, set()).add(entry_id)
-            for stemmed in stem_candidates(token):
-                if stemmed != token:
-                    # Index the singular stems too, so "Database"
-                    # retrieves entries labelled "Databases".
-                    self._tokens.setdefault(stemmed, set()).add(entry_id)
+        for key in token_keys(label):
+            self._tokens.setdefault(key, set()).add(entry_id)
 
     def add_all(self, labels: Iterable[Term], entry_id: int) -> None:
         for label in labels:
@@ -276,14 +281,12 @@ class LabelIndex:
         lists, held as sorted ``array('q')`` — a posting costs 8 bytes
         where a set of int objects costs ~60, and the GC has nothing to
         walk.  (:meth:`add` is for indexes that keep growing.)"""
-        from .thesaurus import stem_candidates
         index = cls(thesaurus)
         tokens: "dict[str, array]" = {}
         for label, entry_ids in postings:
             index._exact[label] = array("q", sorted(entry_ids))
-            for token in tokenize_label(label):
-                for variant in {token} | stem_candidates(token):
-                    tokens.setdefault(variant, array("q")).extend(entry_ids)
+            for key in token_keys(label):
+                tokens.setdefault(key, array("q")).extend(entry_ids)
         index._label_count = len(index._exact)
         for token, entry_ids in tokens.items():
             index._tokens[token] = array("q", sorted(set(entry_ids)))
@@ -408,8 +411,6 @@ class SemanticMatcher:
 
     def _tokens_related(self, data_tokens: list[str],
                         query_tokens: list[str]) -> bool:
-        from .thesaurus import stem_candidates
-
         data_stems: set[str] = set()
         for token in data_tokens:
             data_stems |= stem_candidates(token)

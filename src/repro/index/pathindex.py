@@ -54,7 +54,104 @@ _RECORDS_MARKER = "interned_records"
 DEFAULT_READ_AHEAD = 8
 
 
-class PathIndex:
+def postings(path: Path) -> "tuple[Term, set[Term]]":
+    """The posting rule of every index: a path is posted under its sink
+    label in the sink map, and under each distinct node or edge label
+    in the containment map.  Returns ``(sink, contained labels)``."""
+    labels = set(path.nodes)
+    labels.update(path.edges)
+    return path.sink, labels
+
+
+class RecordReader:
+    """The read half every record-log index shares.
+
+    Decodes records of ``paths.log`` in the index's ``labels.dict``
+    (:meth:`LabelInterner.decode_path`), caches each decoded path,
+    counts the decodes, and exposes the log's page store and its
+    counters.  :class:`PathIndex` reads a sealed log through it;
+    :class:`~repro.index.incremental.IncrementalIndex` reads the log it
+    is still appending to.  Subclasses provide ``all_offsets()``.
+    """
+
+    def _open_reader(self, directory, records: RecordFile,
+                     interner: LabelInterner) -> None:
+        self.directory = os.fspath(directory)
+        self._records = records
+        #: The dictionary the records are written in: decoding resolves
+        #: ids through it and never adds to it.
+        self.interner = interner
+        self._decoded: dict[int, Path] = {}
+        #: Records decoded from storage (cache misses of ``_decoded``);
+        #: surfaced on ``/metrics`` as ``sama_record_decodes_total``.
+        self.decode_count = 0
+
+    def close(self) -> None:
+        self._records.store.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+    def path_at(self, offset: int) -> Path:
+        """Decode the path stored at ``offset`` (cached after first use).
+
+        Storage-level failures (transient reads, checksum mismatches)
+        propagate as their own typed errors; anything else that goes
+        wrong while decoding the record means the stored bytes are not
+        a path and surfaces as :class:`IndexCorruptError`.
+        """
+        cached = self._decoded.get(offset)
+        if cached is None:
+            try:
+                # label_ids come attached straight from the record.
+                cached = self.interner.decode_path(self._records.read(offset))
+            except (StorageError, IndexCorruptError):
+                raise
+            except Exception as exc:
+                raise IndexCorruptError(
+                    f"cannot decode path at offset {offset} of "
+                    f"{self.directory}: {exc}") from exc
+            self._decoded[offset] = cached
+            self.decode_count += 1
+        return cached
+
+    def all_paths(self) -> list[Path]:
+        """Every stored path (decodes the full log — benchmarks only)."""
+        return [self.path_at(offset) for offset in self.all_offsets()]
+
+    # -- cache control (cold / warm experiments) ---------------------------------
+
+    def clear_cache(self) -> None:
+        """Cold-cache condition: drop buffer pool and decoded paths."""
+        self._records.pool.clear()
+        self._decoded.clear()
+
+    def warm_up(self) -> None:
+        """Touch every page once so subsequent runs are warm."""
+        for offset in self.all_offsets():
+            self.path_at(offset)
+
+    @property
+    def page_store(self):
+        """The underlying page store (fault injection, direct stats)."""
+        return self._records.store
+
+    @property
+    def io_stats(self):
+        """Physical I/O counters of the underlying store."""
+        return self._records.store.stats
+
+    @property
+    def cache_stats(self):
+        """Buffer pool hit/miss counters."""
+        return self._records.pool.stats
+
+
+class PathIndex(RecordReader):
     """Query-time view of an indexed data graph.
 
     Build with :func:`repro.index.builder.build_index`; reopen later
@@ -65,19 +162,11 @@ class PathIndex:
                  sink_index: LabelIndex, contains_index: LabelIndex,
                  offsets: "list[int] | array", metadata: dict,
                  interner: LabelInterner):
-        self.directory = os.fspath(directory)
-        self._records = records
+        self._open_reader(directory, records, interner)
         self._sink_index = sink_index
         self._contains_index = contains_index
         self._offsets = offsets
         self.metadata = metadata
-        #: The dictionary the records are written in: decoding resolves
-        #: ids through it and never adds to it.
-        self.interner = interner
-        self._decoded: dict[int, Path] = {}
-        #: Records decoded from storage (cache misses of ``_decoded``);
-        #: surfaced on ``/metrics`` as ``sama_record_decodes_total``.
-        self.decode_count = 0
         #: Data version for result caching.  A static on-disk index
         #: never changes after build, so its epoch is constant;
         #: :class:`~repro.index.incremental.IncrementalIndex` bumps its
@@ -150,51 +239,14 @@ class PathIndex:
         return cls(directory, records, sink_index, contains_index,
                    offsets, maps.get("metadata", {}), interner)
 
-    def close(self) -> None:
-        self._records.store.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
     # -- lookups ------------------------------------------------------------------
 
     @property
     def path_count(self) -> int:
         return len(self._offsets)
 
-    def path_at(self, offset: int) -> Path:
-        """Decode the path stored at ``offset`` (cached after first use).
-
-        Storage-level failures (transient reads, checksum mismatches)
-        propagate as their own typed errors; anything else that goes
-        wrong while decoding the record means the stored bytes are not
-        a path and surfaces as :class:`IndexCorruptError`.
-        """
-        cached = self._decoded.get(offset)
-        if cached is None:
-            try:
-                # label_ids come attached straight from the record.
-                cached = self.interner.decode_path(self._records.read(offset))
-            except (StorageError, IndexCorruptError):
-                raise
-            except Exception as exc:
-                raise IndexCorruptError(
-                    f"cannot decode path at offset {offset} of "
-                    f"{self.directory}: {exc}") from exc
-            self._decoded[offset] = cached
-            self.decode_count += 1
-        return cached
-
     def all_offsets(self) -> list[int]:
         return list(self._offsets)
-
-    def all_paths(self) -> list[Path]:
-        """Every indexed path (decodes the full log — benchmarks only)."""
-        return [self.path_at(offset) for offset in self._offsets]
 
     def offsets_with_sink(self, label: Term, semantic: bool = True) -> list[int]:
         """Offsets of paths whose sink matches ``label``."""
@@ -213,33 +265,6 @@ class PathIndex:
     def containing_tiers(self, label: Term, semantic: bool = True):
         """The match tiers behind :meth:`offsets_containing`."""
         return self._contains_index.tiers(label, semantic)
-
-    # -- cache control (cold / warm experiments) ---------------------------------
-
-    def clear_cache(self) -> None:
-        """Cold-cache condition: drop buffer pool and decoded paths."""
-        self._records.pool.clear()
-        self._decoded.clear()
-
-    def warm_up(self) -> None:
-        """Touch every page once so subsequent runs are warm."""
-        for offset in self._offsets:
-            self.path_at(offset)
-
-    @property
-    def page_store(self):
-        """The underlying page store (fault injection, direct stats)."""
-        return self._records.store
-
-    @property
-    def io_stats(self):
-        """Physical I/O counters of the underlying store."""
-        return self._records.store.stats
-
-    @property
-    def cache_stats(self):
-        """Buffer pool hit/miss counters."""
-        return self._records.pool.stats
 
     def __repr__(self):
         return (f"<PathIndex {self.directory!r}: {self.path_count} paths, "
@@ -271,13 +296,9 @@ class PathIndexWriter:
         self._interner.intern_path(path)
         offset = self._records.append(self._interner.encode_path(path))
         self._offsets.append(offset)
-        self._sink_map.setdefault(path.sink, []).append(offset)
-        seen: set[Term] = set()
-        for node in path.nodes:
-            seen.add(node)
-        for edge in path.edges:
-            seen.add(edge)
-        for label in seen:
+        sink, labels = postings(path)
+        self._sink_map.setdefault(sink, []).append(offset)
+        for label in labels:
             self._contains_map.setdefault(label, []).append(offset)
         return offset
 

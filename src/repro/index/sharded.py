@@ -16,8 +16,8 @@ downstream never re-intern.
 Layout::
 
     index-dir/
-      manifest.json        # kind, shard count, hash seed,
-                           # per-shard global-id lists  (atomic write)
+      manifest.json        # kind, shard count, per-shard
+                           # global-id lists  (atomic write)
       shard-00/            # a full PathIndex directory
       shard-01/
       ...
@@ -38,10 +38,9 @@ Example (two shards over the Fig. 1 US-Congress graph)::
 
     >>> import tempfile
     >>> from repro.datasets.govtrack import govtrack_graph
-    >>> from repro.index.sharded import ShardedIndex, build_sharded_index
+    >>> from repro.index import ShardedIndex, build_index
     >>> directory = tempfile.mkdtemp(prefix="sama-sharded-")
-    >>> index, stats = build_sharded_index(govtrack_graph(), directory,
-    ...                                    shards=2)
+    >>> index, stats = build_index(govtrack_graph(), directory, shards=2)
     >>> index.shard_count
     2
     >>> index.path_count == sum(s.path_count for s in index.shards)
@@ -57,19 +56,15 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-import time
 from typing import Iterable
 
-from ..paths.extraction import ExtractionLimits, _Budget, _walk_from
 from ..paths.model import Path
-from ..rdf.graph import DataGraph
 from ..rdf.terms import Term
 from ..resilience.errors import (IndexCorruptError, ShardUnavailableError,
                                  StorageError)
 from ..resilience.health import BreakerConfig, ShardHealth
-from ..storage.atomic import atomic_write_json, sweep_tmp_debris
-from .builder import INDEXER_LIMITS, IndexStats
+from ..storage.atomic import (atomic_write_json, rewritten_directory,
+                              sweep_tmp_debris)
 from .labels import LabelInterner, first_tier
 from .pathindex import DEFAULT_READ_AHEAD, PathIndex, PathIndexWriter
 from .thesaurus import Thesaurus, default_thesaurus
@@ -83,16 +78,14 @@ _FNV_PRIME = 0x100000001b3
 _FNV_MASK = (1 << 64) - 1
 
 
-def signature_hash(label_ids: Iterable[int], seed: int = 0) -> int:
+def signature_hash(label_ids: Iterable[int]) -> int:
     """FNV-1a (64-bit) over the sorted, de-duplicated ``label_ids``.
 
     Python's builtin ``hash`` is salted per process; this one is stable
     across processes and platforms, so a path always lands on the same
-    shard no matter who computes the route.  ``seed`` perturbs the
-    initial basis (recorded in the manifest) so two sharded indexes can
-    deliberately partition differently.
+    shard no matter who computes the route.
     """
-    value = (_FNV_OFFSET ^ (seed & _FNV_MASK)) & _FNV_MASK
+    value = _FNV_OFFSET
     for label_id in sorted(set(label_ids)):
         # Mix each id byte-by-byte, LSB first (ids are small ints).
         if label_id < 0:
@@ -106,8 +99,7 @@ def signature_hash(label_ids: Iterable[int], seed: int = 0) -> int:
     return value
 
 
-def shard_of(path: Path, interner: LabelInterner, shard_count: int,
-             seed: int = 0) -> int:
+def shard_of(path: Path, interner: LabelInterner, shard_count: int) -> int:
     """The owning shard of ``path``: hash of its label-id signature.
 
     The signature covers node *and* edge labels (both are interned
@@ -118,7 +110,7 @@ def shard_of(path: Path, interner: LabelInterner, shard_count: int,
         return 0
     ids = [interner.intern(node) for node in path.nodes]
     ids.extend(interner.intern(edge) for edge in path.edges)
-    return signature_hash(ids, seed) % shard_count
+    return signature_hash(ids) % shard_count
 
 
 def shard_dir(directory, shard: int) -> str:
@@ -150,16 +142,22 @@ def is_sharded_dir(directory) -> bool:
     return manifest.get("kind") == _MANIFEST_KIND
 
 
-def _write_manifest(directory, shards: int, hash_seed: int,
-                    gids: list, metadata: dict) -> None:
-    atomic_write_json(os.path.join(os.fspath(directory), MANIFEST_FILE), {
-        "version": _MANIFEST_VERSION,
-        "kind": _MANIFEST_KIND,
-        "shards": shards,
-        "hash_seed": hash_seed,
-        "gids": [list(shard_gids) for shard_gids in gids],
-        "metadata": metadata or {},
-    })
+def open_index(directory, thesaurus: "Thesaurus | None" = None,
+               read_latency: float = 0.0, on_damage: str = "raise"):
+    """Open the index under ``directory``, whichever layout it has.
+
+    A directory holding a sharded manifest opens as a
+    :class:`ShardedIndex` (``on_damage`` is its recovery policy, see
+    :meth:`ShardedIndex.open`), anything else as a plain
+    :class:`PathIndex`.  An unreadable manifest raises
+    :class:`IndexCorruptError`.
+    """
+    if is_sharded_dir(directory):
+        return ShardedIndex.open(directory, thesaurus=thesaurus,
+                                 read_latency=read_latency,
+                                 on_damage=on_damage)
+    return PathIndex.open(directory, thesaurus=thesaurus,
+                          read_latency=read_latency)
 
 
 def _read_manifest(directory) -> dict:
@@ -335,14 +333,12 @@ class ShardedIndex:
     is_sharded = True
 
     def __init__(self, directory, shards: list[PathIndex],
-                 interner: LabelInterner, hash_seed: int,
-                 gids: list[list[int]],
+                 interner: LabelInterner, gids: list[list[int]],
                  metadata: "dict | None" = None,
                  health: "ShardHealth | None" = None):
         self.directory = os.fspath(directory)
         self.shards = shards
         self.interner = interner
-        self.hash_seed = hash_seed
         #: Data version: a sharded index is immutable once built (a
         #: reshard writes a new one), so it stays 0, as for
         #: :class:`PathIndex`.
@@ -450,9 +446,9 @@ class ShardedIndex:
         if interner is None:
             raise IndexCorruptError(
                 f"every shard of {directory} is damaged; nothing to serve")
-        return cls(directory, shards, interner,
-                   hash_seed=manifest.get("hash_seed", 0),
-                   gids=gid_lists,
+        # A ``hash_seed`` key (written by older builds) is ignored: the
+        # gid lists alone route reads, and rewrites hash unseeded.
+        return cls(directory, shards, interner, gids=gid_lists,
                    metadata=manifest.get("metadata", {}),
                    health=ShardHealth(shard_count, breaker_config))
 
@@ -553,151 +549,99 @@ class ShardedIndex:
                 f"shards, {self.path_count} paths>")
 
 
-def build_sharded_index(graph: DataGraph, directory, shards: int,
-                        limits: ExtractionLimits = INDEXER_LIMITS,
-                        thesaurus: "Thesaurus | None" = None,
-                        use_default_thesaurus: bool = True,
-                        page_size: int = 4096,
-                        hash_seed: int = 0) -> tuple[ShardedIndex, IndexStats]:
-    """Build a sharded path index of ``graph`` under ``directory``.
+class IndexWriter:
+    """Writes paths, in gid order, into one index layout.
 
-    Runs the same three build steps as
-    :func:`repro.index.builder.build_index` — hash labels, find
-    sources/sinks, walk paths — but routes each path to
-    ``shard_of(path) = signature_hash % shards`` while assigning gids
-    in the exact walk order the unsharded builder uses, which is what
-    makes sharded rankings bit-identical to unsharded ones.
+    The one writer behind :func:`repro.index.builder.build_index` and
+    :func:`reshard`.  At ``shards == 1`` it is a single
+    :class:`PathIndexWriter` over ``directory`` (the plain layout);
+    above that it routes each path to ``shard_of(path)`` under
+    ``shard-NN/``, records which gids each shard holds, and writes
+    ``manifest.json`` last.  Every shard's writer shares one
+    :class:`LabelInterner`, so all shards persist the same
+    ``labels.dict``.
     """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if thesaurus is None and use_default_thesaurus:
-        thesaurus = default_thesaurus()
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    stats = IndexStats(dataset=graph.name or "<anonymous>")
-    total_started = time.perf_counter()
 
-    # Step (i): hash all vertex and edge labels.
-    step_started = time.perf_counter()
-    labels: set[Term] = set(graph.node_labels())
-    labels.update(graph.edge_labels())
-    stats.label_count = len(labels)
-    stats.step_seconds["hash_labels"] = time.perf_counter() - step_started
+    def __init__(self, directory, shards: int = 1,
+                 thesaurus: "Thesaurus | None" = None):
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
+        self.directory = os.fspath(directory)
+        self.shards = shards
+        self._interner = LabelInterner()
+        locations = ([self.directory] if shards == 1 else
+                     [shard_dir(self.directory, n) for n in range(shards)])
+        self._writers = [PathIndexWriter(location, thesaurus=thesaurus,
+                                         interner=self._interner)
+                         for location in locations]
+        self._gids: list[list[int]] = [[] for _ in range(shards)]
+        self._count = 0
 
-    # Step (ii): identify sources and sinks.
-    step_started = time.perf_counter()
-    sources = graph.sources()
-    sinks = graph.sinks()
-    roots = sources if sources else graph.hubs()
-    stats.source_count = len(roots)
-    stats.sink_count = len(sinks)
-    stats.step_seconds["find_sources_sinks"] = time.perf_counter() - step_started
+    def add_path(self, path: Path) -> None:
+        """Store ``path`` under the next gid."""
+        if self.shards == 1:
+            self._writers[0].add_path(path)
+            return
+        owner = shard_of(path, self._interner, self.shards)
+        self._writers[owner].add_path(path)
+        self._gids[owner].append(self._count)
+        self._count += 1
 
-    # Step (iii): walk the paths in build order, routing each to its
-    # owning shard.  One global interner backs every shard's writer, so
-    # the persisted labels.dict is identical across shards.
-    step_started = time.perf_counter()
-    interner = LabelInterner()
-    writers = [PathIndexWriter(shard_dir(directory, shard_no),
-                               thesaurus=thesaurus, page_size=page_size,
-                               interner=interner)
-               for shard_no in range(shards)]
-    gids: list[list[int]] = [[] for _ in range(shards)]
-    budget = _Budget(limits, graph)
-    gid = 0
-    for root in roots:
-        for path in _walk_from(graph, root, budget):
-            owner = shard_of(path, interner, shards, hash_seed)
-            writers[owner].add_path(path)
-            gids[owner].append(gid)
-            gid += 1
-    stats.truncated = budget.truncated
-    stats.step_seconds["compute_paths"] = time.perf_counter() - step_started
+    def finish(self, metadata: dict):
+        """Persist every file; returns the opened :class:`PathIndex`
+        (one shard) or :class:`ShardedIndex`."""
+        if self.shards == 1:
+            return self._writers[0].finish(metadata=metadata)
+        metadata = dict(metadata, shards=self.shards)
+        opened = [writer.finish(metadata=dict(metadata, shard=shard_no))
+                  for shard_no, writer in enumerate(self._writers)]
+        # The manifest is what makes the directory a sharded index;
+        # written atomically last, so a crash mid-build leaves either
+        # no index or a complete one.
+        atomic_write_json(os.path.join(self.directory, MANIFEST_FILE), {
+            "version": _MANIFEST_VERSION,
+            "kind": _MANIFEST_KIND,
+            "shards": self.shards,
+            "gids": self._gids,
+            "metadata": metadata,
+        })
+        return ShardedIndex(self.directory, opened, self._interner,
+                            gids=self._gids, metadata=metadata)
 
-    stats.triple_count = graph.edge_count()
-    stats.hv_count = graph.node_count()
-    stats.path_count = budget.emitted
-    stats.he_count = budget.emitted
-    metadata = {
-        "dataset": stats.dataset,
-        "triples": stats.triple_count,
-        "hv": stats.hv_count,
-        "he": stats.he_count,
-        "truncated": stats.truncated,
-        "shards": shards,
-    }
-    opened = [writer.finish(metadata=dict(metadata, shard=shard_no))
-              for shard_no, writer in enumerate(writers)]
-    # The manifest is what makes the directory a sharded index; written
-    # atomically last, so a crash mid-build leaves either no index or a
-    # complete one.
-    _write_manifest(directory, shards, hash_seed,
-                    gids=gids, metadata=metadata)
-    stats.size_bytes = sum(writer.size_bytes for writer in writers)
-    stats.build_seconds = time.perf_counter() - total_started
-    index = ShardedIndex(directory, opened, interner, hash_seed,
-                         gids=gids, metadata=metadata)
-    return index, stats
+    @property
+    def size_bytes(self) -> int:
+        return sum(writer.size_bytes for writer in self._writers)
 
 
 def reshard(directory, shards: int, output=None,
-            hash_seed: "int | None" = None,
-            thesaurus: "Thesaurus | None" = None) -> ShardedIndex:
+            thesaurus: "Thesaurus | None" = None):
     """Re-partition an existing index directory into ``shards`` shards.
 
-    Reads the source index (sharded or single-directory) in global-id
-    order — so gids, and therefore rankings, are preserved — and
-    rewrites it as a sharded layout.  With ``output=None`` the new
-    layout atomically replaces ``directory`` (staged build + directory
-    swap, same crash contract as compaction).  The result starts at
-    epoch 0 like any fresh build: the byte-level layout changed and
-    nothing keyed to the old data version survives the swap.
+    Feeds the source index (sharded or plain) through
+    :class:`IndexWriter` in global-id order, so gids, and therefore
+    rankings, are preserved, and the result is byte for byte what
+    :func:`~repro.index.builder.build_index` writes at that shard count
+    (``shards=1`` gives the plain layout).  With ``output=None`` the
+    new layout atomically replaces ``directory`` (staged build +
+    directory swap, same crash contract as compaction).  The result
+    starts at epoch 0 like any fresh build: the byte-level layout
+    changed and nothing keyed to the old data version survives the
+    swap.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    directory = os.fspath(directory)
     if thesaurus is None:
         thesaurus = default_thesaurus()
-    if is_sharded_dir(directory):
-        source = ShardedIndex.open(directory, thesaurus=thesaurus)
-        if hash_seed is None:
-            hash_seed = source.hash_seed
-    else:
-        source = PathIndex.open(directory, thesaurus=thesaurus)
-        if hash_seed is None:
-            hash_seed = 0
-    in_place = output is None
-    target = directory + ".resharding" if in_place else os.fspath(output)
-    if os.path.exists(target):
-        shutil.rmtree(target)
-    os.makedirs(target)
+    source = open_index(directory, thesaurus=thesaurus)
     try:
-        interner = LabelInterner()
-        writers = [PathIndexWriter(shard_dir(target, shard_no),
-                                   thesaurus=thesaurus, interner=interner)
-                   for shard_no in range(shards)]
-        gids: list[list[int]] = [[] for _ in range(shards)]
-        metadata = dict(source.metadata, shards=shards)
-        for gid, source_id in enumerate(source.all_offsets()):
-            path = source.path_at(source_id)
-            owner = shard_of(path, interner, shards, hash_seed)
-            writers[owner].add_path(path)
-            gids[owner].append(gid)
-        opened = [writer.finish(metadata=dict(metadata, shard=shard_no))
-                  for shard_no, writer in enumerate(writers)]
-        for shard in opened:
-            shard.close()
-        _write_manifest(target, shards, hash_seed,
-                        gids=gids, metadata=metadata)
+        with rewritten_directory(directory, output) as target:
+            writer = IndexWriter(target, shards, thesaurus=thesaurus)
+            for gid in source.all_offsets():
+                writer.add_path(source.path_at(gid))
+            metadata = {key: value for key, value in source.metadata.items()
+                        if key not in ("shards", "shard")}
+            writer.finish(metadata).close()
+            source.close()      # before the swap renames its directory
     finally:
         source.close()
-
-    final = directory if in_place else target
-    if in_place:
-        staged = directory + ".pre-reshard"
-        if os.path.exists(staged):
-            shutil.rmtree(staged)
-        os.rename(directory, staged)
-        os.rename(target, directory)
-        shutil.rmtree(staged)
-    return ShardedIndex.open(final, thesaurus=thesaurus)
+    return open_index(output or directory, thesaurus=thesaurus)

@@ -22,7 +22,7 @@ query phase; this package is the online phase grown into a service:
   of identical in-flight queries, and per-tenant token-bucket quotas;
 - :mod:`repro.serving.client` — its stdlib client helper.
 
-CLI: ``sama serve INDEX_DIR`` and ``sama bench-serve INDEX_DIR``.
+CLI: ``sama serve INDEX_DIR``.
 """
 
 from .aserve import (AsyncServingServer, SingleFlight, TenantQuotas,

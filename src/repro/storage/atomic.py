@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
+from contextlib import contextmanager
 
 
 def atomic_write_bytes(path, data: bytes) -> int:
@@ -54,6 +56,33 @@ def atomic_write_text(path, text: str, encoding: str = "utf-8") -> int:
 def atomic_write_json(path, payload) -> int:
     """Atomically replace ``path`` with ``payload`` rendered as JSON."""
     return atomic_write_text(path, json.dumps(payload))
+
+
+@contextmanager
+def rewritten_directory(directory, output=None):
+    """Stage a rewrite of ``directory``; swap it into place on success.
+
+    Yields an empty directory to write the new contents into: ``output``
+    when given (``directory`` is then left as it is), else a
+    ``<directory>.staged`` sibling.  When the block exits cleanly, an
+    in-place rewrite renames ``directory`` aside, renames the staged
+    directory into its place, and only then removes the old one, so a
+    crash leaves a complete directory under one of the names, never a
+    torn one.  Leftovers of an earlier crash are removed on the way in.
+    """
+    directory = os.fspath(directory)
+    target = directory + ".staged" if output is None else os.fspath(output)
+    if os.path.exists(target):
+        shutil.rmtree(target)
+    os.makedirs(target)
+    yield target
+    if output is None:
+        aside = directory + ".old"
+        if os.path.exists(aside):
+            shutil.rmtree(aside)
+        os.rename(directory, aside)
+        os.rename(target, directory)
+        shutil.rmtree(aside)
 
 
 def sweep_tmp_debris(directory) -> "list[str]":

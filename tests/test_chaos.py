@@ -22,7 +22,7 @@ import pytest
 
 from repro.engine import EngineConfig, SamaEngine
 from repro.index import (IndexCorruptError, PathIndex, ShardedIndex,
-                         build_index, build_sharded_index, is_sharded_dir)
+                         build_index, is_sharded_dir)
 from repro.resilience import (BreakerConfig, FaultPlan, ShardBreaker,
                               ShardFaultSet, ShardHealth, install, uninstall)
 from repro.resilience.budget import DegradationCause
@@ -65,7 +65,7 @@ def open_engine(directory, recover: bool = False, **overrides) -> SamaEngine:
 def chaos_dir(tmp_path_factory, govtrack):
     """A persistent 4-shard GovTrack index shared by this module."""
     directory = tmp_path_factory.mktemp("chaos") / "sharded4"
-    index, _ = build_sharded_index(govtrack, str(directory), shards=SHARDS)
+    index, _ = build_index(govtrack, str(directory), shards=SHARDS)
     index.close()
     return str(directory)
 
@@ -80,7 +80,7 @@ LUBM_QUERY = """
 def lubm_chaos_dir(tmp_path_factory, lubm_small):
     """A 4-shard LUBM index: clusters large enough to matter."""
     directory = tmp_path_factory.mktemp("chaos-lubm") / "sharded4"
-    index, _ = build_sharded_index(lubm_small, str(directory), shards=SHARDS)
+    index, _ = build_index(lubm_small, str(directory), shards=SHARDS)
     index.close()
     return str(directory)
 

@@ -114,17 +114,15 @@ class TestServeFlags:
         with pytest.raises(ImportError):
             from repro.serving import serve  # noqa: F401
 
-    @pytest.mark.parametrize("command", ["query", "profile", "serve",
-                                         "bench-serve"])
+    @pytest.mark.parametrize("command", ["query", "profile", "serve"])
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_is_a_usage_error(self, command, k, capsys):
         """A top-0 query used to answer nothing and exit as if the
         index had no match; now it is refused like any bad flag."""
         from repro.cli import build_parser
 
-        extra = ["q.rq"] if command == "bench-serve" else []
         with pytest.raises(SystemExit) as raised:
-            build_parser().parse_args([command, "d", *extra, "-k", k])
+            build_parser().parse_args([command, "d", "-k", k])
         assert raised.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 

@@ -152,11 +152,11 @@ class TestManifestsWithEpochVectors:
 
     def test_sharded_manifest_with_epochs_opens(self, tmp_path, govtrack,
                                                 q1):
-        from repro.index import build_sharded_index, reshard
+        from repro.index import build_index, reshard
         from repro.index.sharded import ShardedIndex
 
         directory = str(tmp_path / "gov2")
-        build_sharded_index(govtrack, directory, 2)[0].close()
+        build_index(govtrack, directory, shards=2)[0].close()
         manifest_path = os.path.join(directory, "manifest.json")
         manifest = json.load(open(manifest_path))
         manifest["epochs"] = [3, 1]

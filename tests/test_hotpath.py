@@ -21,7 +21,6 @@ from repro.index.columns import PathColumns
 from repro.index.incremental import IncrementalIndex
 from repro.index.labels import LabelInterner
 from repro.index.pathindex import PathIndex
-from repro.index.sharded import build_sharded_index
 from repro.index.thesaurus import default_thesaurus
 from repro.paths.alignment import align
 from repro.paths.model import Path
@@ -231,7 +230,7 @@ def _index_of(kind, graph, directory):
     if kind == "live":
         return IncrementalIndex(graph.copy(), directory)
     if kind == "sharded":
-        return build_sharded_index(graph, directory, shards=2)[0]
+        return build_index(graph, directory, shards=2)[0]
     return build_index(graph, directory)[0]
 
 

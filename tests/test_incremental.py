@@ -368,3 +368,68 @@ class TestInternedLabels:
             for label_id, node in zip(path.label_ids, path.nodes):
                 assert columns.name(label_id) == str(node)
         assert before and ranking(SamaEngine(compacted)) == before
+
+
+class TestSharedRecordReader:
+    """The live index reads its records like a built one: decodes are
+    counted, a record that is not a path is an ``IndexCorruptError``,
+    and its page store takes a fault plan."""
+
+    @pytest.fixture(scope="class")
+    def lubm(self):
+        # 1 023 paths: records fill data pages 1-3 before the staged tail.
+        return dataset("lubm").build(500, seed=0)
+
+    @staticmethod
+    def offset_on_page(index, page_id):
+        page_size = index.page_store.page_size
+        return next(offset for offset in index.all_offsets()
+                    if offset // page_size == page_id)
+
+    def test_decodes_are_counted_after_clear_cache(self, tmp_path, govtrack):
+        from repro.serving import ServingConfig, ServingEngine
+
+        index = IncrementalIndex(govtrack.copy(), str(tmp_path / "live"))
+        assert index.decode_count == 0      # written paths are cached
+        index.clear_cache()
+        index.all_paths()
+        assert index.decode_count == index.path_count > 0
+        index.all_paths()                   # served from the cache
+        assert index.decode_count == index.path_count
+        service = ServingEngine(SamaEngine(index), ServingConfig(workers=1))
+        try:
+            assert "sama_record_decodes_total" in service.render_metrics()
+        finally:
+            service.close()
+
+    def test_corrupt_record_raises_index_corrupt_error(self, tmp_path, lubm):
+        from repro.resilience.errors import IndexCorruptError
+
+        index = IncrementalIndex(lubm, str(tmp_path / "live"))
+        try:
+            offset = self.offset_on_page(index, 1)
+            # Page 1 now passes its checksum but holds no path.
+            index.page_store.write_page(1, b"\x05" * index.page_store.page_size)
+            index.clear_cache()
+            with pytest.raises(IndexCorruptError, match="cannot decode"):
+                index.path_at(offset)
+        finally:
+            index.close()
+
+    def test_fault_plan_installs_on_a_live_engine(self, tmp_path, lubm):
+        from repro.resilience import FaultPlan, install, uninstall
+        from repro.resilience.errors import TransientStorageError
+
+        engine = SamaEngine(IncrementalIndex(lubm, str(tmp_path / "live")))
+        try:
+            injector = install(engine, FaultPlan(seed=1,
+                                                 read_failure_rate=1.0))
+            assert engine.index.page_store.fault_injector is injector
+            offset = self.offset_on_page(engine.index, 1)
+            engine.cold_cache()
+            with pytest.raises(TransientStorageError):
+                engine.index.path_at(offset)
+            uninstall(engine)
+            assert engine.index.path_at(offset).length >= 1
+        finally:
+            engine.close()

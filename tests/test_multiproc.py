@@ -27,7 +27,7 @@ import pytest
 
 from repro.engine import EngineConfig, SamaEngine
 from repro.engine.clustering import _path_ids
-from repro.index import build_index, build_sharded_index
+from repro.index import build_index
 from repro.index.columnar import (ColumnarView, encode_query, make_id_matcher,
                                   score_rows)
 from repro.index.labels import SemanticMatcher
@@ -290,8 +290,8 @@ class TestWorkerMode:
 @pytest.fixture(scope="module")
 def procs_dir(tmp_path_factory, govtrack):
     directory = str(tmp_path_factory.mktemp("procs-index"))
-    index, _report = build_sharded_index(govtrack, directory, SHARDS,
-                                         thesaurus=default_thesaurus())
+    index, _report = build_index(govtrack, directory, shards=SHARDS,
+                                 thesaurus=default_thesaurus())
     index.close()
     return directory
 

@@ -390,10 +390,8 @@ class TestSharded:
 
     @pytest.fixture(scope="class")
     def sharded_dir(self, tmp_path_factory):
-        from repro.index.sharded import build_sharded_index
-
         directory = str(tmp_path_factory.mktemp("qshards") / "idx")
-        index, _ = build_sharded_index(self._workload(), directory, 4)
+        index, _ = build_index(self._workload(), directory, shards=4)
         build_sketches(index)
         build_quotients(index)
         index.close()

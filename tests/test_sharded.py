@@ -18,7 +18,7 @@ from repro.datasets import dataset, lubm_queries
 from repro.engine import SamaEngine
 from repro.engine.clustering import build_clusters
 from repro.index import (IndexCorruptError, PathIndex, ShardedIndex,
-                         build_index, build_sharded_index, is_sharded_dir,
+                         build_index, is_sharded_dir, open_index,
                          reshard, shard_of, signature_hash)
 from repro.resilience.budget import Budget
 from repro.serving import ServingConfig, ServingEngine
@@ -35,10 +35,6 @@ class TestSignatureHash:
     def test_deterministic_and_order_insensitive(self):
         assert signature_hash([3, 1, 2]) == signature_hash([2, 3, 1])
         assert signature_hash([1, 1, 2]) == signature_hash([2, 1])
-
-    def test_seed_changes_assignment(self):
-        values = {signature_hash([5, 9, 14], seed=seed) for seed in range(8)}
-        assert len(values) > 1
 
     def test_shard_of_respects_count(self, govtrack):
         from repro.index.labels import LabelInterner
@@ -58,7 +54,7 @@ def sharded_dir(tmp_path_factory):
     from repro.datasets.govtrack import govtrack_graph
 
     directory = str(tmp_path_factory.mktemp("shards") / "gov3")
-    index, _ = build_sharded_index(govtrack_graph(), directory, 3)
+    index, _ = build_index(govtrack_graph(), directory, shards=3)
     index.close()
     return directory
 
@@ -109,7 +105,7 @@ class TestLayout:
 
     def test_gid_count_mismatch_raises(self, tmp_path, govtrack):
         directory = str(tmp_path / "broken")
-        index, _ = build_sharded_index(govtrack, directory, 2)
+        index, _ = build_index(govtrack, directory, shards=2)
         index.close()
         manifest_path = os.path.join(directory, "manifest.json")
         with open(manifest_path) as handle:
@@ -122,7 +118,7 @@ class TestLayout:
 
     def test_truncated_manifest_raises(self, tmp_path, govtrack):
         directory = str(tmp_path / "torn")
-        index, _ = build_sharded_index(govtrack, directory, 2)
+        index, _ = build_index(govtrack, directory, shards=2)
         index.close()
         with open(os.path.join(directory, "manifest.json"), "w") as handle:
             handle.write('{"version": 1, "kind": "sh')
@@ -151,8 +147,8 @@ def health_layouts(tmp_path_factory):
     base = tmp_path_factory.mktemp("health")
     layouts = {0: build_index(graph, str(base / "plain"))[0]}
     for shards in (2, 3, 4):
-        layouts[shards] = build_sharded_index(
-            graph, str(base / f"s{shards}"), shards)[0]
+        layouts[shards] = build_index(graph, str(base / f"s{shards}"),
+                                      shards=shards)[0]
     yield layouts
     for index in layouts.values():
         index.close()
@@ -192,7 +188,7 @@ class TestLookupTiers:
         from the unsharded one (its anchors fell back per shard)."""
         graph = dataset("lubm").build(2000, seed=0)
         build_index(graph, str(tmp_path / "plain"))[0].close()
-        build_sharded_index(graph, str(tmp_path / "s4"), 4)[0].close()
+        build_index(graph, str(tmp_path / "s4"), shards=4)[0].close()
         query = next(spec.graph for spec in lubm_queries()
                      if spec.qid == "Q12")
         plain = SamaEngine.open(str(tmp_path / "plain"))
@@ -219,7 +215,7 @@ def lubm_layouts(tmp_path_factory):
     dirs = {0: plain_dir}
     for shards in (2, 4):
         directory = str(base / f"s{shards}")
-        sharded, _ = build_sharded_index(graph, directory, shards)
+        sharded, _ = build_index(graph, directory, shards=shards)
         sharded.close()
         dirs[shards] = directory
     return dirs
@@ -346,7 +342,7 @@ def test_property_sharding_preserves_rankings(tmp_path_factory, graph,
         return
     base = tmp_path_factory.mktemp("prop")
     plain, _ = build_index(graph, str(base / "plain"))
-    sharded, _ = build_sharded_index(graph, str(base / "sharded"), shards)
+    sharded, _ = build_index(graph, str(base / "sharded"), shards=shards)
     try:
         assert ([sharded.path_at(g).text() for g in sharded.all_offsets()]
                 == [plain.path_at(o).text() for o in plain.all_offsets()])
@@ -373,7 +369,7 @@ class TestReshard:
     def test_in_place_preserves_order_and_rankings(self, tmp_path, govtrack,
                                                    q1):
         directory = str(tmp_path / "idx")
-        index, _ = build_sharded_index(govtrack, directory, 3)
+        index, _ = build_index(govtrack, directory, shards=3)
         before_paths = [index.path_at(g).text()
                         for g in index.all_offsets()]
         before = ranking(SamaEngine(index).query(q1, k=5))
@@ -405,6 +401,100 @@ class TestReshard:
         assert not is_sharded_dir(plain_dir)  # source untouched
 
 
+def read_bytes(path) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def read_manifest(directory) -> dict:
+    with open(os.path.join(directory, "manifest.json")) as handle:
+        return json.load(handle)
+
+
+class TestOneWriter:
+    """Builds and reshards go through one writer, so they write the
+    same bytes."""
+
+    @pytest.fixture(scope="class")
+    def lubm(self):
+        return dataset("lubm").build(1000, seed=1)
+
+    def test_reshard_equals_the_sharded_build(self, tmp_path, lubm):
+        plain = str(tmp_path / "plain")
+        built = str(tmp_path / "built4")
+        build_index(lubm, plain)[0].close()
+        build_index(lubm, built, shards=4)[0].close()
+        reshard(plain, 4, output=str(tmp_path / "resharded4")).close()
+        resharded = str(tmp_path / "resharded4")
+        assert read_manifest(resharded) == read_manifest(built)
+        assert "hash_seed" not in read_manifest(built)
+        for shard_no in range(4):
+            for name in ("paths.log", "labels.dict"):
+                assert (read_bytes(os.path.join(
+                            resharded, f"shard-{shard_no:02d}", name))
+                        == read_bytes(os.path.join(
+                            built, f"shard-{shard_no:02d}", name)))
+        # ... and one shard is the plain layout.
+        back = str(tmp_path / "back1")
+        index = reshard(built, 1, output=back)
+        index.close()
+        assert isinstance(index, PathIndex) and not is_sharded_dir(back)
+        for name in ("paths.log", "labels.dict"):
+            assert (read_bytes(os.path.join(back, name))
+                    == read_bytes(os.path.join(plain, name)))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_manifest_with_hash_seed_opens_and_reshards(self, tmp_path,
+                                                        govtrack, q1, seed):
+        """Older builds recorded a ``hash_seed``; such a directory opens
+        with the key ignored and reshards with its gids preserved."""
+        directory = str(tmp_path / "old")
+        index, _ = build_index(govtrack, directory, shards=2)
+        want_paths = [index.path_at(g).text() for g in index.all_offsets()]
+        want = ranking(SamaEngine(index).query(q1, k=5))
+        index.close()
+        manifest = read_manifest(directory)
+        manifest["hash_seed"] = seed
+        with open(os.path.join(directory, "manifest.json"), "w") as handle:
+            json.dump(manifest, handle)
+
+        engine = SamaEngine.open(directory)
+        try:
+            assert ranking(engine.query(q1, k=5)) == want
+        finally:
+            engine.close()
+        resharded = reshard(directory, 3)
+        try:
+            assert ([resharded.path_at(g).text()
+                     for g in resharded.all_offsets()] == want_paths)
+            assert ranking(SamaEngine(resharded).query(q1, k=5)) == want
+        finally:
+            resharded.close()
+        assert "hash_seed" not in read_manifest(directory)
+
+
+class TestOpenIndex:
+    def test_plain_directory_opens_as_path_index(self, tmp_path, govtrack):
+        directory = str(tmp_path / "plain")
+        build_index(govtrack, directory)[0].close()
+        with open_index(directory) as index:
+            assert isinstance(index, PathIndex)
+            assert index.path_count > 0
+
+    def test_sharded_directory_opens_as_sharded_index(self, sharded_dir):
+        with open_index(sharded_dir) as index:
+            assert isinstance(index, ShardedIndex)
+            assert index.shard_count == 3
+
+    def test_unreadable_manifest_raises(self, tmp_path, govtrack):
+        directory = str(tmp_path / "torn")
+        build_index(govtrack, directory, shards=2)[0].close()
+        with open(os.path.join(directory, "manifest.json"), "w") as handle:
+            handle.write('{"kind": "sha')
+        with pytest.raises(IndexCorruptError, match="unreadable"):
+            open_index(directory)
+
+
 # -- serving a sharded index --------------------------------------------------
 
 
@@ -413,7 +503,7 @@ class TestServingShardedEpochs:
         """A sharded index is immutable: served, it keys the cache at
         the plain integer epoch 0, like an unsharded one."""
         directory = str(tmp_path / "gov2")
-        build_sharded_index(govtrack, directory, 2)[0].close()
+        build_index(govtrack, directory, shards=2)[0].close()
         service = ServingEngine(SamaEngine.open(directory),
                                 ServingConfig(workers=1))
         try:
@@ -433,7 +523,7 @@ class TestServingShardedEpochs:
     def test_sharded_index_metrics_have_shard_labels(self, tmp_path,
                                                      govtrack, q1):
         directory = str(tmp_path / "gov2")
-        index, _ = build_sharded_index(govtrack, directory, 2)
+        index, _ = build_index(govtrack, directory, shards=2)
         index.close()
         engine = SamaEngine.open(directory)
         service = ServingEngine(engine, ServingConfig(workers=1))

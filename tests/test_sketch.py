@@ -321,10 +321,10 @@ class TestSafeModeSharded:
 
     @pytest.fixture()
     def sharded_dir(self, tmp_path):
-        from repro.index.sharded import build_sharded_index
+        from repro.index import build_index
 
         directory = str(tmp_path / "shards")
-        index, _ = build_sharded_index(self._workload(), directory, 2)
+        index, _ = build_index(self._workload(), directory, shards=2)
         build_sketches(index)
         index.close()
         return directory
@@ -346,10 +346,11 @@ class TestSafeModeSharded:
             staged.close()
 
     def test_quarantined_shard_skipped_and_passed_through(self, tmp_path):
-        from repro.index.sharded import build_sharded_index, shard_dir
+        from repro.index import build_index
+        from repro.index.sharded import shard_dir
 
         directory = str(tmp_path / "shards")
-        index, _ = build_sharded_index(self._workload(), directory, 2)
+        index, _ = build_index(self._workload(), directory, shards=2)
         index.close()
         # Damage shard 1, reopen with quarantine, then sketch: only the
         # healthy shard gets a file and queries still answer (degraded)
