@@ -24,8 +24,8 @@ paths across N self-contained shards), ``compact`` (vacuum an
 incremental index), ``reshard`` (repartition an existing index),
 ``sketch`` (build the per-shard minhash sketches that power
 ``--two-stage`` retrieval) and ``quotient`` (group stored paths into
-label-equality-pattern classes so queries align once per class); the
-historical spelling
+label-equality-pattern classes so queries align once per class; opt-in,
+since ``build`` writes no ``quotient.bin``); the historical spelling
 ``sama index DATA DIR`` still works as an alias for ``build``.
 ``sama serve`` keeps one hot engine resident behind the JSON/HTTP API
 of :mod:`repro.serving.aserve`.  ``sama profile`` answers one query
@@ -95,8 +95,6 @@ def _cmd_index_build(args) -> int:
         counts = ", ".join(str(shard.path_count) for shard in index.shards)
         print(f"partitioned into {index.shard_count} shards "
               f"({counts} paths)")
-    if not args.no_quotient:
-        _quotient_pass(index)
     index.close()
     print(f"indexed {stats.path_count} paths in "
           f"{format_seconds(stats.build_seconds)} "
@@ -510,11 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="partition the paths across N "
                                   "self-contained shards (default 1 = "
                                   "plain unsharded index)")
-    index_build.add_argument("--no-quotient", action="store_true",
-                             help="skip the quotient pass that groups "
-                                  "stored paths into equivalence classes "
-                                  "(run 'sama index quotient' later to "
-                                  "add it)")
     index_build.set_defaults(func=_cmd_index_build)
 
     index_compact = index_sub.add_parser(
@@ -555,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     index_quotient = index_sub.add_parser(
         "quotient", help="build (or rebuild) the per-shard equivalence "
-                         "classes for quotient-compressed scoring")
+                         "classes for opt-in quotient-compressed "
+                         "scoring")
     index_quotient.add_argument("index_dir",
                                 help="existing index (sharded or plain)")
     index_quotient.set_defaults(func=_cmd_index_quotient)

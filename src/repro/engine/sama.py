@@ -102,8 +102,8 @@ class EngineConfig:
     recall_target: float = 0.95
     #: Quotient-compressed scoring (``repro.quotient``): ``"auto"``
     #: decodes and scans one path per refined equivalence class whenever
-    #: persisted ``quotient.bin`` files match the index epoch (built by
-    #: ``sama index build`` / ``sama index quotient``), silently
+    #: persisted ``quotient.bin`` files match the index epoch (written
+    #: only by ``sama index quotient``: the sidecar is opt-in), silently
     #: falling back to per-path scoring when they are absent or stale;
     #: ``"off"`` never loads them.  Rankings are bit-identical either
     #: way (``benchmarks/bench_quotient.py`` gates it).
@@ -262,7 +262,9 @@ class SamaEngine:
 
         The result is a :class:`PartialResult` — a plain ``list`` of
         answers with the degradation record attached.  With no budget
-        it is always complete; ``deadline_ms`` (shorthand for
+        it is complete unless the search's own cap
+        (``SearchConfig.max_expansions``) stopped it, which it records
+        as ``EXPANSION_CAP``; ``deadline_ms`` (shorthand for
         ``Budget(deadline_ms=...)``) or an explicit ``budget`` arms
         cooperative cancellation across preprocessing, clustering and
         search.  When a limit trips, ``on_budget`` decides the
@@ -322,8 +324,11 @@ class SamaEngine:
             result = top_k(prepared, clusters, weights=self.config.weights,
                            config=search_config, budget=budget)
         self.last_result = result
-        reasons = budget.reasons if budget is not None else result.degradation
-        partial = PartialResult(result.answers, reasons=reasons)
+        # The search's own stops (its expansion cap) join the budget's;
+        # ``note`` drops the budget trips ``top_k`` already copied.
+        for reason in result.degradation:
+            budget.note(reason.cause, reason.phase, reason.detail)
+        partial = PartialResult(result.answers, reasons=budget.reasons)
         if partial.degraded and on_budget == "raise":
             raise QueryTimeout(
                 "query budget exhausted: "

@@ -117,29 +117,37 @@ def shard_dir(directory, shard: int) -> str:
     return os.path.join(os.fspath(directory), f"shard-{shard:02d}")
 
 
-def is_sharded_dir(directory) -> bool:
-    """True when ``directory`` holds a sharded-index manifest.
+def _load_manifest(directory) -> "dict | None":
+    """The parsed manifest of ``directory``; ``None`` when it has none.
 
     Only a genuinely *absent* manifest means "not sharded".  A manifest
     that exists but cannot be read or parsed is diagnosed as
-    :class:`IndexCorruptError` — silently answering ``False`` here used
+    :class:`IndexCorruptError` — silently answering "not sharded" used
     to make dispatch code fall through to :class:`PathIndex`, which
     then failed on the missing ``maps.json`` with an error pointing at
     entirely the wrong file.
     """
     path = os.path.join(os.fspath(directory), MANIFEST_FILE)
-    if not os.path.exists(path):
-        return False
     try:
         with open(path, encoding="utf-8") as handle:
             manifest = json.load(handle)
-    except FileNotFoundError:
-        return False          # raced away between exists() and open()
+    except (FileNotFoundError, NotADirectoryError):
+        return None
     except (OSError, json.JSONDecodeError) as exc:
         raise IndexCorruptError(
             f"shard manifest {path} exists but is unreadable: {exc} "
             f"— restore it from a replica or rebuild the index") from exc
-    return manifest.get("kind") == _MANIFEST_KIND
+    if not isinstance(manifest, dict):
+        raise IndexCorruptError(
+            f"shard manifest {path} exists but is unreadable: it holds "
+            f"{type(manifest).__name__}, not an object")
+    return manifest
+
+
+def is_sharded_dir(directory) -> bool:
+    """True when ``directory`` holds a sharded-index manifest; an
+    unreadable one raises :class:`IndexCorruptError`."""
+    return (_load_manifest(directory) or {}).get("kind") == _MANIFEST_KIND
 
 
 def open_index(directory, thesaurus: "Thesaurus | None" = None,
@@ -150,24 +158,24 @@ def open_index(directory, thesaurus: "Thesaurus | None" = None,
     :class:`ShardedIndex` (``on_damage`` is its recovery policy, see
     :meth:`ShardedIndex.open`), anything else as a plain
     :class:`PathIndex`.  An unreadable manifest raises
-    :class:`IndexCorruptError`.
+    :class:`IndexCorruptError`.  The manifest is parsed once, here.
     """
-    if is_sharded_dir(directory):
+    manifest = _load_manifest(directory)
+    if (manifest or {}).get("kind") == _MANIFEST_KIND:
         return ShardedIndex.open(directory, thesaurus=thesaurus,
                                  read_latency=read_latency,
-                                 on_damage=on_damage)
+                                 on_damage=on_damage, manifest=manifest)
     return PathIndex.open(directory, thesaurus=thesaurus,
                           read_latency=read_latency)
 
 
-def _read_manifest(directory) -> dict:
+def _check_manifest(directory, manifest: "dict | None") -> dict:
+    """``manifest`` (parsed from ``directory`` when ``None``), checked."""
     path = os.path.join(os.fspath(directory), MANIFEST_FILE)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IndexCorruptError(
-            f"cannot read shard manifest {path}: {exc}") from exc
+    if manifest is None:
+        manifest = _load_manifest(directory)
+    if manifest is None:
+        raise IndexCorruptError(f"shard manifest {path} is missing")
     if manifest.get("version") != _MANIFEST_VERSION \
             or manifest.get("kind") != _MANIFEST_KIND:
         raise IndexCorruptError(
@@ -386,8 +394,8 @@ class ShardedIndex:
              pool_capacity: int = 4096,
              read_ahead: int = DEFAULT_READ_AHEAD,
              on_damage: str = "raise",
-             breaker_config: "BreakerConfig | None" = None
-             ) -> "ShardedIndex":
+             breaker_config: "BreakerConfig | None" = None,
+             manifest: "dict | None" = None) -> "ShardedIndex":
         """Open a sharded index previously persisted under ``directory``.
 
         The global label dictionary is loaded from the first healthy
@@ -407,13 +415,16 @@ class ShardedIndex:
           surviving shards beats refusing to start.  The sharded-level
           manifest itself has no fallback: without it there is no gid
           routing, so a damaged top-level manifest always raises.
+
+        ``manifest`` is the already parsed ``manifest.json`` (what
+        :func:`open_index` read to choose the layout); ``None`` reads it.
         """
         if on_damage not in ("raise", "quarantine"):
             raise ValueError(f"on_damage must be 'raise' or 'quarantine', "
                              f"got {on_damage!r}")
         directory = os.fspath(directory)
         sweep_tmp_debris(directory)
-        manifest = _read_manifest(directory)
+        manifest = _check_manifest(directory, manifest)
         shard_count = manifest["shards"]
         gid_lists = manifest["gids"]
         quarantining = on_damage == "quarantine"

@@ -9,6 +9,7 @@ IRIREF, blank node labels, plain / language-tagged / datatyped literals,
 from __future__ import annotations
 
 import io
+import re
 from typing import Iterable, Iterator, TextIO
 
 from .terms import BlankNode, Literal, Term, URI
@@ -28,6 +29,18 @@ _STRING_ESCAPES = {
     '"': '"', "'": "'", "\\": "\\",
 }
 
+# Runs the cursor takes in one step: the longest stretch that needs no
+# escape handling and no error check.  Each stops where the character
+# loop has work to do (a ``\``, a closing delimiter, a forbidden
+# character or the end of the line).  ``\w`` is exactly ``str.isalnum``
+# or ``_``, so ``[^\W_]`` is ``str.isalnum``.
+_WHITESPACE_RUN = re.compile(r"[ \t\r\n]*")
+_IRI_RUN = re.compile(r'[^\x00-\x20>"{}|^`\\]*')
+_STRING_RUN = re.compile(r'[^"\\]*')
+_BLANK_RUN = re.compile(r"[\w.-]*")
+_LANGUAGE_RUN = re.compile(r"(?:[^\W_]|-)*")
+_HEX = re.compile(r"[0-9A-Fa-f]+")
+
 
 class _LineParser:
     """A cursor over one N-Triples line."""
@@ -41,8 +54,12 @@ class _LineParser:
         return NTriplesError(f"{message} (at column {self.pos})", self.lineno)
 
     def skip_whitespace(self) -> None:
-        while self.pos < len(self.line) and self.line[self.pos] in " \t\r\n":
-            self.pos += 1
+        self.pos = _WHITESPACE_RUN.match(self.line, self.pos).end()
+
+    def take_run(self, run: "re.Pattern", out: list) -> None:
+        end = run.match(self.line, self.pos).end()
+        out.append(self.line[self.pos:end])
+        self.pos = end
 
     def at_end(self) -> bool:
         return self.pos >= len(self.line)
@@ -85,29 +102,23 @@ class _LineParser:
         start = self.pos
         out = []
         while True:
+            self.take_run(_IRI_RUN, out)
             if self.at_end():
                 raise self.error("unterminated IRI")
             char = self.line[self.pos]
             if char == ">":
                 self.pos += 1
                 return URI("".join(out))
-            if char == "\\":
-                out.append(self._unicode_escape())
-                continue
-            if char in ' "{}|^`' or ord(char) <= 0x20:
+            if char != "\\":
                 raise self.error(f"illegal character {char!r} in IRI "
                                  f"starting at column {start}")
-            out.append(char)
-            self.pos += 1
+            out.append(self._unicode_escape())
 
     def parse_blank(self) -> BlankNode:
         self.expect("_")
         self.expect(":")
         start = self.pos
-        while (not self.at_end()
-               and (self.line[self.pos].isalnum()
-                    or self.line[self.pos] in "_-.")):
-            self.pos += 1
+        self.pos = _BLANK_RUN.match(self.line, start).end()
         label = self.line[start:self.pos].rstrip(".")
         self.pos -= len(self.line[start:self.pos]) - len(label)
         if not label:
@@ -118,35 +129,29 @@ class _LineParser:
         self.expect('"')
         out = []
         while True:
+            self.take_run(_STRING_RUN, out)
             if self.at_end():
                 raise self.error("unterminated string literal")
-            char = self.line[self.pos]
-            if char == '"':
+            if self.line[self.pos] == '"':
                 self.pos += 1
                 break
-            if char == "\\":
+            self.pos += 1               # past the backslash the run stopped at
+            if self.at_end():
+                raise self.error("dangling escape")
+            esc = self.line[self.pos]
+            if esc in _STRING_ESCAPES:
+                out.append(_STRING_ESCAPES[esc])
                 self.pos += 1
-                if self.at_end():
-                    raise self.error("dangling escape")
-                esc = self.line[self.pos]
-                if esc in _STRING_ESCAPES:
-                    out.append(_STRING_ESCAPES[esc])
-                    self.pos += 1
-                elif esc in "uU":
-                    self.pos -= 1
-                    out.append(self._unicode_escape())
-                else:
-                    raise self.error(f"unknown escape \\{esc}")
-                continue
-            out.append(char)
-            self.pos += 1
+            elif esc in "uU":
+                self.pos -= 1
+                out.append(self._unicode_escape())
+            else:
+                raise self.error(f"unknown escape \\{esc}")
         value = "".join(out)
         if self.peek() == "@":
             self.pos += 1
             start = self.pos
-            while (not self.at_end()
-                   and (self.line[self.pos].isalnum() or self.line[self.pos] == "-")):
-                self.pos += 1
+            self.pos = _LANGUAGE_RUN.match(self.line, start).end()
             tag = self.line[start:self.pos]
             if not tag:
                 raise self.error("empty language tag")
@@ -166,12 +171,12 @@ class _LineParser:
         digits = self.line[self.pos:self.pos + width]
         if len(digits) != width:
             raise self.error(f"truncated \\{kind} escape")
-        try:
-            code = int(digits, 16)
-        except ValueError:
-            raise self.error(f"invalid \\{kind} escape {digits!r}") from None
+        # ``int`` alone would take a sign, ``_``, spaces and non-ASCII
+        # digits, and ``chr`` refuses code points past U+10FFFF.
+        if not _HEX.fullmatch(digits) or int(digits, 16) > 0x10FFFF:
+            raise self.error(f"invalid \\{kind} escape {digits!r}")
         self.pos += width
-        return chr(code)
+        return chr(int(digits, 16))
 
 
 def parse_term(text: str) -> Term:
@@ -186,6 +191,8 @@ def parse_term(text: str) -> Term:
 
     stripped = text.strip()
     if stripped.startswith("?"):
+        if stripped == "?":
+            raise NTriplesError(f"empty variable name in term {text!r}", 1)
         return Variable(stripped)
     parser = _LineParser(stripped, 1)
     if stripped.startswith("<"):

@@ -69,6 +69,7 @@ class TestReshard:
         from repro.quotient import load_shard_quotient
 
         dest = str(tmp_path / "idx4")
+        assert main(["index", "quotient", built_index]) == 0
         assert main(["index", "sketch", built_index]) == 0
         capsys.readouterr()
         assert main(["index", "reshard", built_index, "--shards", "4",
@@ -89,8 +90,7 @@ class TestReshard:
     def test_reshard_without_sidecars_adds_none(self, data_file, tmp_path,
                                                 capsys):
         source, dest = str(tmp_path / "bare"), str(tmp_path / "bare2")
-        assert main(["index", "build", data_file, source,
-                     "--no-quotient"]) == 0
+        assert main(["index", "build", data_file, source]) == 0
         capsys.readouterr()
         assert main(["index", "reshard", source, "--shards", "2",
                      "--output", dest]) == 0

@@ -16,8 +16,9 @@ The load-bearing claims, in test order:
 - compaction invalidates quotients in place but leaves a copy-out
   source untouched; tmp debris from a crashed quotient write is swept
   at index open;
-- the ``sama index`` verbs build, skip, and rebuild the files, and the
-  serving stats surface reports compression;
+- the sidecar is opt-in: ``sama index build`` writes none, ``sama index
+  quotient`` builds it without changing a ranking, and the serving
+  stats surface reports compression;
 - the per-epoch column store (``repro.index.columns``) answers exactly
   what a decoded path would, with and without a loaded quotient, holds
   only rows queries touched, belongs to one engine, and is dropped —
@@ -426,35 +427,57 @@ class TestSharded:
 
 
 class TestSurface:
-    def _build(self, tmp_path, extra=()):
+    def _build(self, tmp_path):
         data = tmp_path / "data.nt"
         data.write_text(
             "<http://x/a> <http://x/p> <http://x/b> .\n"
             "<http://x/b> <http://x/p> <http://x/c> .\n"
             "<http://x/d> <http://x/p> <http://x/e> .\n")
         directory = str(tmp_path / "idx")
-        assert main(["index", "build", str(data), directory,
-                     *extra]) == 0
+        assert main(["index", "build", str(data), directory]) == 0
         return directory
 
-    def test_index_build_writes_quotients_by_default(self, tmp_path,
-                                                     capsys):
+    def test_index_build_writes_no_quotient(self, tmp_path, capsys):
+        """The quotient is opt-in: a build writes no ``quotient.bin``
+        and says nothing about one."""
         directory = self._build(tmp_path)
-        assert os.path.exists(quotient_path(directory))
-        assert "quotient:" in capsys.readouterr().out
-
-    def test_no_quotient_flag_skips_the_pass(self, tmp_path):
-        directory = self._build(tmp_path, extra=["--no-quotient"])
         assert not os.path.exists(quotient_path(directory))
+        assert "equivalence class" not in capsys.readouterr().out
 
     def test_cli_index_quotient_builds_files(self, tmp_path, capsys):
-        directory = self._build(tmp_path, extra=["--no-quotient"])
+        directory = self._build(tmp_path)
         assert main(["index", "quotient", directory]) == 0
         assert os.path.exists(quotient_path(directory))
         out = capsys.readouterr().out
         assert "quotiented" in out and "compression" in out
         loaded = load_shard_quotient(directory, expected_epoch=0)
         assert loaded is not None and len(loaded) > 0
+
+    def test_opt_in_quotient_loads_and_keeps_lubm_rankings(
+            self, tmp_path, lubm_small):
+        """``sama index quotient`` over a built index: the next engine
+        loads the sidecar, and all 12 LUBM templates rank as they did
+        without it."""
+        from repro.datasets import lubm_queries
+
+        directory = str(tmp_path / "lubm")
+        build_index(lubm_small, directory)[0].close()
+
+        def rankings():
+            engine = SamaEngine.open(directory)
+            try:
+                loaded = engine.quotient_resolver() is not None
+                return loaded, [TestEngine._ranking(engine, spec.sparql, k=10)
+                                for spec in lubm_queries()]
+            finally:
+                engine.close()
+
+        loaded, without = rankings()
+        assert not loaded and len(without) == 12
+        assert main(["index", "quotient", directory]) == 0
+        loaded, with_sidecar = rankings()
+        assert loaded
+        assert with_sidecar == without
 
     def test_cli_query_quotient_modes_agree(self, tmp_path):
         directory = self._build(tmp_path)
@@ -467,6 +490,7 @@ class TestSurface:
         from repro.serving import ServingConfig, ServingEngine
 
         directory = self._build(tmp_path)
+        assert main(["index", "quotient", directory]) == 0
         engine = SamaEngine.open(directory)
         service = ServingEngine(engine, ServingConfig(workers=1))
         try:
@@ -481,7 +505,7 @@ class TestSurface:
     def test_stats_payload_none_without_quotients(self, tmp_path):
         from repro.serving import ServingConfig, ServingEngine
 
-        directory = self._build(tmp_path, extra=["--no-quotient"])
+        directory = self._build(tmp_path)
         engine = SamaEngine.open(directory)
         service = ServingEngine(engine, ServingConfig(workers=1))
         try:

@@ -219,6 +219,46 @@ def test_expansion_cap_partial_is_score_prefix_of_full(govtrack_engine, q1):
             assert partial.causes() == {DegradationCause.EXPANSION_CAP}
 
 
+class TestSearchCapIsLoud:
+    """``SearchConfig.max_expansions`` stops the search on its own; that
+    stop used to stay on ``SearchResult.degradation``, so
+    ``engine.query`` answered short (Q9: ``[]``) with ``complete=True``
+    (ROADMAP item 15)."""
+
+    @staticmethod
+    def _q9():
+        from repro.datasets import lubm_queries
+        return {spec.qid: spec for spec in lubm_queries()}["Q9"].sparql
+
+    @staticmethod
+    def _capped(lubm_engine, cap):
+        from dataclasses import replace
+
+        from repro.engine.search import SearchConfig
+        # Shares the fixture's index; closing it would close that index.
+        return SamaEngine(lubm_engine.index, replace(
+            lubm_engine.config,
+            search=SearchConfig(patience=None, max_expansions=cap)))
+
+    def test_capped_search_is_incomplete(self, lubm_engine):
+        result = self._capped(lubm_engine, 40).query(self._q9(), k=10)
+        assert result.complete is False
+        assert DegradationCause.EXPANSION_CAP in result.causes()
+        assert [str(reason) for reason in result.reasons] == [
+            "expansion_cap in search (max_expansions=40)"]
+
+    def test_budget_trip_is_not_recorded_twice(self, lubm_engine):
+        budget = Budget(max_expansions=30)
+        result = self._capped(lubm_engine, 40).query(self._q9(), k=10,
+                                                     budget=budget)
+        assert len(result.reasons) == 1
+        assert result.reasons == tuple(budget.reasons)
+
+    def test_default_config_stops_at_patience_and_is_complete(
+            self, lubm_engine):
+        assert lubm_engine.query(self._q9(), k=10).complete
+
+
 def test_candidate_cap_records_cluster_truncation(govtrack_engine, q1):
     partial = govtrack_engine.query(q1, budget=Budget(max_candidates=3))
     assert partial.degraded

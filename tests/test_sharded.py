@@ -494,6 +494,41 @@ class TestOpenIndex:
         with pytest.raises(IndexCorruptError, match="unreadable"):
             open_index(directory)
 
+    @pytest.mark.parametrize("text", ["[]", '"x"', "7", "null"])
+    def test_manifest_that_is_not_an_object_raises(self, tmp_path, govtrack,
+                                                    text):
+        """An empty list used to read as "not sharded" (and the error
+        named ``maps.json``); a string raised ``AttributeError``."""
+        directory = str(tmp_path / "odd")
+        build_index(govtrack, directory, shards=2)[0].close()
+        with open(os.path.join(directory, "manifest.json"), "w") as handle:
+            handle.write(text)
+        with pytest.raises(IndexCorruptError, match="manifest.json"):
+            open_index(directory)
+
+    def test_manifest_is_parsed_once_per_open(self, tmp_path, govtrack,
+                                              monkeypatch):
+        """The layout check and the sharded open share one parse of
+        ``manifest.json``, which carries every gid list."""
+        directory = str(tmp_path / "two")
+        build_index(govtrack, directory, shards=2)[0].close()
+        parsed, load = [], json.load
+
+        def counting_load(handle, *args, **kwargs):
+            parsed.append(os.path.basename(handle.name))
+            return load(handle, *args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting_load)
+        with open_index(directory) as index:
+            assert index.shard_count == 2
+        assert parsed.count("manifest.json") == 1
+
+    def test_absent_manifest_means_plain(self, tmp_path):
+        assert not is_sharded_dir(str(tmp_path / "missing" / "dir"))
+        afile = tmp_path / "file"
+        afile.write_text("not a directory")
+        assert not is_sharded_dir(str(afile))
+
 
 # -- serving a sharded index --------------------------------------------------
 
