@@ -82,4 +82,4 @@ def naive_top_k(prepared: PreparedQuery, clusters: list[Cluster],
                              broken_pairs=broken))
     scored.sort(key=lambda answer: (answer.score, answer.broken_pairs))
     return SearchResult(answers=scored[:k], expansions=total,
-                        generated=len(scored), exhausted=True)
+                        generated=len(scored))

@@ -261,14 +261,15 @@ class SamaEngine:
         """Answer ``query``: the top-k answers, best (lowest score) first.
 
         The result is a :class:`PartialResult` — a plain ``list`` of
-        answers with the degradation record attached.  With no budget
-        it is complete unless the search's own cap
-        (``SearchConfig.max_expansions``) stopped it, which it records
-        as ``EXPANSION_CAP``; ``deadline_ms`` (shorthand for
-        ``Budget(deadline_ms=...)``) or an explicit ``budget`` arms
-        cooperative cancellation across preprocessing, clustering and
-        search.  When a limit trips, ``on_budget`` decides the
-        contract:
+        answers with the degradation record attached.  Every query runs
+        under a :class:`~repro.resilience.budget.Budget`: with none
+        given, ``Budget()``, whose only limit is the search's expansion
+        cap (:data:`~repro.resilience.budget.DEFAULT_MAX_EXPANSIONS`,
+        recorded as ``EXPANSION_CAP`` when it trips); ``deadline_ms``
+        (shorthand for ``Budget(deadline_ms=...)``) or an explicit
+        ``budget`` arms cooperative cancellation across preprocessing,
+        clustering and search.  When a limit trips, ``on_budget``
+        decides the contract:
 
         - ``"partial"`` (default): return the best answers found
           before the trip, with machine-readable reasons on
@@ -311,9 +312,9 @@ class SamaEngine:
                 raise ValueError("pass either deadline_ms or budget, not both")
             budget = Budget(deadline_ms=deadline_ms)
         if budget is None:
-            # An unlimited budget: no limit can trip, but fault-time
-            # degradation (a failed shard's SHARD_FAILED) still has a
-            # place to be recorded and flows to the PartialResult.
+            # The default budget: only the expansion cap can trip, and
+            # fault-time degradation (a failed shard's SHARD_FAILED)
+            # has a place to be recorded and flows to the PartialResult.
             budget = Budget()
         prepared = self.prepare(query, budget=budget)
         clusters = self.clusters(prepared, budget=budget)
@@ -324,10 +325,6 @@ class SamaEngine:
             result = top_k(prepared, clusters, weights=self.config.weights,
                            config=search_config, budget=budget)
         self.last_result = result
-        # The search's own stops (its expansion cap) join the budget's;
-        # ``note`` drops the budget trips ``top_k`` already copied.
-        for reason in result.degradation:
-            budget.note(reason.cause, reason.phase, reason.detail)
         partial = PartialResult(result.answers, reasons=budget.reasons)
         if partial.degraded and on_budget == "raise":
             raise QueryTimeout(

@@ -41,7 +41,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from ..resilience.budget import Budget, DegradationCause, DegradationReason
+from ..resilience.budget import Budget, DegradationReason
 from ..scoring.weights import PAPER_WEIGHTS, ScoringWeights
 from .answers import Answer
 from .clustering import Cluster, ClusterEntry
@@ -59,31 +59,25 @@ _FLOOR_SAMPLE = 64
 class SearchConfig:
     """Knobs of the top-k search.
 
-    ``max_expansions`` bounds frontier pops (a safety valve; the count
-    is reported on the result and ``exhausted`` turns False when hit).
-    ``strict_bindings`` drops combinations whose paths disagree on a
-    shared variable instead of merely penalising them.  ``dedupe``
-    collapses answers covering the same triple set, keeping the best.
-
-    ``sibling_limit`` bounds how many children of one partial state the
-    search may explore (children are cost-sorted, so only the tail is
-    sacrificed); ``None`` explores everything — exact but potentially
-    slow on clusters with thousands of λ-tied entries.  ``patience``
-    force-emits the best buffered answer after that many expansions
-    without an emission: the conformity floor of the A* bound is loose,
-    so on adversarial plateaus the proof-of-optimality phase can cost
-    far more than finding the answers; patience trades the guarantee
-    for a hard latency bound (forced emissions are counted on the
-    result).  ``None`` disables it.
+    ``k`` is the number of answers; answers covering the same triple
+    set collapse into the best of them.  ``sibling_limit`` bounds how
+    many children of one partial state the search may explore
+    (children are cost-sorted, so only the tail is sacrificed); ``None``
+    explores everything — exact but potentially slow on clusters with
+    thousands of λ-tied entries.  ``patience`` force-emits the best
+    buffered answer after that many expansions without an emission: the
+    conformity floor of the A* bound is loose, so on adversarial
+    plateaus the proof-of-optimality phase can cost far more than
+    finding the answers; patience trades the guarantee for a hard
+    latency bound (forced emissions are counted on the result).
+    ``None`` disables it.  The cap on frontier pops is the query's
+    :class:`~repro.resilience.budget.Budget`'s, not a knob here.
 
     ``k``, ``sibling_limit`` and ``patience`` below 1 raise
     ``ValueError``: each would silently return fewer answers.
     """
 
     k: int = 10
-    max_expansions: int = 100_000
-    strict_bindings: bool = False
-    dedupe: bool = True
     sibling_limit: "int | None" = 64
     patience: "int | None" = 250
 
@@ -101,9 +95,9 @@ class SearchResult:
 
     ``forced_emissions`` counts answers emitted by the patience rule
     before their optimality proof completed (0 = fully proven order).
-    ``degradation`` records why the search stopped early, when it did —
-    budget trips and the ``max_expansions`` safety valve both land
-    here, so ``exhausted=False`` always comes with a reason.
+    ``degradation`` records why the search stopped early, when it did
+    (a budget trip: deadline or expansion cap); ``exhausted`` is True
+    when there is no such reason.
 
     Sub-stage attribution: ``candidate_lists`` counts the sorted child
     lists built, ``candidate_cache_hits`` the states that shared one
@@ -115,12 +109,15 @@ class SearchResult:
     answers: list[Answer]
     expansions: int = 0
     generated: int = 0
-    exhausted: bool = True
     forced_emissions: int = 0
     degradation: tuple[DegradationReason, ...] = ()
     candidate_lists: int = 0
     candidate_cache_hits: int = 0
     psi_evaluations: int = 0
+
+    @property
+    def exhausted(self) -> bool:
+        return not self.degradation
 
     def __iter__(self):
         return iter(self.answers)
@@ -330,17 +327,21 @@ def top_k(prepared: PreparedQuery, clusters: list[Cluster],
     The candidate lists rely on it to keep entries that share one base
     price in rank order without sorting them.
 
-    ``budget`` adds cooperative cancellation to the A* loop: each
-    frontier pop is charged (deadline checks are strided inside the
-    budget), and when a limit trips the search stops where it is and
-    returns the answers proven (or buffered) so far, with the reason
-    recorded both on the budget and on ``SearchResult.degradation``.
+    ``budget`` is the query's cooperative cancellation: each frontier
+    pop is charged (deadline checks are strided inside the budget), and
+    when a limit trips the search stops where it is and returns the
+    answers proven (or buffered) so far, with the reason recorded both
+    on the budget and on ``SearchResult.degradation``.  Without one the
+    search runs under a fresh ``Budget()``, whose expansion cap is
+    :data:`~repro.resilience.budget.DEFAULT_MAX_EXPANSIONS`.
     """
     if len(clusters) != len(prepared.paths):
         raise ValueError(f"need one cluster per query path: "
                          f"{len(clusters)} vs {len(prepared.paths)}")
     if not clusters:
-        return SearchResult(answers=[], exhausted=True)
+        return SearchResult(answers=[])
+    if budget is None:
+        budget = Budget()
 
     space = _JoinSpace(prepared, clusters, weights)
     depth_total = len(clusters)
@@ -358,19 +359,17 @@ def top_k(prepared: PreparedQuery, clusters: list[Cluster],
     signatures: set[frozenset] = set()
     expansions = 0
     generated = 0
-    exhausted = True
     forced = 0
     since_emission = 0
     degradation: list[DegradationReason] = []
 
     def emit_one() -> bool:
-        """Pop the buffered best into the output; False if deduped away."""
+        """Pop the buffered best into the output; False for a duplicate."""
         _score, _broken, _t, answer = heapq.heappop(buffered)
-        if config.dedupe:
-            signature = answer.signature()
-            if signature in signatures:
-                return False
-            signatures.add(signature)
+        signature = answer.signature()
+        if signature in signatures:
+            return False
+        signatures.add(signature)
         emitted.append(answer)
         return True
 
@@ -389,18 +388,10 @@ def top_k(prepared: PreparedQuery, clusters: list[Cluster],
         return count
 
     while frontier and len(emitted) < config.k:
-        if expansions >= config.max_expansions:
-            exhausted = False
-            degradation.append(DegradationReason(
-                DegradationCause.EXPANSION_CAP, "search",
-                f"max_expansions={config.max_expansions}"))
+        reason = budget.charge_expansion()
+        if reason is not None:
+            degradation.append(reason)
             break
-        if budget is not None:
-            reason = budget.charge_expansion()
-            if reason is not None:
-                exhausted = False
-                degradation.append(reason)
-                break
         _bound, _depth, _t, parent, sibling_index = heapq.heappop(frontier)
         expansions += 1
         since_emission += 1
@@ -409,8 +400,7 @@ def top_k(prepared: PreparedQuery, clusters: list[Cluster],
         child = _make_child(space, parent, sibling_index)
         if child.depth == depth_total:
             answer = _materialize(space, child)
-            if answer is not None and not (config.strict_bindings
-                                           and not answer.is_coherent):
+            if answer is not None:
                 generated += 1
                 heapq.heappush(buffered, (answer.score, answer.broken_pairs,
                                           next(tie), answer))
@@ -428,12 +418,10 @@ def top_k(prepared: PreparedQuery, clusters: list[Cluster],
             # total rather than per answer.  The final sort below
             # orders whatever was found best-first.
             while len(emitted) < config.k and (buffered or frontier):
-                if budget is not None:
-                    reason = budget.poll("search")
-                    if reason is not None:
-                        exhausted = False
-                        degradation.append(reason)
-                        break
+                reason = budget.poll("search")
+                if reason is not None:
+                    degradation.append(reason)
+                    break
                 if frontier:
                     _b, _d, _t2, dive_parent, dive_sibling = \
                         heapq.heappop(frontier)
@@ -441,9 +429,7 @@ def top_k(prepared: PreparedQuery, clusters: list[Cluster],
                         space, _greedy_complete(space, dive_parent,
                                                 dive_sibling, depth_total,
                                                 config))
-                    if answer is not None and not (
-                            config.strict_bindings
-                            and not answer.is_coherent):
+                    if answer is not None:
                         generated += 1
                         heapq.heappush(buffered,
                                        (answer.score, answer.broken_pairs,
@@ -457,8 +443,7 @@ def top_k(prepared: PreparedQuery, clusters: list[Cluster],
     # order; the delivered ranking is the sorted one.
     emitted.sort(key=lambda answer: (answer.score, answer.broken_pairs))
     return SearchResult(answers=emitted, expansions=expansions,
-                        generated=generated, exhausted=exhausted,
-                        forced_emissions=forced,
+                        generated=generated, forced_emissions=forced,
                         degradation=tuple(degradation),
                         candidate_lists=space.candidate_lists,
                         candidate_cache_hits=space.candidate_cache_hits,

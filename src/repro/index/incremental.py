@@ -139,6 +139,9 @@ class IncrementalIndex(RecordReader):
         for root in roots:
             for path in _walk_from(self.graph, root, budget):
                 self._store_path(root, path)
+        # The round's records reach the store (one page write, not one
+        # per record), so a cold read of them is a physical page read.
+        self._records.flush()
 
     def _store_path(self, root: int, path: Path) -> None:
         path = self.interner.intern_path(path)
@@ -415,7 +418,6 @@ def compact_directory(directory, output=None) -> CompactionReport:
     store = PageStore(os.path.join(directory, "paths.log"),
                       page_size=manifest["page_size"])
     records = RecordFile(store, BufferPool(store))
-    records.discard_tail()
     old_log_bytes = store.size_bytes()
 
     with rewritten_directory(directory, output) as target:

@@ -69,7 +69,7 @@ class RecordReader:
     Decodes records of ``paths.log`` in the index's ``labels.dict``
     (:meth:`LabelInterner.decode_path`), caches each decoded path,
     counts the decodes, and exposes the log's page store and its
-    counters.  :class:`PathIndex` reads a sealed log through it;
+    counters.  :class:`PathIndex` reads a finished log through it;
     :class:`~repro.index.incremental.IncrementalIndex` reads the log it
     is still appending to.  Subclasses provide ``all_offsets()``.
     """
@@ -216,11 +216,6 @@ class PathIndex(RecordReader):
         pool = BufferPool(store, capacity=pool_capacity,
                           read_ahead=read_ahead)
         records = RecordFile(store, pool)
-        # An opened index is read-only: drop the staged tail so every
-        # record read is a real (pooled) page read — otherwise the last
-        # page would be served from memory, hiding it from cold-cache
-        # accounting and fault injection alike.
-        records.discard_tail()
         sink_index = _load_label_map(maps["sink"], thesaurus)
         # pop: the parsed JSON lists are the open-time memory peak.
         contains_index = _load_label_map(maps.pop("contains"), thesaurus)

@@ -23,6 +23,10 @@ import enum
 import time
 from dataclasses import dataclass
 
+#: The search's expansion cap when a :class:`Budget` names none (a
+#: safety valve: ``Budget(max_expansions=None)`` lifts it).
+DEFAULT_MAX_EXPANSIONS = 100_000
+
 
 class DegradationCause(enum.Enum):
     """Why a result is partial (machine-readable)."""
@@ -63,10 +67,12 @@ class Budget:
         Wall-clock budget in milliseconds, measured from construction
         (or the latest :meth:`restart`).  ``None`` means no deadline.
     max_expansions:
-        Cap on top-k search frontier pops across the query.
+        Cap on top-k search frontier pops across the query: a cap of
+        N admits exactly N pops.  Defaults to
+        :data:`DEFAULT_MAX_EXPANSIONS`; ``None`` means unlimited.
     max_candidates:
         Cap on candidate data paths evaluated during clustering,
-        totalled across the query's clusters.
+        totalled across the query's clusters: a cap of N admits N.
     clock:
         Monotonic-seconds callable (injectable for tests/fault plans).
     check_stride:
@@ -78,7 +84,7 @@ class Budget:
     """
 
     def __init__(self, deadline_ms: "float | None" = None,
-                 max_expansions: "int | None" = None,
+                 max_expansions: "int | None" = DEFAULT_MAX_EXPANSIONS,
                  max_candidates: "int | None" = None,
                  clock=time.monotonic, check_stride: int = 32):
         if deadline_ms is not None and deadline_ms < 0:
@@ -167,20 +173,22 @@ class Budget:
 
     def charge_candidates(self, count: int = 1,
                           phase: str = "cluster") -> "DegradationReason | None":
-        """Charge candidate evaluations; the reason when a limit trips."""
+        """Charge candidate evaluations; the reason when the total
+        exceeds the cap (or the deadline has passed)."""
         self.candidates += count
         if (self.max_candidates is not None
-                and self.candidates >= self.max_candidates):
+                and self.candidates > self.max_candidates):
             return self.note(DegradationCause.CLUSTER_TRUNCATION, phase,
                              f"max_candidates={self.max_candidates}")
         return self.poll(phase)
 
     def charge_expansion(self,
                          phase: str = "search") -> "DegradationReason | None":
-        """Charge one search expansion; the reason when a limit trips."""
+        """Charge one search expansion; the reason when the total
+        exceeds the cap (or the deadline has passed)."""
         self.expansions += 1
         if (self.max_expansions is not None
-                and self.expansions >= self.max_expansions):
+                and self.expansions > self.max_expansions):
             return self.note(DegradationCause.EXPANSION_CAP, phase,
                              f"max_expansions={self.max_expansions}")
         return self.poll(phase)

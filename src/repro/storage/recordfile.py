@@ -5,7 +5,8 @@ pages (a record freely straddles page boundaries, like a write-ahead
 log).  A record's identifier is its byte offset in the log; readers
 fetch exactly the pages the record touches, through the buffer pool,
 so logical record reads translate into the physical page reads the
-cold/warm experiments count.
+cold/warm experiments count.  Appends are staged in memory; only
+bytes not yet flushed to the store are served from the staging.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ class RecordFile:
         else:
             self._end = self._read_header()
         # Tail page staged in memory between appends to avoid a
-        # read-modify-write cycle per record.
+        # read-modify-write cycle per record; ``_dirty`` while it holds
+        # bytes the store does not.
         self._tail_page_id = self._end // store.page_size
         self._tail = bytearray(self._tail_bytes())
+        self._dirty = False
         self._sealed = False
 
     @property
@@ -92,44 +95,32 @@ class RecordFile:
                 self._tail_page_id += 1
                 self._tail = bytearray()
         self._end = record_offset + len(data)
+        self._dirty = bool(self._tail)
         return record_offset
 
     def _flush_tail(self) -> None:
         while self._tail_page_id >= self.store.page_count:
             self.store.allocate()
         self.pool.write_page(self._tail_page_id, bytes(self._tail))
+        self._dirty = False
+
+    def flush(self) -> None:
+        """Write the staged tail page through the pool (no header, no
+        ``fsync``), so reads of it are page reads again; the page stays
+        staged for the next append."""
+        if self._dirty:
+            self._flush_tail()
 
     def sync(self) -> None:
         """Flush the staged tail and persist the header."""
-        if self._tail:
-            self._flush_tail()
+        self.flush()
         self._write_header()
         self.store.flush()
 
     def seal(self) -> None:
-        """Sync and drop the staged tail: the log becomes read-only.
-
-        A sealed log serves every read through the buffer pool, which
-        is what makes cold-cache measurements honest on a log that was
-        just written (the staged tail would otherwise shadow the disk).
-        Appending to a sealed log raises :class:`StorageError`.
-        """
+        """Sync; the log becomes read-only (appending raises
+        :class:`StorageError`)."""
         self.sync()
-        self._tail = bytearray()
-        self._tail_page_id = -1
-        self._sealed = True
-
-    def discard_tail(self) -> None:
-        """Seal without writing: drop the staged tail, reads go via the pool.
-
-        Correct only when the tail page is already persisted — which is
-        exactly the state of a log just opened from disk, where the
-        staging was *read from* the store.  Read-only openers use this
-        so that cold-cache measurements and fault injection see every
-        physical page read instead of being shadowed by the staging.
-        """
-        self._tail = bytearray()
-        self._tail_page_id = -1
         self._sealed = True
 
     # -- reading ---------------------------------------------------------------
@@ -167,8 +158,8 @@ class RecordFile:
         return self._page_bytes(page_id)[offset]
 
     def _page_bytes(self, page_id: int) -> bytes:
-        # The staged tail page may not be on disk yet.
-        if page_id == self._tail_page_id and self._tail:
+        # Only bytes the store does not hold yet come from the staging.
+        if page_id == self._tail_page_id and self._dirty:
             return bytes(self._tail).ljust(self.store.page_size, b"\x00")
         return self.pool.read_page(page_id)
 

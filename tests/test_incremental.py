@@ -373,18 +373,16 @@ class TestInternedLabels:
 class TestSharedRecordReader:
     """The live index reads its records like a built one: decodes are
     counted, a record that is not a path is an ``IndexCorruptError``,
-    and its page store takes a fault plan."""
-
-    @pytest.fixture(scope="class")
-    def lubm(self):
-        # 1 023 paths: records fill data pages 1-3 before the staged tail.
-        return dataset("lubm").build(500, seed=0)
+    and its page store takes a fault plan — the newest records too:
+    every GovTrack record sits on the log's last page, the one appends
+    are staged on."""
 
     @staticmethod
-    def offset_on_page(index, page_id):
+    def newest_offset(index):
         page_size = index.page_store.page_size
-        return next(offset for offset in index.all_offsets()
-                    if offset // page_size == page_id)
+        offsets = index.all_offsets()
+        assert {offset // page_size for offset in offsets} == {1}
+        return offsets[-1]
 
     def test_decodes_are_counted_after_clear_cache(self, tmp_path, govtrack):
         from repro.serving import ServingConfig, ServingEngine
@@ -402,12 +400,13 @@ class TestSharedRecordReader:
         finally:
             service.close()
 
-    def test_corrupt_record_raises_index_corrupt_error(self, tmp_path, lubm):
+    def test_corrupt_record_raises_index_corrupt_error(self, tmp_path,
+                                                       govtrack):
         from repro.resilience.errors import IndexCorruptError
 
-        index = IncrementalIndex(lubm, str(tmp_path / "live"))
+        index = IncrementalIndex(govtrack.copy(), str(tmp_path / "live"))
         try:
-            offset = self.offset_on_page(index, 1)
+            offset = self.newest_offset(index)
             # Page 1 now passes its checksum but holds no path.
             index.page_store.write_page(1, b"\x05" * index.page_store.page_size)
             index.clear_cache()
@@ -416,20 +415,44 @@ class TestSharedRecordReader:
         finally:
             index.close()
 
-    def test_fault_plan_installs_on_a_live_engine(self, tmp_path, lubm):
+    def test_fault_plan_installs_on_a_live_engine(self, tmp_path, govtrack):
         from repro.resilience import FaultPlan, install, uninstall
         from repro.resilience.errors import TransientStorageError
 
-        engine = SamaEngine(IncrementalIndex(lubm, str(tmp_path / "live")))
+        engine = SamaEngine(IncrementalIndex(govtrack.copy(),
+                                             str(tmp_path / "live")))
         try:
             injector = install(engine, FaultPlan(seed=1,
                                                  read_failure_rate=1.0))
             assert engine.index.page_store.fault_injector is injector
-            offset = self.offset_on_page(engine.index, 1)
+            offset = self.newest_offset(engine.index)
             engine.cold_cache()
             with pytest.raises(TransientStorageError):
                 engine.index.path_at(offset)
             uninstall(engine)
             assert engine.index.path_at(offset).length >= 1
+        finally:
+            engine.close()
+
+    def test_cold_reads_of_the_newest_records_are_physical(self, tmp_path,
+                                                           govtrack):
+        """A cold read of the newest records is a physical page read:
+        it counts, and a fault plan failing every read stops it."""
+        from repro.resilience import FaultPlan, install
+        from repro.resilience.errors import StorageError
+
+        engine = SamaEngine(IncrementalIndex(govtrack.copy(),
+                                             str(tmp_path / "live")))
+        try:
+            index = engine.index
+            self.newest_offset(index)
+            engine.cold_cache()
+            before = index.io_stats.page_reads
+            assert len(index.all_paths()) == index.path_count == 14
+            assert index.io_stats.page_reads > before
+            install(engine, FaultPlan(seed=1, read_failure_rate=1.0))
+            engine.cold_cache()
+            with pytest.raises(StorageError):
+                index.all_paths()
         finally:
             engine.close()

@@ -220,10 +220,10 @@ def test_expansion_cap_partial_is_score_prefix_of_full(govtrack_engine, q1):
 
 
 class TestSearchCapIsLoud:
-    """``SearchConfig.max_expansions`` stops the search on its own; that
-    stop used to stay on ``SearchResult.degradation``, so
-    ``engine.query`` answered short (Q9: ``[]``) with ``complete=True``
-    (ROADMAP item 15)."""
+    """The search's expansion cap lives on the query's budget, so a
+    capped search is incomplete with one reason — Q9 without patience
+    completes no answer before the cap, and an empty answer must not
+    read as complete (ROADMAP item 15)."""
 
     @staticmethod
     def _q9():
@@ -231,17 +231,17 @@ class TestSearchCapIsLoud:
         return {spec.qid: spec for spec in lubm_queries()}["Q9"].sparql
 
     @staticmethod
-    def _capped(lubm_engine, cap):
+    def _unpatient(lubm_engine):
         from dataclasses import replace
 
         from repro.engine.search import SearchConfig
         # Shares the fixture's index; closing it would close that index.
         return SamaEngine(lubm_engine.index, replace(
-            lubm_engine.config,
-            search=SearchConfig(patience=None, max_expansions=cap)))
+            lubm_engine.config, search=SearchConfig(patience=None)))
 
     def test_capped_search_is_incomplete(self, lubm_engine):
-        result = self._capped(lubm_engine, 40).query(self._q9(), k=10)
+        result = self._unpatient(lubm_engine).query(
+            self._q9(), k=10, budget=Budget(max_expansions=40))
         assert result.complete is False
         assert DegradationCause.EXPANSION_CAP in result.causes()
         assert [str(reason) for reason in result.reasons] == [
@@ -249,10 +249,23 @@ class TestSearchCapIsLoud:
 
     def test_budget_trip_is_not_recorded_twice(self, lubm_engine):
         budget = Budget(max_expansions=30)
-        result = self._capped(lubm_engine, 40).query(self._q9(), k=10,
-                                                     budget=budget)
+        engine = self._unpatient(lubm_engine)
+        result = engine.query(self._q9(), k=10, budget=budget)
         assert len(result.reasons) == 1
         assert result.reasons == tuple(budget.reasons)
+        assert engine.last_result.expansions == 30
+
+    def test_top_k_without_budget_stops_at_the_default_cap(self,
+                                                           lubm_engine):
+        from repro.engine.search import SearchConfig, top_k
+        from repro.resilience.budget import DEFAULT_MAX_EXPANSIONS
+        prepared = lubm_engine.prepare(self._q9())
+        result = top_k(prepared, lubm_engine.clusters(prepared),
+                       config=SearchConfig(patience=None))
+        assert result.expansions == DEFAULT_MAX_EXPANSIONS
+        assert [str(reason) for reason in result.degradation] == [
+            f"expansion_cap in search "
+            f"(max_expansions={DEFAULT_MAX_EXPANSIONS})"]
 
     def test_default_config_stops_at_patience_and_is_complete(
             self, lubm_engine):
@@ -332,15 +345,39 @@ def test_budget_notes_deduplicate_per_cause_and_phase():
 
 
 def test_budget_charge_caps():
+    """A cap of N admits N: the charge that takes the total past it trips."""
     budget = Budget(max_expansions=3, max_candidates=4)
-    assert budget.charge_expansion() is None
-    assert budget.charge_expansion() is None
+    for _ in range(3):
+        assert budget.charge_expansion() is None
     reason = budget.charge_expansion()
     assert reason.cause is DegradationCause.EXPANSION_CAP
-    reason = budget.charge_candidates(10)
+    assert budget.charge_candidates(4) is None
+    reason = budget.charge_candidates(1)
     assert reason.cause is DegradationCause.CLUSTER_TRUNCATION
-    assert budget.expansions == 3
-    assert budget.candidates == 10
+    assert budget.expansions == 4
+    assert budget.candidates == 5
+
+
+def test_budget_defaults_to_the_search_cap():
+    from repro.resilience.budget import DEFAULT_MAX_EXPANSIONS
+    assert Budget().max_expansions == DEFAULT_MAX_EXPANSIONS == 100_000
+    unlimited = Budget(max_expansions=None)
+    for _ in range(3):
+        assert unlimited.charge_expansion() is None
+
+
+@pytest.mark.parametrize("count", [3, 64, 100, 130])
+def test_candidate_cap_keeps_exactly_cap_candidates(count):
+    """``_charge`` keeps every candidate of a list that has exactly the
+    cap; one more trips at the block that crosses it, keeping the
+    whole 64-candidate blocks before that block."""
+    from repro.engine.clustering import _CHARGE_BLOCK, _charge
+    offsets = list(range(count))
+    assert _charge(offsets, Budget(max_candidates=count)) == (offsets, False)
+    kept, tripped = _charge(offsets + [count],
+                            Budget(max_candidates=count))
+    assert tripped
+    assert kept == offsets[:count // _CHARGE_BLOCK * _CHARGE_BLOCK]
 
 
 def test_budget_rejects_bad_arguments():
