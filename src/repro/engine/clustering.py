@@ -20,7 +20,7 @@ entries that become answers or ``explain`` output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import partial
 from operator import itemgetter
 
@@ -54,7 +54,7 @@ class _EntryContext:
 
     One per cluster, shared by all of its entries: the index (to
     decode), the query path + matcher (to re-align), and the epoch's
-    column store (label spellings).
+    column store (row id sets, label spellings).
     """
 
     __slots__ = ("index", "query_path", "matcher", "columns")
@@ -67,8 +67,9 @@ class _EntryContext:
 
 
 class ClusterEntry:
-    """One candidate data path in a cluster: the row ``(λ, gid, prefix
-    length)`` plus the shared columns of that stored path.
+    """One candidate data path in a cluster, made for a rank that is
+    read (:meth:`Cluster.entry`): the row ``(λ, gid, prefix length)``
+    plus the shared columns of that stored path.
 
     ``offset`` identifies the stored path; the entry may stand for a
     *prefix* of it when the query path's sink matched mid-path (see
@@ -77,16 +78,12 @@ class ClusterEntry:
     than hashing tuples millions of times).  ``id_set`` is the χ
     operand: the frozenset of the prefix's interned node label ids —
     the very object :class:`~repro.index.columns.PathColumns` keeps for
-    the epoch, never a per-query copy.  Every index interns its labels,
-    so every entry has one.
+    the epoch, never a per-query copy.
 
-    The row is what ranking needs, and most entries of a large cluster
-    are never looked at again: the top-k search joins whole clusters
-    (χ operands, candidate buckets) on id sets without touching the
-    page store.  ``path`` and ``alignment`` — the label-space reference
-    alignment, whose counts re-derive ``score`` exactly — are decoded /
-    aligned on first use: only for the entries that become answers or
-    explain output.
+    ``path`` and ``alignment`` — the label-space reference alignment,
+    whose counts re-derive ``score`` exactly — are decoded / aligned on
+    first use: only for the entries that become answers or explain
+    output.
     """
 
     __slots__ = ("offset", "score", "uid", "id_set", "_plen", "_context",
@@ -123,29 +120,23 @@ class ClusterEntry:
         return alignment
 
     @property
-    def cache_key(self) -> tuple[int, int]:
-        return (self.offset, self._plen)
-
-    # The search reads paths through these entry-level accessors (never
-    # ``entry.path.X`` directly), so an entry answers from its shared
-    # column without decoding the path.
-
-    @property
     def path_length(self) -> int:
         return self._plen
-
-    def label_name(self, label_id: int) -> str:
-        """Lexical form of one of this entry's bucket keys (an interned
-        node label id) — the rarest-label tie-break."""
-        return self._context.columns.name(label_id)
 
     def __str__(self):
         return f"{self.path} [{self.score:g}]"
 
 
-@dataclass
 class Cluster:
     """All candidates for one query path, sorted best-first by λ.
+
+    The cluster keeps the merge's sorted rows as parallel columns —
+    ``scores`` (λ), ``gids``, ``plens`` (prefix lengths) and
+    ``node_ids`` (the scan's prefix node ids; ``None`` for a quotient
+    member, whose ids the column store derives) — and makes a
+    :class:`ClusterEntry` only for a rank that is read
+    (:meth:`entry`).  ``entries`` is a read-only sequence view over
+    those memoised entries.
 
     ``missing_penalty`` is the λ charged when a combination leaves this
     query path uncovered (the cluster may be empty, or search may run
@@ -153,25 +144,78 @@ class Cluster:
     mismatch.  The paper does not spell this case out; see DESIGN.md.
     """
 
-    query_path: Path
-    entries: list[ClusterEntry]
-    missing_penalty: float
+    __slots__ = ("query_path", "missing_penalty", "scores", "gids", "plens",
+                 "node_ids", "_context", "_sets", "_entries")
+
+    def __init__(self, query_path: Path, missing_penalty: float,
+                 rows=(), context: "_EntryContext | None" = None):
+        self.query_path = query_path
+        self.missing_penalty = missing_penalty
+        self.scores, self.gids, self.plens, self.node_ids = (
+            tuple(zip(*rows)) if rows else ((), (), (), ()))
+        self._context = context
+        self._sets: "list[frozenset | None]" = [None] * len(self.scores)
+        self._entries: "dict[int, ClusterEntry]" = {}
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.scores)
 
     @property
     def is_empty(self) -> bool:
-        return not self.entries
+        return not self.scores
 
-    def best(self) -> "ClusterEntry | None":
-        return self.entries[0] if self.entries else None
+    def _row(self, rank: int) -> tuple:
+        """``(uid, node label id set)`` of the row at ``rank``, from the
+        epoch's column store."""
+        return self._context.columns.row(self.gids[rank], self.plens[rank],
+                                         self.node_ids[rank])
 
-    def score_at(self, index: int) -> float:
-        """λ of the ``index``-th entry, or the missing penalty past the end."""
-        if index < len(self.entries):
-            return self.entries[index].score
-        return self.missing_penalty
+    def id_set(self, rank: int) -> frozenset:
+        """The χ operand of the row at ``rank`` (memoised per rank)."""
+        ids = self._sets[rank]
+        if ids is None:
+            ids = self._sets[rank] = self._row(rank)[1]
+        return ids
+
+    def label_name(self, label_id: int) -> str:
+        """Lexical form of an interned node label id — the rarest-label
+        tie-break."""
+        return self._context.columns.name(label_id)
+
+    def entry(self, rank: int) -> ClusterEntry:
+        """The entry at ``rank``, made on first read."""
+        entry = self._entries.get(rank)
+        if entry is None:
+            entry = self._entries[rank] = ClusterEntry(
+                self._context, self.gids[rank], self.plens[rank],
+                self.scores[rank], self._row(rank))
+        return entry
+
+    @property
+    def entries(self) -> "_Entries":
+        return _Entries(self)
+
+
+class _Entries(Sequence):
+    """A cluster's entries in rank order, each made on first read."""
+
+    __slots__ = ("_cluster",)
+
+    def __init__(self, cluster: Cluster):
+        self._cluster = cluster
+
+    def __len__(self):
+        return len(self._cluster)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._cluster.entry(rank)
+                    for rank in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("cluster rank out of range")
+        return self._cluster.entry(index)
 
 
 def missing_path_penalty(query_path: Path,
@@ -243,12 +287,12 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex, ids_match,
        rankings are bit-identical to per-path scoring.
     5. **merge** — rows are sorted on ``(λ, gid)``, cut to
        ``max_cluster_size`` (bounding search work at a possible loss of
-       answers beyond the cut), and only the survivors become
-       :class:`ClusterEntry` objects, each holding the uid and id set
-       of its row in ``columns`` — the engine's per-epoch
-       :class:`~repro.index.columns.PathColumns`, so a path's node-id
-       set is built once per epoch, not per query (default: a store
-       for this call).
+       answers beyond the cut), and kept as the :class:`Cluster`'s
+       columns.  A row's uid and id set come from ``columns`` — the
+       engine's per-epoch :class:`~repro.index.columns.PathColumns`, so
+       a path's node-id set is built once per epoch, not per query
+       (default: a store for this call) — and only for the ranks the
+       search or a caller reads, as does a :class:`ClusterEntry`.
 
     **Sharded indexes.**  A :class:`~repro.index.sharded.ShardedIndex`
     runs through the same stages over global ids, which ascend in
@@ -285,7 +329,7 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex, ids_match,
     clusters = []
     tripped = False
     for query_path, anchors in zip(prepared.paths, prepared.anchor_lists):
-        entries: list[ClusterEntry] = []
+        rows: list[tuple] = []
         if tripped or (budget is not None and budget.poll("cluster")):
             tripped = True      # budget gone: the rest come back empty
         else:
@@ -319,17 +363,11 @@ def build_clusters(prepared: PreparedQuery, index: PathIndex, ids_match,
                     reps=sum(verdict is not DROPPED
                              for verdict in scorer.verdicts.values()))
             rows.sort(key=_BY_SCORE_THEN_GID)
-            # Entries only for the rows that survive the cut.
-            context = _EntryContext(index, query_path, ids_match.matcher,
-                                    columns)
-            row = columns.row
-            entries = [ClusterEntry(context, gid, plen, score,
-                                    row(gid, plen, node_ids))
-                       for score, gid, plen, node_ids
-                       in rows[:max_cluster_size]]
+            if max_cluster_size is not None:
+                del rows[max_cluster_size:]
         clusters.append(Cluster(
-            query_path=query_path, entries=entries,
-            missing_penalty=missing_path_penalty(query_path, weights)))
+            query_path, missing_path_penalty(query_path, weights), rows,
+            _EntryContext(index, query_path, ids_match.matcher, columns)))
     if dead_shards and budget is not None:
         lost = ",".join(str(shard) for shard in sorted(dead_shards))
         first_error = dead_shards[min(dead_shards)]

@@ -41,6 +41,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
+from ..index.columns import uid_limit
 from ..resilience.budget import Budget, DegradationReason
 from ..scoring.weights import PAPER_WEIGHTS, ScoringWeights
 from .answers import Answer
@@ -132,10 +133,12 @@ class SearchResult:
 class _JoinSpace:
     """Shared immutable context of one top-k search.
 
-    χ/ψ intersect the dense label-id sets the entries carry
-    (``entry.id_set``) — the one key space of every index, built or
-    live.  Interning is injective, so ``|a ∩ b|`` over ids is the
-    paper's ``|χ|`` over node labels.
+    χ/ψ intersect the dense label-id sets of the clusters' rows
+    (:meth:`~repro.engine.clustering.Cluster.id_set`) — the one key
+    space of every index, built or live.  Interning is injective, so
+    ``|a ∩ b|`` over ids is the paper's ``|χ|`` over node labels.  A
+    row's set is fetched only for a rank the search prices, anchors on
+    or samples for a floor; λ is read from the cluster's score column.
     """
 
     def __init__(self, prepared: PreparedQuery, clusters: list[Cluster],
@@ -159,30 +162,28 @@ class _JoinSpace:
         # the search actually lives, and a tight floor is what stops
         # A* from grinding λ-plateaus before completing a combination.
         self.edge_floor: dict[tuple[int, int], float] = {}
+        samples: dict[int, set] = {}
         for (i, j), penalty in self.edge_penalty.items():
-            entries_i = clusters[i].entries
-            entries_j = clusters[j].entries
-            if not entries_i or not entries_j:
+            if not len(clusters[i]) or not len(clusters[j]):
                 self.edge_floor[(i, j)] = penalty
                 continue
-            # The maximum is over the *distinct* sets — trimmed
-            # prefixes repeat heavily.
-            cap = _max_common({e.id_set for e in entries_i[:_FLOOR_SAMPLE]},
-                              {e.id_set for e in entries_j[:_FLOOR_SAMPLE]})
+            for index in (i, j):
+                if index not in samples:
+                    samples[index] = _floor_sample(clusters[index])
+            cap = _max_common(samples[i], samples[j])
             self.edge_floor[(i, j)] = penalty / cap if cap else penalty
         self.min_lambda = [
-            cluster.entries[0].score if cluster.entries
-            else cluster.missing_penalty
+            cluster.scores[0] if len(cluster) else cluster.missing_penalty
             for cluster in clusters]
         # h(depth): optimistic remainder after ``depth`` clusters decided.
         self.tail_estimate = self._tail_estimates()
         # Pairwise-ψ cache keyed on packed entry uids.  The packing
-        # stride is derived from the actual uid population — a fixed
-        # 2^20 stride silently collided (and returned a wrong cached
-        # intersection) once a clustering run handed out uids past it.
-        self._uid_stride = 1 + max(
-            (entry.uid for cluster in clusters for entry in cluster.entries),
-            default=0)
+        # stride is derived from the largest gid — a fixed 2^20 stride
+        # silently collided (and returned a wrong cached intersection)
+        # once a clustering run handed out uids past it.
+        self._uid_stride = uid_limit(max(
+            (max(cluster.gids) for cluster in clusters if len(cluster)),
+            default=0))
         self._pair_cache: dict[int, int] = {}
         # Edges settled when the cluster at each join depth is decided:
         # (other cluster index, penalty) — ψ against anything else is
@@ -208,22 +209,24 @@ class _JoinSpace:
 
     def buckets_of(self, cluster_index: int) -> "tuple[dict, frozenset]":
         """Inverted index of one cluster: node label id → ascending
-        entry ranks (C-speed int hashing, read straight off the shared
-        id-set column), plus the cluster's *universal* labels — those
-        every entry carries."""
+        ranks (C-speed int hashing, read straight off the cluster's
+        node-id column, each label filed once per rank), plus the
+        cluster's *universal* labels — those every row carries."""
         cached = self._buckets.get(cluster_index)
         if cached is None:
             buckets: dict = {}
-            entries = self.clusters[cluster_index].entries
-            for rank, entry in enumerate(entries):
-                for key in entry.id_set:
+            cluster = self.clusters[cluster_index]
+            for rank, node_ids in enumerate(cluster.node_ids):
+                if node_ids is None:     # a quotient member: no ids shipped
+                    node_ids = cluster.id_set(rank)
+                for key in node_ids:
                     bucket = buckets.get(key)
                     if bucket is None:
                         buckets[key] = [rank]
-                    else:
+                    elif bucket[-1] != rank:
                         bucket.append(rank)
             full = frozenset(label for label, ranks in buckets.items()
-                             if len(ranks) == len(entries))
+                             if len(ranks) == len(cluster))
             cached = self._buckets[cluster_index] = (buckets, full)
         return cached
 
@@ -244,7 +247,12 @@ class _JoinSpace:
     def entry(self, cluster_index: int, rank: int) -> "ClusterEntry | None":
         if rank == _MISSING:
             return None
-        return self.clusters[cluster_index].entries[rank]
+        return self.clusters[cluster_index].entry(rank)
+
+    def id_set(self, cluster_index: int, rank: int) -> "frozenset | None":
+        if rank == _MISSING:
+            return None
+        return self.clusters[cluster_index].id_set(rank)
 
     def common_nodes(self, entry_a: ClusterEntry, entry_b: ClusterEntry) -> int:
         uid_a, uid_b = entry_a.uid, entry_b.uid
@@ -255,6 +263,13 @@ class _JoinSpace:
             cached = len(entry_a.id_set & entry_b.id_set)
             self._pair_cache[key] = cached
         return cached
+
+
+def _floor_sample(cluster: Cluster) -> "set[frozenset]":
+    """The distinct id sets of a cluster's first ``_FLOOR_SAMPLE`` rows
+    (trimmed prefixes repeat heavily)."""
+    return {cluster.id_set(rank)
+            for rank in range(min(len(cluster), _FLOOR_SAMPLE))}
 
 
 def _max_common(sets_i, sets_j) -> int:
@@ -288,8 +303,7 @@ def _join_order(prepared: PreparedQuery, clusters: list[Cluster]) -> list[int]:
         return len(ig.neighbors(index))
 
     order = []
-    seed = max(remaining, key=lambda i: (degree(i), -len(clusters[i].entries),
-                                         -i))
+    seed = max(remaining, key=lambda i: (degree(i), -len(clusters[i]), -i))
     order.append(seed)
     remaining.discard(seed)
     while remaining:
@@ -322,9 +336,9 @@ def top_k(prepared: PreparedQuery, clusters: list[Cluster],
           budget: "Budget | None" = None) -> SearchResult:
     """Generate the top-k answers for a prepared query over its clusters.
 
-    Precondition: every cluster's entries are sorted by ``(λ, gid)``,
+    Precondition: every cluster's rows are sorted by ``(λ, gid)``,
     as :func:`~repro.engine.clustering.build_clusters` leaves them.
-    The candidate lists rely on it to keep entries that share one base
+    The candidate lists rely on it to keep rows that share one base
     price in rank order without sorting them.
 
     ``budget`` is the query's cooperative cancellation: each frontier
@@ -491,40 +505,38 @@ def _candidates_of(space: _JoinSpace, state: _PartialState,
     cluster_index = space.order[depth]
     cluster = space.clusters[cluster_index]
     settled = space.settled_edges[depth]
-    # The decided entries that matter here (settled-edge endpoints).
-    anchors: list[tuple["ClusterEntry | None", float]] = []
-    cache_key: list = [depth, limit]
-    for other_index, penalty in settled:
-        entry = space.entry(other_index,
-                            state.ranks[space.position_of[other_index]])
-        anchors.append((entry, penalty))
-        cache_key.append(entry.uid if entry is not None else _MISSING)
-    key = tuple(cache_key)
+    # The decided rows that matter here (settled-edge endpoints): the
+    # cluster on each settled edge is fixed per depth, so the memo keys
+    # on their ranks, and their id sets are fetched on a miss only.
+    ranks = [state.ranks[space.position_of[other_index]]
+             for other_index, _penalty in settled]
+    key = (depth, limit, *ranks)
     cached = space._candidate_cache.get(key)
     if cached is not None:
         space.candidate_cache_hits += 1
         return cached
     space.candidate_lists += 1
+    anchors = [(space.id_set(other_index, rank), penalty)
+               for (other_index, penalty), rank in zip(settled, ranks)]
 
-    entries = cluster.entries
-    present = [entry for entry, _penalty in anchors if entry is not None]
-    buckets, full = (space.buckets_of(cluster_index) if entries and present
+    total = len(cluster)
+    present = [ids for ids, _penalty in anchors if ids is not None]
+    buckets, full = (space.buckets_of(cluster_index) if total and present
                      else ({}, frozenset()))
-    # A plain entry meets each anchor in exactly its universal labels.
+    # A plain row meets each anchor in exactly its universal labels.
     # In an empty cluster nothing is universal, so the missing row pays
     # every edge's full penalty, summed in the same order.
     base, base_broken = _psi(full, anchors)
-    if not entries:
+    if not total:
         result = ((cluster.missing_penalty + base,), (base_broken,),
                   (_MISSING,))
         space._candidate_cache[key] = result
         return result
-    rare = {label for entry in present for label in entry.id_set
+    rare = {label for ids in present for label in ids
             if label not in full and label in buckets}
     exceptions: set[int] = set()
     for label in rare:
         exceptions.update(buckets[label])
-    total = len(entries)
     want = total if limit is None else limit
     cap = total if limit is None else max(2 * limit, 128)
     if total <= cap or len(exceptions) <= cap // 2:
@@ -533,11 +545,9 @@ def _candidates_of(space: _JoinSpace, state: _PartialState,
                  if rank not in exceptions][:want]
     else:
         def rarity(label):
-            for entry in present:
-                if label in entry.id_set:
-                    return len(buckets[label]), entry.label_name(label)
+            return len(buckets[label]), cluster.label_name(label)
 
-        # Rarest labels first: a label shared with few entries pinpoints
+        # Rarest labels first: a label shared with few rows pinpoints
         # the genuinely related candidates (specific entities), while a
         # label shared with thousands (class nodes) carries no signal.
         # The lexical form is resolved for these few labels only.
@@ -554,12 +564,12 @@ def _candidates_of(space: _JoinSpace, state: _PartialState,
         priced = [*walked, *(rank for rank in fill if rank in exceptions)]
         plain = [rank for rank in fill if rank not in exceptions][:want]
     space.psi_evaluations += len(priced) * len(anchors)
+    scores = cluster.scores
     scored = []
     for rank in priced:
-        entry = entries[rank]
-        psi, broken = _psi(entry.id_set, anchors)
-        scored.append((entry.score + psi, broken, rank))
-    costs = [entries[rank].score + base for rank in plain]
+        psi, broken = _psi(cluster.id_set(rank), anchors)
+        scored.append((scores[rank] + psi, broken, rank))
+    costs = [scores[rank] + base for rank in plain]
     if not scored:
         result = (tuple(costs), (base_broken,) * len(plain), tuple(plain))
     else:
@@ -571,15 +581,16 @@ def _candidates_of(space: _JoinSpace, state: _PartialState,
     return result
 
 
-def _psi(ids: frozenset, anchors: list[tuple["ClusterEntry | None", float]]
+def _psi(ids: frozenset, anchors: list[tuple["frozenset | None", float]]
          ) -> tuple[float, int]:
-    """ψ of the settled edges for a path with node label ids ``ids``,
-    summed from 0.0 left to right, and how many of them are broken (a
-    missing or disjoint side pays the edge's full penalty)."""
+    """ψ of the settled edges for a path with node label ids ``ids``
+    against the anchors' id sets (``None``: missing), summed from 0.0
+    left to right, and how many of them are broken (a missing or
+    disjoint side pays the edge's full penalty)."""
     psi = 0.0
     broken = 0
     for anchor, penalty in anchors:
-        common = len(ids & anchor.id_set) if anchor is not None else 0
+        common = len(ids & anchor) if anchor is not None else 0
         if common:
             psi += penalty / common
         else:

@@ -23,6 +23,20 @@ facts make id-space comparison sound:
 - when ids differ, the label matcher decides — looked up through the
   interner and memoised per id pair by :func:`make_id_matcher`.
 
+The walk's control flow depends only on the data path's *edge* ids:
+where the insertion budget is spent, which edges mismatch, how many
+leading inserts or deletes remain.  Node ids add only mismatch counts.
+So :func:`score_rows` compiles the walk once per call for each trimmed
+edge-id sequence — an *edge shape* — into a plan (:func:`_walk_plan`):
+the shape's fixed counts, its ordered node checks ``(data position,
+query constant)``, and binding operations for the variable slots that
+occur more than once in the query path.  After the anchor trim a
+candidate costs one dict lookup on its edge ids' bytes, its plan's node
+checks and bindings, and the six-term λ sum.  Candidates share few
+shapes: at LUBM 8000 the 12 templates send 95 067 candidates through
+the scan and compile 432 plans (Q7: 8 245 candidates, 30 plans); see
+DESIGN.md "One scan, every mode" for the other generators.
+
 A query path is encoded once per cluster (:func:`encode_query`).
 Variables cannot be interned (they are not data labels); they are
 negative ids, ``-(slot + 1)`` into a per-query binding table, mirroring
@@ -228,17 +242,23 @@ def score_rows(gids, ids_of, query: EncodedQuery, weights: ScoringWeights,
     """λ-score the candidates ``gids`` against ``query``: the one scan.
 
     ``ids_of(gid)`` is the row source — the candidate's ``(node ids,
-    edge ids)``, or ``None`` when it cannot be read (skipped).  Returns
-    ``(rows, tripped)``: ``rows`` holds ``(λ, gid, prefix length, node
-    ids of the prefix)`` per kept candidate, in candidate order, and
-    ``tripped`` reports that ``expired()`` — the caller's deadline
-    check, consulted every :data:`CHECK_STRIDE` candidates — cut the
-    scan short (the rows so far are kept: cooperative degradation).
+    edge ids)`` as ``array('i')`` sequences, or ``None`` when it cannot
+    be read (skipped).  Returns ``(rows, tripped)``: ``rows`` holds
+    ``(λ, gid, prefix length, node ids of the prefix)`` per kept
+    candidate, in candidate order, and ``tripped`` reports that
+    ``expired()`` — the caller's deadline check, consulted every
+    :data:`CHECK_STRIDE` candidates — cut the scan short (the rows so
+    far are kept: cooperative degradation).
 
     When ``query.anchor_id`` is set, each candidate is first cut at its
     last node matching the anchor (the sink-anchored §4.3 trim, as
     :func:`repro.paths.alignment.prefix_at_anchor`); a candidate with no
     matching node is dropped.
+
+    The backward walk is compiled once per call for each trimmed edge
+    shape (:func:`_walk_plan`, keyed on the edge ids' bytes): after the
+    trim a candidate costs one dict lookup, its plan's node checks and
+    binding operations, and the six-term λ sum over the counts.
 
     ``key_of(gid)`` optionally names the candidate's class — any key
     under which the scan is provably branch-identical (the refine key of
@@ -256,13 +276,11 @@ def score_rows(gids, ids_of, query: EncodedQuery, weights: ScoringWeights,
     edge_ins = weights.edge_insertion
     node_del = weights.node_deletion
     edge_del = weights.edge_deletion
-    query_nodes = query.nodes
-    query_edges = query.edges
-    var_count = query.var_count
     anchor_id = query.anchor_id
     ids_match = query.ids_match
-    sink_label = query_nodes[-1]
-    last_query_edge = len(query_edges) - 1
+    slots = _repeated_slots(query)
+    var_count = query.var_count
+    plans: "dict[bytes, tuple]" = {}
 
     rows: "list[tuple]" = []
     tripped = False
@@ -285,7 +303,8 @@ def score_rows(gids, ids_of, query: EncodedQuery, weights: ScoringWeights,
         plen = len(path_nodes)
         if anchor_id is not None:
             for position in range(plen - 1, -1, -1):
-                if ids_match(path_nodes[position], anchor_id):
+                label = path_nodes[position]
+                if label == anchor_id or ids_match(label, anchor_id):
                     break
             else:
                 if key is not None:
@@ -294,67 +313,128 @@ def score_rows(gids, ids_of, query: EncodedQuery, weights: ScoringWeights,
             if position + 1 != plen:
                 plen = position + 1
                 path_nodes = path_nodes[:plen]
-        bindings = [None] * var_count if var_count else None
-        node_mismatches = node_insertions = node_deletions = 0
-        edge_mismatches = edge_insertions = edge_deletions = 0
-        # Sink nodes first (the alignment is sink-anchored) ...
-        data_label = path_nodes[-1]
-        if sink_label < 0:
-            bindings[-sink_label - 1] = data_label
-        elif not ids_match(data_label, sink_label):
-            node_mismatches += 1
-        # ... then walk both edge sequences backwards.
-        data_pos = plen - 2
-        query_pos = last_query_edge
-        budget = data_pos - query_pos
-        if budget < 0:
-            budget = 0
-        while data_pos >= 0 and query_pos >= 0:
-            data_edge = path_edges[data_pos]
-            query_edge = query_edges[query_pos]
-            if budget > 0 and not (query_edge < 0
-                                   or ids_match(data_edge, query_edge)):
-                # Spend insertion budget at the first incompatible edge:
-                # skip the data (edge, node) pair and retry this query
-                # edge one step earlier, exactly like the reference.
-                edge_insertions += 1
-                node_insertions += 1
-                data_pos -= 1
-                budget -= 1
-                continue
-            if query_edge < 0:
-                bound = bindings[-query_edge - 1]
-                if bound is None:
-                    bindings[-query_edge - 1] = data_edge
-                elif bound != data_edge:
-                    edge_mismatches += 1     # conflict: binding kept
-            elif not ids_match(data_edge, query_edge):
-                edge_mismatches += 1
-            data_label = path_nodes[data_pos]
-            query_label = query_nodes[query_pos]
-            if query_label < 0:
-                bound = bindings[-query_label - 1]
-                if bound is None:
-                    bindings[-query_label - 1] = data_label
-                elif bound != data_label:
-                    node_mismatches += 1
-            elif not ids_match(data_label, query_label):
+                path_edges = path_edges[:position]
+        shape = path_edges.tobytes()
+        plan = plans.get(shape)
+        if plan is None:
+            plan = plans[shape] = _walk_plan(path_edges, query, slots)
+        edge_mismatches, insertions, deletions, checks, binds = plan
+        node_mismatches = 0
+        for position, label in checks:
+            data_label = path_nodes[position]
+            if data_label != label and not ids_match(data_label, label):
                 node_mismatches += 1
-            data_pos -= 1
-            query_pos -= 1
-        if data_pos >= 0:       # longer data path: leading inserts
-            edge_insertions += data_pos + 1
-            node_insertions += data_pos + 1
-        if query_pos >= 0:      # longer query path: leading deletes
-            edge_deletions += query_pos + 1
-            node_deletions += query_pos + 1
+        if binds:
+            bindings = [None] * var_count
+            for slot, position, data_label in binds:
+                at_node = data_label is None
+                if at_node:
+                    data_label = path_nodes[position]
+                bound = bindings[slot]
+                if bound is None:
+                    bindings[slot] = data_label
+                elif bound != data_label:   # conflict: binding kept
+                    if at_node:
+                        node_mismatches += 1
+                    else:
+                        edge_mismatches += 1
+        # A data (edge, node) pair is inserted or deleted together.
         score = (node_mis * node_mismatches
-                 + node_ins * node_insertions
+                 + node_ins * insertions
                  + edge_mis * edge_mismatches
-                 + edge_ins * edge_insertions
-                 + node_del * node_deletions
-                 + edge_del * edge_deletions)
+                 + edge_ins * insertions
+                 + node_del * deletions
+                 + edge_del * deletions)
         if key is not None:
             verdicts[key] = (score, plen)
         rows.append((score, gid, plen, path_nodes))
     return rows, tripped
+
+
+def _repeated_slots(query: EncodedQuery) -> "dict[int, bool]":
+    """The query path's variable slots that occur more than once, each
+    mapped to whether one of its occurrences is a node (the only slots
+    a plan must bind per candidate).  A slot that occurs once can never
+    conflict."""
+    seen: "dict[int, int]" = {}
+    at_node: "set[int]" = set()
+    for label in query.nodes:
+        if label < 0:
+            seen[-label - 1] = seen.get(-label - 1, 0) + 1
+            at_node.add(-label - 1)
+    for label in query.edges:
+        if label < 0:
+            seen[-label - 1] = seen.get(-label - 1, 0) + 1
+    return {slot: slot in at_node for slot, count in seen.items()
+            if count > 1}
+
+
+def _walk_plan(path_edges, query: EncodedQuery,
+               slots: "dict[int, bool]") -> tuple:
+    """The backward walk of :func:`score_rows` over one data edge-id
+    sequence, compiled for every candidate of that edge shape.
+
+    The walk's control flow — where the insertion budget is spent,
+    which edges mismatch, how many leading inserts or deletes remain —
+    reads only edge labels, so the shape fixes it.  Node labels add
+    only mismatches: the plan keeps them as ordered ``(data position,
+    query constant)`` checks.  Of the repeated variable slots
+    (:func:`_repeated_slots`), one seen only at edges is bound here, on
+    the shape's own edge ids; one that also occurs at a node keeps its
+    binding operations — ``(slot, data position, None)`` at a node,
+    ``(slot, None, data edge id)`` at an edge — in walk order, for the
+    candidate to replay.
+
+    Returns ``(edge mismatches, insertions, deletions, checks,
+    binds)``: the shape's fixed counts — an insertion or deletion is one
+    of each, node and edge — and what each candidate replays.
+    """
+    query_nodes = query.nodes
+    query_edges = query.edges
+    ids_match = query.ids_match
+    checks: "list[tuple[int, int]]" = []
+    binds: "list[tuple]" = []
+    edge_bindings: "dict[int, int]" = {}
+    edge_mismatches = insertions = 0
+    # Sink nodes first (the alignment is sink-anchored), then both edge
+    # sequences backwards: each round visits one node pair and steps
+    # to the next edge pair.
+    data_pos = len(path_edges)
+    query_pos = len(query_edges)
+    budget = max(data_pos - query_pos, 0)
+    while True:
+        label = query_nodes[query_pos]
+        if label >= 0:
+            checks.append((data_pos, label))
+        elif slots.get(-label - 1):
+            binds.append((-label - 1, data_pos, None))
+        data_pos -= 1
+        query_pos -= 1
+        # Spend insertion budget at the first incompatible edge: skip
+        # the data (edge, node) pair and retry this query edge one step
+        # earlier, exactly like the reference.
+        while budget > 0 and data_pos >= 0 and query_pos >= 0:
+            query_edge = query_edges[query_pos]
+            if query_edge < 0 or ids_match(path_edges[data_pos], query_edge):
+                break
+            insertions += 1
+            data_pos -= 1
+            budget -= 1
+        if data_pos < 0 or query_pos < 0:
+            break
+        data_edge = path_edges[data_pos]
+        query_edge = query_edges[query_pos]
+        if query_edge >= 0:
+            if not ids_match(data_edge, query_edge):
+                edge_mismatches += 1
+        else:
+            slot = -query_edge - 1
+            if slots.get(slot):
+                binds.append((slot, None, data_edge))
+            elif slot in slots:
+                if edge_bindings.setdefault(slot, data_edge) != data_edge:
+                    edge_mismatches += 1     # conflict: binding kept
+    insertions += data_pos + 1          # longer data path: leading inserts
+    deletions = query_pos + 1           # longer query path: leading deletes
+    return (edge_mismatches, insertions, deletions, tuple(checks),
+            tuple(binds))

@@ -29,6 +29,12 @@ from __future__ import annotations
 _PLEN_BITS = 10
 
 
+def uid_limit(max_gid: int) -> int:
+    """One past the largest uid a row of stored path ``max_gid`` or
+    below can carry."""
+    return (max_gid + 1) << _PLEN_BITS
+
+
 class PathColumns:
     """Shared node-id sets per ``(gid, plen)`` row, and label spellings."""
 

@@ -83,7 +83,7 @@ class TestClusterMechanics:
         prepared = govtrack_engine.prepare(q)
         clusters = govtrack_engine.clusters(prepared)
         assert clusters[0].is_empty
-        assert clusters[0].best() is None
+        assert clusters[0].scores == () and not clusters[0].entries
 
     def test_max_cluster_size_truncates(self, govtrack_engine, q1):
         prepared = govtrack_engine.prepare(q1)
@@ -92,11 +92,23 @@ class TestClusterMechanics:
                                   max_cluster_size=2)
         assert all(len(c) <= 2 for c in clusters)
 
-    def test_score_at_past_end_is_missing_penalty(self, govtrack_engine, q1):
+    def test_columns_are_the_entries(self, govtrack_engine, q1):
+        """The merge's sorted rows stay columns; an entry is made for a
+        rank on first read, once, and reads its row back."""
         prepared = govtrack_engine.prepare(q1)
         cluster = govtrack_engine.clusters(prepared)[0]
-        assert cluster.score_at(10 ** 6) == cluster.missing_penalty
-        assert cluster.score_at(0) == cluster.entries[0].score
+        assert len(cluster) == len(cluster.scores) > 1
+        assert cluster._entries == {}
+        head = cluster.entries[0]
+        assert cluster.entries[0] is head and len(cluster._entries) == 1
+        assert [(entry.score, entry.offset, entry.path_length)
+                for entry in cluster.entries] == list(
+            zip(cluster.scores, cluster.gids, cluster.plens))
+        assert all(entry.id_set == frozenset(node_ids) for entry, node_ids
+                   in zip(cluster.entries, cluster.node_ids))
+        assert cluster.entries[-1] is cluster.entry(len(cluster) - 1)
+        with pytest.raises(IndexError):
+            cluster.entries[len(cluster)]
 
     def test_missing_penalty_prices_every_element(self):
         q = path_of("?a", "http://x/p", "?b", "http://x/q", "Male")

@@ -14,7 +14,7 @@ import pytest
 
 from repro.datasets import dataset, lubm_queries
 from repro.engine import EngineConfig, SamaEngine
-from repro.engine.clustering import Cluster, ClusterEntry
+from repro.engine.clustering import Cluster, _EntryContext
 from repro.engine.search import SearchConfig, _JoinSpace, top_k
 from repro.index.builder import build_index
 from repro.index.columns import PathColumns
@@ -143,27 +143,30 @@ class _StubPrepared:
 
 def test_pair_cache_keys_do_not_collide_past_2_20():
     """Regression: the ψ pair cache used a fixed 2^20 packing stride, so
-    uid pairs (1, 2) and (0, 2^20 + 2) collided and the second pair
-    read the first pair's cached |χ|."""
+    uid pairs (a, b) and (c, d) with ``a - c = 1024`` (gids one apart)
+    and ``d - b = 2^30`` (gids 2^20 apart) collided, and the second pair
+    read the first pair's cached |χ|.  The stride now follows the
+    largest gid."""
     interner = LabelInterner()
 
-    def entry(uid, *names):
+    def row(gid, *names):
         path = interner.intern_path(_uri_path(*names))
-        return ClusterEntry(None, uid, path.length, 0.0,
-                            (uid, frozenset(path.label_ids)))
+        return (0.0, gid, path.length, tuple(path.label_ids))
 
-    entry_a = entry(1, "x", "y")                  # |χ| with entry_b: 1
-    entry_b = entry(2, "y", "z")
-    entry_c = entry(0, "u", "v", "w")             # |χ| with entry_d: 2
-    entry_d = entry(2 ** 20 + 2, "u", "v", "q")
+    def cluster(name, *rows):
+        return Cluster(_uri_path(name), 1.0, rows, _EntryContext(
+            None, None, None, PathColumns(None)))
+
     clusters = [
-        Cluster(query_path=_uri_path("q"), entries=[entry_a, entry_c],
-                missing_penalty=1.0),
-        Cluster(query_path=_uri_path("r"), entries=[entry_b, entry_d],
-                missing_penalty=1.0),
+        cluster("q", row(1, "x", "y"), row(0, "u", "v")),       # a, c
+        cluster("r", row(2, "y", "z"), row(2 ** 20 + 2, "v", "u")),  # b, d
     ]
+    entry_a, entry_c = clusters[0].entries
+    entry_b, entry_d = clusters[1].entries
+    assert (entry_a.uid * 2 ** 20 + entry_b.uid
+            == entry_c.uid * 2 ** 20 + entry_d.uid)   # the old collision
     space = _JoinSpace(_StubPrepared(), clusters, PAPER_WEIGHTS)
-    assert space._uid_stride == 2 ** 20 + 3
+    assert space._uid_stride == (2 ** 20 + 3) << 10
     # Prime the cache with the small-uid pair, then probe the pair that
     # collided under the old stride.
     assert space.common_nodes(entry_a, entry_b) == 1

@@ -35,6 +35,7 @@ from repro.index.thesaurus import default_thesaurus
 from repro.parallel import ShardTask, worker_mode
 from repro.paths.alignment import align, exact_match, prefix_at_anchor
 from repro.paths.model import Path
+from repro.rdf.graph import DataGraph
 from repro.rdf.terms import BlankNode, Literal, URI, Variable
 from repro.resilience import FaultPlan, install
 from repro.resilience.budget import DegradationCause
@@ -261,6 +262,87 @@ class TestColumnarScoring:
                                         expired=lambda: True)
             assert tripped
             assert len(got) == 64
+
+
+    def test_plan_reuse_bit_equal(self, shape_index):
+        """Plans are compiled once per edge shape and call: candidates of
+        one shape that differ in node labels, bind differently, or reach
+        the shape by the anchor trim must still score as ``align``."""
+        index, ids_of_source = shape_index
+        matcher = exact_match
+        ids_match = make_id_matcher(index.interner, matcher)
+        offsets = index.all_offsets()
+        shape = (URI(_SHAPE + "R"), URI(_SHAPE + "P"))
+        same_shape = [offset for offset in offsets
+                      if index.path_at(offset).edges == shape]
+        # The candidate whose ?v binding conflicts goes first.
+        first = next(offset for offset in same_shape
+                     if index.path_at(offset).sink == URI(_SHAPE + "X"))
+        same_shape.remove(first)
+        same_shape.insert(0, first)
+        assert len(same_shape) >= 50
+        # ?a -R-> m0 -?v-> ?v: ?v at a node and at an edge, a constant
+        # node check only the first candidate passes.
+        variable = Variable("v")
+        binding = Path.from_terms(
+            (Variable("a"), URI(_SHAPE + "m0"), variable),
+            (URI(_SHAPE + "R"), variable), None)
+        # t -R-> n -P-> K with anchor K: one candidate is whole, another
+        # is cut at K mid-path to the same edge shape.
+        anchor = URI(_SHAPE + "K")
+        trimmed = Path.from_terms(
+            (Variable("a"), Variable("b"), anchor), shape, None)
+        cases = [(binding, None, same_shape),
+                 (trimmed, anchor, offsets),
+                 (trimmed, anchor, offsets[::-1])]
+        for query_path, trim, candidates in cases:
+            expected = reference_rows(index, candidates, query_path, matcher,
+                                      anchor=trim)
+            query = encode_query(query_path, ids_match, trim)
+            for source, ids_of in ids_of_source.items():
+                got, _tripped = scanned_rows(ids_of, candidates, query)
+                assert got == expected, (source, query_path)
+            if trim is None:
+                by_source = {index.path_at(offset).nodes[0].value: score
+                             for score, offset, *_row in expected}
+        # The first candidate pays the ?v edge conflict, the others a
+        # node mismatch at m0 instead.
+        assert by_source[_SHAPE + "s0"] == PAPER_WEIGHTS.edge_mismatch
+        assert {by_source[_SHAPE + f"s{i}"] for i in range(1, 60)} == {
+            PAPER_WEIGHTS.node_mismatch}
+        lengths = {index.path_at(offset).length: plen for _s, offset, plen, _n
+                   in reference_rows(index, offsets, trimmed, matcher,
+                                     anchor=anchor)}
+        assert lengths.get(3) == 3 and lengths.get(4) == 3, lengths
+
+
+_SHAPE = "http://shape.example/"
+
+
+@pytest.fixture(scope="module")
+def shape_index(tmp_path_factory):
+    """An index whose paths share edge shapes on purpose.
+
+    Sixty ``s_i -R-> m_i -P-> o_i`` paths, where ``o_0`` is ``X`` and
+    every other ``o_i`` is ``P`` itself (a node labelled like an edge);
+    and a cycle ``K -Q-> n1`` that ends ``t1 -R-> n1 -P-> K`` at ``K``
+    but carries ``t2 -R-> n2 -P-> K`` on to ``n1``.
+    """
+    def uri(name):
+        return _SHAPE + name
+
+    triples = []
+    for i in range(60):
+        triples.append((uri(f"s{i}"), uri("R"), uri(f"m{i}")))
+        triples.append((uri(f"m{i}"), uri("P"), uri("X" if i == 0 else "P")))
+    triples += [(uri("t1"), uri("R"), uri("n1")), (uri("n1"), uri("P"), uri("K")),
+                (uri("K"), uri("Q"), uri("n1")), (uri("t2"), uri("R"), uri("n2")),
+                (uri("n2"), uri("P"), uri("K"))]
+    directory = str(tmp_path_factory.mktemp("shape-index"))
+    index, _stats = build_index(DataGraph.from_triples(triples), directory)
+    yield index, {"view": ColumnarView.build(index).ids_at,
+                  "decoded": _path_ids(index)}
+    index.close()
 
 
 # -- worker_mode validation ----------------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.clustering import Cluster, ClusterEntry, _EntryContext
+from repro.engine.clustering import Cluster, _EntryContext
 from repro.engine.search import (_MISSING, SearchConfig, _candidates_of,
                                  _JoinSpace, _PartialState, top_k)
+from repro.index.columns import PathColumns
 from repro.rdf.graph import QueryGraph
 from repro.rdf.terms import Literal
 from repro.resilience.budget import Budget, DegradationCause
@@ -236,9 +237,7 @@ def _reference_pool(entries, anchors, limit):
     labels = set().union(*[entry.id_set for entry in present])
 
     def rarity(label):
-        for entry in present:
-            if label in entry.id_set:
-                return len(buckets[label]), entry.label_name(label)
+        return len(buckets[label]), _Names.name(label)
 
     pool, seen = [], set()
     for label in sorted((label for label in labels if label in buckets),
@@ -256,15 +255,21 @@ def _reference_pool(entries, anchors, limit):
     return pool
 
 
-class _Names:
-    """Label spellings whose order differs from the id order."""
+class _Names(PathColumns):
+    """A column store of rows its callers hand over, with label
+    spellings whose order differs from the id order."""
 
     @staticmethod
     def name(label):
         return format(label * 2654435761 % 2 ** 32, "010d")
 
 
-_CONTEXT = _EntryContext(None, None, None, _Names())
+def _cluster(rows, missing_penalty=7.5):
+    """A cluster of ``(λ, gid, plen, node ids)`` rows over a fresh
+    column store (rows of one gid differ between instances)."""
+    return Cluster(None, missing_penalty, rows,
+                   _EntryContext(None, None, None, _Names(None)))
+
 _RARE = range(4)             # labels some entries carry
 _UNIVERSAL = range(900, 903)  # labels every entry may carry
 _ABSENT = range(500, 504)    # labels no entry carries
@@ -275,10 +280,9 @@ def _join_space(target, anchor_sets, penalties):
     empty one where the anchor is missing) and now decides ``target``."""
     clusters = []
     for position, ids in enumerate(anchor_sets):
-        members = [] if ids is None else [
-            ClusterEntry(_CONTEXT, 10_000 + position, 1, 0.0,
-                         (10_000 + position, frozenset(ids)))]
-        clusters.append(Cluster(None, members, 3.0))
+        rows = [] if ids is None else [(0.0, 10_000 + position, 1,
+                                        tuple(ids))]
+        clusters.append(_cluster(rows, 3.0))
     clusters.append(target)
     space = _JoinSpace.__new__(_JoinSpace)
     space.clusters = clusters
@@ -319,9 +323,8 @@ def _instances(draw, walk=False):
     for label, count in zip(_RARE, counts):
         for rank in rng.sample(range(size), min(size, count)):
             label_sets[rank].add(label)
-    entries = [ClusterEntry(_CONTEXT, rank, 2, score,
-                            (rank, frozenset(label_sets[rank])))
-               for rank, score in enumerate(scores)]
+    rows = [(score, rank, 2, tuple(label_sets[rank]))
+            for rank, score in enumerate(scores)]
     vocabulary = [*_RARE, *_UNIVERSAL, *_ABSENT, 1000, 1000 + size // 2]
     anchor_sets = draw(st.lists(
         st.sets(st.sampled_from(vocabulary), min_size=1, max_size=4)
@@ -332,7 +335,7 @@ def _instances(draw, walk=False):
                               min_size=len(anchor_sets),
                               max_size=len(anchor_sets)))
     limit = draw(st.sampled_from([64, 3, 1] if walk else [64, 3, 1, None]))
-    return Cluster(None, entries, 7.5), anchor_sets, penalties, limit
+    return _cluster(rows), anchor_sets, penalties, limit
 
 
 def _assert_same_lists(instance):
@@ -361,11 +364,10 @@ class TestCandidateLists:
         the walk pools its carriers and only the fill reaches 1's.  The
         list then holds the 64 lowest pooled carriers."""
         assert _Names.name(2) < _Names.name(1)
-        entries = [ClusterEntry(_CONTEXT, rank, 2, 1.0, (rank, frozenset(
-            {1000 + rank} | ({1} if rank % 4 == 1 else set())
-            | ({2} if rank % 4 == 2 else set()))))
-            for rank in range(280)]
-        target = Cluster(None, entries, 7.5)
+        target = _cluster([(1.0, rank, 2, (
+            1000 + rank, *((1,) if rank % 4 == 1 else ()),
+            *((2,) if rank % 4 == 2 else ())))
+            for rank in range(280)])
         _assert_same_lists((target, [{1, 2}], [2.0], 64))
         space, state = _join_space(target, [{1, 2}], [2.0])
         ranks = _candidates_of(space, state, 64)[2]
@@ -375,11 +377,9 @@ class TestCandidateLists:
     def test_plain_entries_are_not_priced_pair_by_pair(self):
         """Entries meeting the anchor only in a label the whole cluster
         carries share one base price: none of them is an evaluation."""
-        entries = [ClusterEntry(_CONTEXT, rank, 2, float(rank // 10),
-                                (rank, frozenset({900, 1000 + rank})))
-                   for rank in range(300)]
-        space, state = _join_space(Cluster(None, entries, 7.5),
-                                   [{900, 1005}], [2.0])
+        target = _cluster([(float(rank // 10), rank, 2, (900, 1000 + rank))
+                           for rank in range(300)])
+        space, state = _join_space(target, [{900, 1005}], [2.0])
         costs, brokens, ranks = _candidates_of(space, state, 64)
         assert space.psi_evaluations == 1  # rank 5, the one exception
         assert ranks[:7] == (5, 0, 1, 2, 3, 4, 6)
