@@ -37,11 +37,14 @@ def test_bench_index_build(benchmark, lubm_graph, tmp_path):
         index.close()
         _SIZES["labels.dict"] = os.path.getsize(
             os.path.join(directory, LABELS_FILE))
+        _SIZES["paths.log"] = os.path.getsize(
+            os.path.join(directory, "paths.log"))
         _SIZES["spelled"] = len(stream.getvalue())
         return stats
 
     stats = benchmark.pedantic(build, rounds=2, iterations=1)
-    _SIZES["index"] = stats.size_bytes
+    # The record store alone: the label maps are not records.
+    _SIZES["index"] = _SIZES["paths.log"] + _SIZES["labels.dict"]
     _SIZES["paths"] = stats.path_count
 
 
@@ -50,7 +53,7 @@ def test_compression_report(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert "index" in _SIZES
     ratio = _SIZES["index"] / _SIZES["spelled"]
-    record = (_SIZES["index"] - _SIZES["labels.dict"]) / _SIZES["paths"]
+    record = _SIZES["paths.log"] / _SIZES["paths"]
     print()
     print(format_table(
         ["what", "bytes", "rendered"],

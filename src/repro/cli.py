@@ -432,9 +432,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    import os
-
-    from .index.sharded import shard_dir
+    from .index.sharded import directory_bytes, shard_dir
 
     index = open_index(args.index_dir)
     try:
@@ -445,15 +443,10 @@ def _cmd_inspect(args) -> int:
         if getattr(index, "is_sharded", False):
             # The shard count is printed with the metadata above.
             for shard_no, shard in enumerate(index.shards):
-                log = os.path.join(shard_dir(args.index_dir, shard_no),
-                                   "paths.log")
-                size = (format_bytes(os.path.getsize(log))
-                        if os.path.exists(log) else "?")
+                size = directory_bytes(shard_dir(args.index_dir, shard_no))
                 print(f"  shard {shard_no:02d}: {shard.path_count} paths, "
-                      f"{size} on disk")
-        log_path = os.path.join(args.index_dir, "paths.log")
-        if os.path.exists(log_path):
-            print(f"  on disk: {format_bytes(os.path.getsize(log_path))}")
+                      f"{format_bytes(size)} on disk")
+        print(f"  on disk: {format_bytes(directory_bytes(args.index_dir))}")
         if args.sample:
             print("sample paths:")
             for offset in index.all_offsets()[:args.sample]:

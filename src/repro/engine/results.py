@@ -40,9 +40,6 @@ class ResultRow:
         except KeyError:
             return default
 
-    def as_dict(self) -> dict[Variable, "Term | None"]:
-        return dict(self.bindings)
-
     def __str__(self):
         cells = ", ".join(
             f"?{var.value}={value if value is not None else '—'}"

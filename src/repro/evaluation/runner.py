@@ -291,7 +291,8 @@ def run_extensions(scale: float = 1.0, seed: int = 0) -> str:
         built.close()
         labels_bytes = os.path.getsize(
             os.path.join(scratch, "built", LABELS_FILE))
-        log_bytes = stats.size_bytes - labels_bytes
+        log_bytes = os.path.getsize(os.path.join(scratch, "built",
+                                                 "paths.log"))
         incremental = IncrementalIndex(graph.copy(),
                                        os.path.join(scratch, "live"))
         started = time.perf_counter()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ..paths.extraction import ExtractionLimits, _Budget, _walk_from
 from ..rdf.graph import DataGraph
 from ..rdf.terms import Term
-from .sharded import IndexWriter
+from .sharded import IndexWriter, directory_bytes
 from .thesaurus import Thesaurus, default_thesaurus
 
 #: The indexer's default budget.  Unlike ad-hoc extraction (which
@@ -119,6 +119,6 @@ def build_index(graph: DataGraph, directory,
         "he": stats.he_count,
         "truncated": stats.truncated,
     })
-    stats.size_bytes = writer.size_bytes
+    stats.size_bytes = directory_bytes(directory)
     stats.build_seconds = time.perf_counter() - total_started
     return index, stats

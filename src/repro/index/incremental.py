@@ -33,7 +33,6 @@ The class exposes the same lookup surface as
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from collections import deque
@@ -45,13 +44,14 @@ from ..rdf.graph import DataGraph
 from ..rdf.terms import Term
 from ..rdf.triples import Triple
 from ..resilience.errors import IndexCorruptError
-from ..storage.atomic import atomic_write_json, rewritten_directory
+from ..storage.atomic import (atomic_write_json, read_json_object,
+                              rewritten_directory)
 from ..storage.bufferpool import BufferPool
 from ..storage.pagestore import PageStore
 from ..storage.recordfile import RecordFile
 from .builder import INDEXER_LIMITS
-from .labels import LABELS_FILE, LabelIndex, LabelInterner, first_tier
-from .pathindex import RecordReader, postings
+from .labels import LABELS_FILE, LabelIndex, LabelInterner
+from .pathindex import RecordReader, post
 from .thesaurus import Thesaurus, default_thesaurus
 
 #: Sidecar persisting which records of ``paths.log`` are alive (and
@@ -116,8 +116,8 @@ class IncrementalIndex(RecordReader):
         # an update round — assigns new ones, readers only look labels up.
         self._open_reader(directory, RecordFile(store, BufferPool(store)),
                           interner)
-        self._sink_index = LabelIndex(self.thesaurus)
-        self._contains_index = LabelIndex(self.thesaurus)
+        self._sink_index = LabelIndex(self.interner, self.thesaurus)
+        self._contains_index = LabelIndex(self.interner, self.thesaurus)
         self._alive: set[int] = set()
         self._record_size: dict[int, int] = {}
         self._root_of: dict[int, int] = {}          # offset -> root node id
@@ -151,9 +151,7 @@ class IncrementalIndex(RecordReader):
         self._alive.add(offset)
         self._root_of[offset] = root
         self._offsets_by_root.setdefault(root, set()).add(offset)
-        sink, labels = postings(path)
-        self._sink_index.add(sink, offset)
-        self._contains_index.add_all(labels, offset)
+        post(path, offset, self._sink_index, self._contains_index)
         # Write-through: the path is cached, not decoded.
         self._decoded[offset] = path
         self.stats.paths_added += 1
@@ -252,8 +250,8 @@ class IncrementalIndex(RecordReader):
         self.stats.full_rebuilds += 1
         for root in list(self._offsets_by_root):
             self._invalidate_root(root)
-        self._sink_index = LabelIndex(self.thesaurus)
-        self._contains_index = LabelIndex(self.thesaurus)
+        self._sink_index = LabelIndex(self.interner, self.thesaurus)
+        self._contains_index = LabelIndex(self.interner, self.thesaurus)
         self._decoded.clear()
         self._extract_roots(self.graph.path_roots())
 
@@ -266,20 +264,11 @@ class IncrementalIndex(RecordReader):
     def all_offsets(self) -> list[int]:
         return sorted(self._alive)
 
-    def _live_lookup(self, labels: LabelIndex, label: Term,
-                     semantic: bool) -> list[int]:
+    def _tiers(self, labels: LabelIndex, label: Term, semantic: bool):
         # Tombstoned entries stay in the label maps, so a tier is
         # judged by its live entries: a tier whose every path is dead
         # falls through, as it would in a fresh build.
-        alive = self._alive
-        tiers = (tier & alive for tier in labels.tiers(label, semantic))
-        return sorted(first_tier([tiers])[0])
-
-    def offsets_with_sink(self, label: Term, semantic: bool = True) -> list[int]:
-        return self._live_lookup(self._sink_index, label, semantic)
-
-    def offsets_containing(self, label: Term, semantic: bool = True) -> list[int]:
-        return self._live_lookup(self._contains_index, label, semantic)
+        return (tier & self._alive for tier in labels.tiers(label, semantic))
 
     @property
     def metadata(self) -> dict:
@@ -363,12 +352,7 @@ class CompactionReport:
 
 def _read_manifest(directory) -> dict:
     path = os.path.join(os.fspath(directory), MANIFEST_FILE)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IndexCorruptError(
-            f"cannot read incremental manifest {path}: {exc}") from exc
+    manifest = read_json_object(path)
     if manifest.get("version") != _MANIFEST_VERSION:
         raise IndexCorruptError(
             f"incremental manifest version {manifest.get('version')!r} "

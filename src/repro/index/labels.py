@@ -3,22 +3,24 @@
 The prototype "define[s] a LDi index on the labels of nodes and edges"
 so that "given a label, HGDB retrieves all paths containing data
 elements matching the label in a very efficient way".  This module
-provides that: an inverted index from exact labels and word tokens to
-arbitrary integer entry ids (the path index registers path offsets),
-plus a :class:`SemanticMatcher` that upgrades alignment's label
-comparison with the same lexical and thesaurus machinery.
+provides that: the :class:`LabelInterner` dictionary (label ↔ dense id,
+plus the word tokens of every label), an inverted index from label ids
+to integer entry ids (the path index registers path offsets), and a
+:class:`SemanticMatcher` that upgrades alignment's label comparison
+with the same lexical and thesaurus machinery.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import zlib
 from array import array
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import BinaryIO, Iterable, Iterator
 
 from ..paths.model import Path
-from ..rdf.terms import Literal, Term, URI, Variable
+from ..rdf.terms import Term, Variable
 from .thesaurus import Thesaurus, stem_candidates, tokenize_label
 
 
@@ -56,7 +58,14 @@ class LabelInterner:
 
     Ids are assigned in first-use order (an id *is* its position), so
     the on-disk form is simply the labels in order: ``LINT`` magic, a
-    varint count, then each term in the serializer's term encoding.
+    varint count, each term in the serializer's term encoding, then a
+    CRC-32 of all of that (4 bytes, little-endian), so a flipped byte
+    is a refused file rather than a different label.
+    The dictionary also keeps the token view of its labels
+    (:meth:`ids_with_token`): each label is filed under its words when
+    it is interned, so every label map over these ids — sink and
+    containment, every shard, the live index — shares one
+    tokenisation.
     The index builder interns every node label at ``add_path`` time and
     persists the dictionary next to the path log; reopening reads it
     back so ids are stable across processes.  Only writers intern:
@@ -69,6 +78,9 @@ class LabelInterner:
     def __init__(self):
         self._terms: list[Term] = []
         self._ids: dict[Term, int] = {}
+        #: The token view of the dictionary: word or stem → the ids of
+        #: the labels carrying it, ascending.
+        self._token_ids: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -84,6 +96,13 @@ class LabelInterner:
         label_id = len(self._terms)
         self._terms.append(term)
         self._ids[term] = label_id
+        # The token rule of every label map: each word of the label and
+        # each word's singular stems, so "Database" finds "Databases".
+        keys = set(tokenize_label(term))
+        for token in list(keys):
+            keys |= stem_candidates(token)
+        for key in keys:
+            self._token_ids.setdefault(key, []).append(label_id)
         return label_id
 
     def lookup(self, label_id: int) -> Term:
@@ -94,6 +113,11 @@ class LabelInterner:
         """The id of ``term`` if it has one (the read-side of
         :meth:`intern`: never assigns)."""
         return self._ids.get(term)
+
+    def ids_with_token(self, token: str) -> "list[int]":
+        """Ids of the labels carrying word ``token`` or a word whose
+        singular stem it is (ascending; read-only)."""
+        return self._token_ids.get(token.lower(), [])
 
     def intern_path(self, path: Path) -> Path:
         """Attach the ``array('i')`` id sequences of ``path``'s node and
@@ -202,6 +226,7 @@ class LabelInterner:
         write_varint(buffer, len(self._terms))
         for term in self._terms:
             write_term(buffer, term)
+        buffer.write(zlib.crc32(buffer.getvalue()).to_bytes(4, "little"))
         return atomic_write_bytes(path, buffer.getvalue())
 
     @classmethod
@@ -209,17 +234,21 @@ class LabelInterner:
         from ..storage.serializer import CodecError, read_term, read_varint
 
         with open(path, "rb") as handle:
-            stream: BinaryIO = io.BytesIO(handle.read())
-        magic = stream.read(4)
-        if magic != b"LINT":
-            raise CodecError(f"{os.fspath(path)} is not a label-interner "
-                             f"dictionary (magic {magic!r})")
+            data = handle.read()
+        body = data[:-4]
+        if (data[:4] != b"LINT"
+                or zlib.crc32(body).to_bytes(4, "little") != data[-4:]):
+            raise CodecError(f"{os.fspath(path)} is not an intact "
+                             f"label-interner dictionary")
+        stream: BinaryIO = io.BytesIO(body)
+        stream.seek(4)
         count = read_varint(stream)
         interner = cls()
         for _ in range(count):
             interner.intern(read_term(stream))
-        if len(interner) != count:
-            raise CodecError("duplicate labels in interner stream")
+        if len(interner) != count or stream.tell() != len(body):
+            raise CodecError("duplicate labels or trailing bytes in "
+                             "interner stream")
         return interner
 
 
@@ -240,67 +269,52 @@ def first_tier(parts: "Iterable[Iterator[set[int]]]") -> "list[set[int]]":
     return [set() for _ in streams]
 
 
-def token_keys(label: Term) -> set[str]:
-    """The token rule of every label index: a label is posted under
-    each of its word tokens and each token's singular stems, so
-    "Database" retrieves entries labelled "Databases"."""
-    keys: set[str] = set()
-    for token in tokenize_label(label):
-        keys.add(token)
-        keys.update(stem_candidates(token))
-    return keys
-
-
 class LabelIndex:
-    """Inverted index: exact label / token → entry ids."""
+    """Inverted index: label id → ascending entry ids.
 
-    def __init__(self, thesaurus: "Thesaurus | None" = None):
+    The one posting structure of every index — built, sharded and
+    live.  Labels are named only by their ids in ``interner``; the
+    token and thesaurus tiers read the interner's token view
+    (:meth:`LabelInterner.ids_with_token`) and take the union of this
+    map's postings over the label ids it names.  Entry ids only ever
+    ascend (they are record offsets in write order), so :meth:`add` is
+    an append and a posting is a sorted ``array('q')`` — 8 bytes an
+    entry, nothing for the GC to walk.
+    """
+
+    def __init__(self, interner: LabelInterner,
+                 thesaurus: "Thesaurus | None" = None,
+                 postings: "dict[int, array] | None" = None):
+        self.interner = interner
         self.thesaurus = thesaurus
-        self._exact: dict[Term, set[int]] = {}
-        self._tokens: dict[str, set[int]] = {}
-        self._label_count = 0
+        #: The posting lists, by label id (read-only outside :meth:`add`).
+        self.postings: "dict[int, array]" = ({} if postings is None
+                                              else postings)
 
-    def add(self, label: Term, entry_id: int) -> None:
-        """Register ``entry_id`` under ``label`` and all its tokens."""
-        bucket = self._exact.get(label)
+    def add(self, label_id: int, entry_id: int) -> None:
+        """Append ``entry_id`` to the posting of ``label_id``; entry ids
+        must arrive in ascending order."""
+        bucket = self.postings.get(label_id)
         if bucket is None:
-            bucket = set()
-            self._exact[label] = bucket
-            self._label_count += 1
-        bucket.add(entry_id)
-        for key in token_keys(label):
-            self._tokens.setdefault(key, set()).add(entry_id)
+            self.postings[label_id] = array("q", (entry_id,))
+        else:
+            bucket.append(entry_id)
 
-    def add_all(self, labels: Iterable[Term], entry_id: int) -> None:
-        for label in labels:
-            self.add(label, entry_id)
-
-    @classmethod
-    def from_postings(cls, postings, thesaurus=None) -> "LabelIndex":
-        """A read-only index over whole ``(label, entry ids)`` posting
-        lists, held as sorted ``array('q')`` — a posting costs 8 bytes
-        where a set of int objects costs ~60, and the GC has nothing to
-        walk.  (:meth:`add` is for indexes that keep growing.)"""
-        index = cls(thesaurus)
-        tokens: "dict[str, array]" = {}
-        for label, entry_ids in postings:
-            index._exact[label] = array("q", sorted(entry_ids))
-            for key in token_keys(label):
-                tokens.setdefault(key, array("q")).extend(entry_ids)
-        index._label_count = len(index._exact)
-        for token, entry_ids in tokens.items():
-            index._tokens[token] = array("q", sorted(set(entry_ids)))
-        return index
+    def add_all(self, label_ids: Iterable[int], entry_id: int) -> None:
+        for label_id in label_ids:
+            self.add(label_id, entry_id)
 
     # -- lookup --------------------------------------------------------------
 
     def lookup_exact(self, label: Term) -> set[int]:
         """Entries registered under exactly this label."""
-        return set(self._exact.get(label, ()))
+        return set(self.postings.get(self.interner.id_of(label), ()))
 
     def lookup_token(self, token: str) -> set[int]:
         """Entries whose labels contain the word ``token``."""
-        return set(self._tokens.get(token.lower(), ()))
+        get = self.postings.get
+        ids = self.interner.ids_with_token(token)
+        return set(chain.from_iterable(get(label_id, ()) for label_id in ids))
 
     def tiers(self, label: Term, semantic: bool = True) -> Iterator[set[int]]:
         """The match tiers of ``label``, lazily, in fallback order.
@@ -332,11 +346,8 @@ class LabelIndex:
     def _conjunction(self, tokens: list[str]) -> set[int]:
         result: "set[int] | None" = None
         for token in tokens:
-            bucket = self._tokens.get(token)
-            if not bucket:
-                return set()
-            result = (set(bucket) if result is None
-                      else result.intersection(bucket))
+            entries = self.lookup_token(token)
+            result = entries if result is None else result & entries
             if not result:
                 return set()
         return result or set()
@@ -344,15 +355,10 @@ class LabelIndex:
     @property
     def label_count(self) -> int:
         """Distinct exact labels indexed (the |hash| of build step i)."""
-        return self._label_count
-
-    @property
-    def token_count(self) -> int:
-        return len(self._tokens)
+        return len(self.postings)
 
     def __repr__(self):
-        return (f"<LabelIndex: {self.label_count} labels, "
-                f"{self.token_count} tokens>")
+        return f"<LabelIndex: {self.label_count} labels>"
 
 
 class SemanticMatcher:

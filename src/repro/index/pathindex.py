@@ -19,32 +19,34 @@ they match exactly, lexically, or via thesaurus expansion;
 label ids in the ``labels.dict`` dictionary
 (:meth:`LabelInterner.encode_path`, the one record format), fetched
 through the buffer pool: clearing it reproduces the paper's cold-cache
-condition.
+condition.  ``labels.dict`` is the only place a label is spelled:
+``maps.json`` keys both label maps by dictionary id.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from array import array
 
 from ..paths.model import Path
-from ..rdf.ntriples import parse_term
 from ..rdf.terms import Term
 from ..resilience.errors import IndexCorruptError, StorageError
-from ..storage.atomic import atomic_write_json, sweep_tmp_debris
+from ..storage.atomic import (atomic_write_json, read_json_object,
+                              sweep_tmp_debris)
 from ..storage.bufferpool import BufferPool
 from ..storage.pagestore import PageStore
 from ..storage.recordfile import RecordFile
-from .labels import LABELS_FILE, LabelIndex, LabelInterner
+from .labels import LABELS_FILE, LabelIndex, LabelInterner, first_tier
 from .thesaurus import Thesaurus
 
 _PATHS_FILE = "paths.log"
 _MAPS_FILE = "maps.json"
-_FORMAT_VERSION = 1
-#: The ``maps.json`` key marking label-interned records.  Every index
-#: written with it opens; one without it holds a retired record format
-#: (inline terms, or the §7 term-dictionary codec).
+#: 2: the ``sink`` and ``contains`` postings are keyed by ``labels.dict``
+#: id.  Version 1 spelled every label key out in N-Triples.
+_FORMAT_VERSION = 2
+#: The ``maps.json`` key marking label-interned records; an index
+#: without it holds a retired record format (inline terms, or the §7
+#: term-dictionary codec, marked ``compressed``).
 _RECORDS_MARKER = "interned_records"
 
 #: Pages prefetched after a demand miss during record reads.  Records
@@ -54,13 +56,14 @@ _RECORDS_MARKER = "interned_records"
 DEFAULT_READ_AHEAD = 8
 
 
-def postings(path: Path) -> "tuple[Term, set[Term]]":
-    """The posting rule of every index: a path is posted under its sink
-    label in the sink map, and under each distinct node or edge label
-    in the containment map.  Returns ``(sink, contained labels)``."""
-    labels = set(path.nodes)
-    labels.update(path.edges)
-    return path.sink, labels
+def post(path: Path, offset: int, sink: LabelIndex,
+         contains: LabelIndex) -> None:
+    """The posting rule of every index: the path stored at ``offset``
+    goes under its sink label in ``sink`` and under each distinct node
+    or edge label in ``contains``, by the ``label_ids``/``edge_ids``
+    it carries (ids of the maps' dictionary)."""
+    sink.add(path.label_ids[-1], offset)
+    contains.add_all(set(path.label_ids).union(path.edge_ids), offset)
 
 
 class RecordReader:
@@ -68,10 +71,12 @@ class RecordReader:
 
     Decodes records of ``paths.log`` in the index's ``labels.dict``
     (:meth:`LabelInterner.decode_path`), caches each decoded path,
-    counts the decodes, and exposes the log's page store and its
-    counters.  :class:`PathIndex` reads a finished log through it;
+    counts the decodes, answers the two label lookups, and exposes the
+    log's page store and its counters.  :class:`PathIndex` reads a
+    finished log through it;
     :class:`~repro.index.incremental.IncrementalIndex` reads the log it
-    is still appending to.  Subclasses provide ``all_offsets()``.
+    is still appending to.  Subclasses provide ``all_offsets()`` and
+    the ``_sink_index``/``_contains_index`` label maps.
     """
 
     def _open_reader(self, directory, records: RecordFile,
@@ -122,6 +127,29 @@ class RecordReader:
     def all_paths(self) -> list[Path]:
         """Every stored path (decodes the full log — benchmarks only)."""
         return [self.path_at(offset) for offset in self.all_offsets()]
+
+    # -- lookups ------------------------------------------------------------------
+
+    def offsets_with_sink(self, label: Term, semantic: bool = True) -> list[int]:
+        """Offsets of paths whose sink matches ``label``."""
+        return sorted(first_tier([self.sink_tiers(label, semantic)])[0])
+
+    def offsets_containing(self, label: Term, semantic: bool = True) -> list[int]:
+        """Offsets of paths containing a label matching ``label``."""
+        return sorted(first_tier([self.containing_tiers(label, semantic)])[0])
+
+    def sink_tiers(self, label: Term, semantic: bool = True):
+        """The match tiers behind :meth:`offsets_with_sink`
+        (:meth:`LabelIndex.tiers`); a sharded index decides the tier
+        over all its shards at once."""
+        return self._tiers(self._sink_index, label, semantic)
+
+    def containing_tiers(self, label: Term, semantic: bool = True):
+        """The match tiers behind :meth:`offsets_containing`."""
+        return self._tiers(self._contains_index, label, semantic)
+
+    def _tiers(self, labels: LabelIndex, label: Term, semantic: bool):
+        return labels.tiers(label, semantic)
 
     # -- cache control (cold / warm experiments) ---------------------------------
 
@@ -193,46 +221,40 @@ class PathIndex(RecordReader):
         # files are intact, so just clean the debris on the way in.
         sweep_tmp_debris(directory)
         maps_path = os.path.join(directory, _MAPS_FILE)
-        try:
-            with open(maps_path, encoding="utf-8") as handle:
-                maps = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IndexCorruptError(f"cannot read {maps_path}: {exc}") from exc
-        if maps.get("version") != _FORMAT_VERSION:
-            raise IndexCorruptError(
-                f"index format {maps.get('version')!r} unsupported "
-                f"(expected {_FORMAT_VERSION})")
-        if not maps.get(_RECORDS_MARKER) or maps.get("compressed"):
-            retired = ("§7 term-dictionary" if maps.get("compressed")
-                       else "inline-term")
-            raise IndexCorruptError(
-                f"{directory} stores paths in the retired {retired} record "
-                f"format; rebuild it with `sama index build`")
-        # Older maps.json files predate the recorded page size; they
-        # were always written with the 4 KiB default.
-        store = PageStore(os.path.join(directory, _PATHS_FILE),
-                          page_size=maps.get("page_size", 4096),
-                          read_latency=read_latency)
-        pool = BufferPool(store, capacity=pool_capacity,
-                          read_ahead=read_ahead)
-        records = RecordFile(store, pool)
-        sink_index = _load_label_map(maps["sink"], thesaurus)
-        # pop: the parsed JSON lists are the open-time memory peak.
-        contains_index = _load_label_map(maps.pop("contains"), thesaurus)
-        offsets = array("q", maps["offsets"])
+        maps = _read_maps(maps_path, directory)
         if interner is None:
             labels_path = os.path.join(directory, LABELS_FILE)
-            if not os.path.exists(labels_path):
-                raise IndexCorruptError(
-                    f"{directory} has no {LABELS_FILE} dictionary to "
-                    f"decode its records")
             try:
                 interner = LabelInterner.load(labels_path)
-            except Exception as exc:
+            except Exception as exc:  # missing, torn or not a dictionary
                 raise IndexCorruptError(
                     f"cannot read {labels_path}: {exc}") from exc
-        return cls(directory, records, sink_index, contains_index,
-                   offsets, maps.get("metadata", {}), interner)
+        try:
+            offsets = array("q", maps["offsets"])
+            stored = set(offsets)
+            # pop: the parsed JSON lists are the open-time memory peak.
+            sink, contains = (
+                LabelIndex(interner, thesaurus,
+                           _postings(maps.pop(name), len(interner), stored))
+                for name in ("sink", "contains"))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise IndexCorruptError(f"{maps_path}: {exc}") from exc
+        paths_log = os.path.join(directory, _PATHS_FILE)
+        store = None
+        try:
+            if not os.path.exists(paths_log):  # PageStore would create it
+                raise StorageError("no such file")
+            store = PageStore(paths_log, page_size=maps["page_size"],
+                              read_latency=read_latency)
+            records = RecordFile(store, BufferPool(
+                store, capacity=pool_capacity, read_ahead=read_ahead))
+        except StorageError as exc:
+            if store is not None:
+                store.close()
+            raise IndexCorruptError(
+                f"cannot open {paths_log}: {exc}") from exc
+        return cls(directory, records, sink, contains, offsets,
+                   maps["metadata"], interner)
 
     # -- lookups ------------------------------------------------------------------
 
@@ -242,24 +264,6 @@ class PathIndex(RecordReader):
 
     def all_offsets(self) -> list[int]:
         return list(self._offsets)
-
-    def offsets_with_sink(self, label: Term, semantic: bool = True) -> list[int]:
-        """Offsets of paths whose sink matches ``label``."""
-        return sorted(self._sink_index.lookup(label, semantic=semantic))
-
-    def offsets_containing(self, label: Term, semantic: bool = True) -> list[int]:
-        """Offsets of paths containing a label matching ``label``."""
-        return sorted(self._contains_index.lookup(label, semantic=semantic))
-
-    def sink_tiers(self, label: Term, semantic: bool = True):
-        """The match tiers behind :meth:`offsets_with_sink`
-        (:meth:`LabelIndex.tiers`); a sharded index decides the tier
-        over all its shards at once."""
-        return self._sink_index.tiers(label, semantic)
-
-    def containing_tiers(self, label: Term, semantic: bool = True):
-        """The match tiers behind :meth:`offsets_containing`."""
-        return self._contains_index.tiers(label, semantic)
 
     def __repr__(self):
         return (f"<PathIndex {self.directory!r}: {self.path_count} paths, "
@@ -277,24 +281,21 @@ class PathIndexWriter:
         self._store = PageStore(os.path.join(self.directory, _PATHS_FILE),
                                 page_size=page_size)
         self._records = RecordFile(self._store)
-        self._thesaurus = thesaurus
         # ``interner`` lets several writers share one global label
         # dictionary (the sharded build); each writer still persists
         # the full dictionary so its directory stays self-contained.
         self._interner = interner if interner is not None else LabelInterner()
-        self._sink_map: dict[Term, list[int]] = {}
-        self._contains_map: dict[Term, list[int]] = {}
-        self._offsets: list[int] = []
+        self._sink_index = LabelIndex(self._interner, thesaurus)
+        self._contains_index = LabelIndex(self._interner, thesaurus)
+        self._offsets = array("q")
 
     def add_path(self, path: Path) -> int:
-        """Store one path; returns its offset."""
+        """Store one path; returns its offset.  Label ids already on
+        ``path`` must be this writer's dictionary's."""
         self._interner.intern_path(path)
         offset = self._records.append(self._interner.encode_path(path))
         self._offsets.append(offset)
-        sink, labels = postings(path)
-        self._sink_map.setdefault(sink, []).append(offset)
-        for label in labels:
-            self._contains_map.setdefault(label, []).append(offset)
+        post(path, offset, self._sink_index, self._contains_index)
         return offset
 
     def finish(self, metadata: "dict | None" = None) -> PathIndex:
@@ -305,35 +306,56 @@ class PathIndexWriter:
             "metadata": metadata or {},
             "page_size": self._store.page_size,
             _RECORDS_MARKER: True,
-            "offsets": self._offsets,
-            "sink": _dump_label_map(self._sink_map),
-            "contains": _dump_label_map(self._contains_map),
+            "offsets": self._offsets.tolist(),
+            "sink": _dump_postings(self._sink_index),
+            "contains": _dump_postings(self._contains_index),
         }
         self._interner.save(os.path.join(self.directory, LABELS_FILE))
         # maps.json is the file that makes the directory an index; write
         # it atomically so a crash here leaves either no index or a
         # complete one, never a torn manifest.
         atomic_write_json(os.path.join(self.directory, _MAPS_FILE), maps)
-        sink_index = LabelIndex.from_postings(self._sink_map.items(),
-                                              self._thesaurus)
-        contains_index = LabelIndex.from_postings(self._contains_map.items(),
-                                                  self._thesaurus)
-        return PathIndex(self.directory, self._records, sink_index,
-                         contains_index, self._offsets, maps["metadata"],
-                         self._interner)
-
-    @property
-    def size_bytes(self) -> int:
-        return (self._store.size_bytes()
-                + os.path.getsize(os.path.join(self.directory, LABELS_FILE)))
+        return PathIndex(self.directory, self._records, self._sink_index,
+                         self._contains_index, self._offsets,
+                         maps["metadata"], self._interner)
 
 
-def _dump_label_map(label_map: dict[Term, list[int]]) -> dict[str, list[int]]:
-    return {label.n3(): offsets for label, offsets in label_map.items()}
+def _dump_postings(index: LabelIndex) -> "dict[str, list[int]]":
+    return {str(label_id): entries.tolist()
+            for label_id, entries in index.postings.items()}
 
 
-def _load_label_map(dumped: dict[str, list[int]],
-                    thesaurus: "Thesaurus | None") -> LabelIndex:
-    return LabelIndex.from_postings(
-        ((parse_term(n3), offsets) for n3, offsets in dumped.items()),
-        thesaurus)
+def _read_maps(maps_path: str, directory: str) -> dict:
+    """The parsed ``maps.json``: its format checked, and every key an
+    open reads there with its JSON type."""
+    maps = read_json_object(maps_path)
+    if (maps.get("version") != _FORMAT_VERSION or maps.get("compressed")
+            or maps.get(_RECORDS_MARKER) is not True):
+        raise IndexCorruptError(
+            f"{directory} holds an index in a retired format (version "
+            f"{maps.get('version')!r}); rebuild it with `sama index build`")
+    for key, kind in (("metadata", dict), ("page_size", int),
+                      ("offsets", list), ("sink", dict), ("contains", dict)):
+        if type(maps.get(key)) is not kind:
+            raise IndexCorruptError(
+                f"{maps_path}: {key!r} is not a JSON {kind.__name__}")
+    return maps
+
+
+def _postings(dumped: dict, label_count: int,
+              stored: set) -> "dict[int, array]":
+    """A dumped label map: each key the decimal id of one of the
+    ``label_count`` labels of ``labels.dict``, each posting a list of
+    offsets of ``stored`` paths.  (``array`` refuses anything but a
+    list of ints; a bool reads as 0 or 1, which no record starts at.)"""
+    postings = {}
+    for key, entries in dumped.items():
+        if not (key.isascii() and key.isdigit() and str(int(key)) == key
+                and int(key) < label_count):
+            raise ValueError(f"key {key!r} is not the id of one of the "
+                             f"{label_count} labels of {LABELS_FILE}")
+        posting = array("q", entries)
+        if not posting or not stored.issuperset(posting):
+            raise ValueError(f"posting {key} names a record not stored")
+        postings[int(key)] = posting
+    return postings

@@ -54,7 +54,6 @@ Example (two shards over the Fig. 1 US-Congress graph)::
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterable
 
@@ -63,8 +62,8 @@ from ..rdf.terms import Term
 from ..resilience.errors import (IndexCorruptError, ShardUnavailableError,
                                  StorageError)
 from ..resilience.health import BreakerConfig, ShardHealth
-from ..storage.atomic import (atomic_write_json, rewritten_directory,
-                              sweep_tmp_debris)
+from ..storage.atomic import (atomic_write_json, read_json_object,
+                              rewritten_directory, sweep_tmp_debris)
 from .labels import LabelInterner, first_tier
 from .pathindex import DEFAULT_READ_AHEAD, PathIndex, PathIndexWriter
 from .thesaurus import Thesaurus, default_thesaurus
@@ -117,31 +116,19 @@ def shard_dir(directory, shard: int) -> str:
     return os.path.join(os.fspath(directory), f"shard-{shard:02d}")
 
 
-def _load_manifest(directory) -> "dict | None":
-    """The parsed manifest of ``directory``; ``None`` when it has none.
+def directory_bytes(directory) -> int:
+    """Bytes of every file under ``directory``, in any subdirectory."""
+    return sum(os.path.getsize(os.path.join(root, name))
+               for root, _dirs, names in os.walk(directory)
+               for name in names)
 
-    Only a genuinely *absent* manifest means "not sharded".  A manifest
-    that exists but cannot be read or parsed is diagnosed as
-    :class:`IndexCorruptError` — silently answering "not sharded" used
-    to make dispatch code fall through to :class:`PathIndex`, which
-    then failed on the missing ``maps.json`` with an error pointing at
-    entirely the wrong file.
-    """
-    path = os.path.join(os.fspath(directory), MANIFEST_FILE)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (FileNotFoundError, NotADirectoryError):
-        return None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IndexCorruptError(
-            f"shard manifest {path} exists but is unreadable: {exc} "
-            f"— restore it from a replica or rebuild the index") from exc
-    if not isinstance(manifest, dict):
-        raise IndexCorruptError(
-            f"shard manifest {path} exists but is unreadable: it holds "
-            f"{type(manifest).__name__}, not an object")
-    return manifest
+
+def _load_manifest(directory) -> "dict | None":
+    """The parsed manifest of ``directory``; ``None`` only when it has
+    none — an unreadable one is :class:`IndexCorruptError`, never "not
+    sharded" (which sent dispatch to a missing ``maps.json``)."""
+    return read_json_object(os.path.join(os.fspath(directory), MANIFEST_FILE),
+                            missing_ok=True)
 
 
 def is_sharded_dir(directory) -> bool:
@@ -619,10 +606,6 @@ class IndexWriter:
         return ShardedIndex(self.directory, opened, self._interner,
                             gids=self._gids, metadata=metadata)
 
-    @property
-    def size_bytes(self) -> int:
-        return sum(writer.size_bytes for writer in self._writers)
-
 
 def reshard(directory, shards: int, output=None,
             thesaurus: "Thesaurus | None" = None):
@@ -648,7 +631,11 @@ def reshard(directory, shards: int, output=None,
         with rewritten_directory(directory, output) as target:
             writer = IndexWriter(target, shards, thesaurus=thesaurus)
             for gid in source.all_offsets():
-                writer.add_path(source.path_at(gid))
+                path = source.path_at(gid)
+                # Without the source's ids: the writer files the path
+                # under its own dictionary's.
+                writer.add_path(Path.from_terms(path.nodes, path.edges,
+                                                path.node_ids))
             metadata = {key: value for key, value in source.metadata.items()
                         if key not in ("shards", "shard")}
             writer.finish(metadata).close()

@@ -184,8 +184,7 @@ def parse_term(text: str) -> Term:
 
     Accepts ``<iri>``, ``_:label``, quoted literals (with optional
     language tag or datatype) and ``?variable`` — the forms produced by
-    ``Term.n3()`` — so it is the inverse used when label maps are
-    loaded back from disk.
+    ``Term.n3()``, whose inverse it is.
     """
     from .terms import Variable
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .terms import BlankNode, Literal, Term, URI, Variable, coerce_term
+from .terms import BlankNode, Literal, Term, Variable, coerce_term
 
 
 class Triple(NamedTuple):
@@ -38,22 +38,6 @@ class Triple(NamedTuple):
         return not (self.subject.is_variable
                     or self.predicate.is_variable
                     or self.object.is_variable)
-
-    def validate_data(self) -> None:
-        """Raise ``ValueError`` if the triple is not valid RDF data.
-
-        Valid data triples have a URI/blank subject, a URI predicate and
-        any constant object — the shape accepted by Definition 1.
-        """
-        if not isinstance(self.subject, (URI, BlankNode)):
-            raise ValueError(f"data triple subject must be URI or blank node, "
-                             f"got {self.subject!r}")
-        if not isinstance(self.predicate, URI):
-            raise ValueError(f"data triple predicate must be URI, "
-                             f"got {self.predicate!r}")
-        if not isinstance(self.object, (URI, BlankNode, Literal)):
-            raise ValueError(f"data triple object must be URI, blank node or "
-                             f"literal, got {self.object!r}")
 
     def validate_pattern(self) -> None:
         """Raise ``ValueError`` if the triple is not a valid query pattern.

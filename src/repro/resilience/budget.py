@@ -112,9 +112,6 @@ class Budget:
 
     # -- clock ----------------------------------------------------------------
 
-    def elapsed_ms(self) -> float:
-        return (self.clock() - self._started) * 1000.0
-
     def remaining_ms(self) -> "float | None":
         """Milliseconds left on the deadline; ``None`` when unlimited."""
         if self._deadline_at is None:

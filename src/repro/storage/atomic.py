@@ -58,6 +58,30 @@ def atomic_write_json(path, payload) -> int:
     return atomic_write_text(path, json.dumps(payload))
 
 
+def read_json_object(path, missing_ok: bool = False) -> "dict | None":
+    """The JSON object stored at ``path`` by :func:`atomic_write_json`.
+
+    A file that cannot be read or parsed, or holds anything but an
+    object, raises :class:`~repro.resilience.errors.IndexCorruptError`;
+    so does a missing one, unless ``missing_ok`` (then ``None``).
+    """
+    from ..resilience.errors import IndexCorruptError
+
+    try:
+        with open(path, encoding="utf-8") as handle:
+            value = json.load(handle)
+    except (OSError, ValueError) as exc:
+        if missing_ok and isinstance(exc, (FileNotFoundError,
+                                           NotADirectoryError)):
+            return None
+        raise IndexCorruptError(f"{path} is unreadable: {exc}") from exc
+    if type(value) is not dict:
+        raise IndexCorruptError(
+            f"{path} is unreadable: it holds {type(value).__name__}, not "
+            f"a JSON object")
+    return value
+
+
 @contextmanager
 def rewritten_directory(directory, output=None):
     """Stage a rewrite of ``directory``; swap it into place on success.

@@ -172,16 +172,6 @@ class RecordFile:
             header_len = _varint_width(len(payload))
             offset += header_len + len(payload)
 
-    @property
-    def end_offset(self) -> int:
-        return self._end
-
-    def record_pages(self, offset: int, length: int) -> range:
-        """The page ids a record at ``offset`` with ``length`` spans."""
-        start = offset // self.store.page_size
-        stop = (offset + length) // self.store.page_size + 1
-        return range(start, stop)
-
 
 def _varint_width(value: int) -> int:
     width = 1

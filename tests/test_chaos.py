@@ -22,7 +22,7 @@ import pytest
 
 from repro.engine import EngineConfig, SamaEngine
 from repro.index import (IndexCorruptError, PathIndex, ShardedIndex,
-                         build_index, is_sharded_dir)
+                         build_index, is_sharded_dir, open_index)
 from repro.resilience import (BreakerConfig, FaultPlan, ShardBreaker,
                               ShardFaultSet, ShardHealth, install, uninstall)
 from repro.resilience.budget import DegradationCause
@@ -445,6 +445,32 @@ class TestQuarantineOpen:
         try:
             assert [shard for shard, _
                     in index.health.quarantined_shards()] == [2]
+        finally:
+            index.close()
+
+    def test_shard_without_sink_map_is_quarantined(self, tmp_path):
+        """A shard whose ``maps.json`` lost its ``sink`` map is damage
+        like any other: a strict open names it, a recovering open
+        quarantines that shard (it used to escape as ``KeyError``)."""
+        import json
+
+        from repro.datasets import dataset
+
+        directory = str(tmp_path / "no-sink")
+        build_index(dataset("lubm").build(1500, seed=1), directory,
+                    shards=2)[0].close()
+        maps_path = os.path.join(directory, "shard-01", "maps.json")
+        with open(maps_path, encoding="utf-8") as handle:
+            maps = json.load(handle)
+        del maps["sink"]
+        with open(maps_path, "w", encoding="utf-8") as handle:
+            json.dump(maps, handle)
+        with pytest.raises(IndexCorruptError, match="sink"):
+            open_index(directory)
+        index = open_index(directory, on_damage="quarantine")
+        try:
+            assert [shard for shard, _
+                    in index.health.quarantined_shards()] == [1]
         finally:
             index.close()
 

@@ -165,6 +165,32 @@ class TestInspect:
         assert "paths: 14" in out
         assert "dataset" in out
 
+    def test_inspect_prints_every_byte_on_disk(self, data_file, tmp_path,
+                                               capsys):
+        """Each shard's bytes and the directory's, every file counted —
+        the same figure ``index build`` reports."""
+        import os
+
+        from repro.evaluation.reporting import format_bytes
+
+        def on_disk(directory):
+            return format_bytes(sum(
+                os.path.getsize(os.path.join(root, name))
+                for root, _dirs, names in os.walk(directory)
+                for name in names))
+
+        directory = str(tmp_path / "s2")
+        assert main(["index", "build", data_file, directory,
+                     "--shards", "2"]) == 0
+        built = capsys.readouterr().out
+        assert main(["inspect", directory]) == 0
+        out = capsys.readouterr().out
+        for shard_no in range(2):
+            shard = os.path.join(directory, f"shard-{shard_no:02d}")
+            assert f"{on_disk(shard)} on disk" in out
+        assert f"on disk: {on_disk(directory)}" in out
+        assert f"({on_disk(directory)} on disk)" in built
+
     def test_inspect_sample(self, built_index, capsys):
         assert main(["inspect", built_index, "--sample", "3"]) == 0
         out = capsys.readouterr().out

@@ -119,8 +119,8 @@ class TestCompressedIndex:
         built, stats = build_index(graph, str(tmp_path / "i"))
         spelled = sum(_spelled_bytes(p) for p in built.all_paths())
         built.close()
-        # Log pages plus labels.dict: well under half the labels spelled
-        # out once per record.
+        # The whole index (log pages, labels.dict, maps.json): well under
+        # half the labels spelled out once per record.
         assert stats.size_bytes < spelled / 2
 
     def test_compressed_index_reopens(self, govtrack, tmp_path):

@@ -2,19 +2,25 @@
 
 import pytest
 
-from repro.index.labels import LabelIndex, SemanticMatcher
+from repro.index.labels import LabelIndex, LabelInterner, SemanticMatcher
 from repro.index.thesaurus import Thesaurus, default_thesaurus
 from repro.rdf.terms import Literal, URI, Variable
+
+
+def post(index: LabelIndex, label, entry_id: int) -> None:
+    """File ``entry_id`` under ``label`` the way a writer does: intern
+    the label, then post under its id."""
+    index.add(index.interner.intern(label), entry_id)
 
 
 class TestLabelIndex:
     @pytest.fixture
     def index(self):
-        idx = LabelIndex(default_thesaurus())
-        idx.add(URI("http://x#FullProfessor"), 1)
-        idx.add(URI("http://x#AssistantProfessor"), 2)
-        idx.add(Literal("Health Care"), 3)
-        idx.add(Literal("Databases"), 4)
+        idx = LabelIndex(LabelInterner(), default_thesaurus())
+        post(idx, URI("http://x#FullProfessor"), 1)
+        post(idx, URI("http://x#AssistantProfessor"), 2)
+        post(idx, Literal("Health Care"), 3)
+        post(idx, Literal("Databases"), 4)
         return idx
 
     def test_exact_lookup(self, index):
@@ -24,6 +30,8 @@ class TestLabelIndex:
     def test_token_lookup(self, index):
         assert index.lookup_token("professor") == {1, 2}
         assert index.lookup_token("PROFESSOR") == {1, 2}
+        # Stems are tokens too: "Databases" is filed under "database".
+        assert index.lookup_token("database") == {4}
 
     def test_lookup_prefers_exact(self, index):
         assert index.lookup(URI("http://x#FullProfessor")) == {1}
@@ -40,25 +48,49 @@ class TestLabelIndex:
         assert index.lookup(Literal("Teacher"), semantic=False) == set()
 
     def test_lookup_no_thesaurus(self):
-        idx = LabelIndex()
-        idx.add(Literal("Movie"), 1)
+        idx = LabelIndex(LabelInterner())
+        post(idx, Literal("Movie"), 1)
         assert idx.lookup(Literal("Film")) == set()
 
     def test_multiple_entries_per_label(self):
-        idx = LabelIndex()
-        idx.add(Literal("x"), 1)
-        idx.add(Literal("x"), 2)
+        idx = LabelIndex(LabelInterner())
+        post(idx, Literal("x"), 1)
+        post(idx, Literal("x"), 2)
         assert idx.lookup_exact(Literal("x")) == {1, 2}
 
     def test_counts(self, index):
         assert index.label_count == 4
-        assert index.token_count > 0
+        assert index.interner.ids_with_token("professor") == [0, 1]
 
     def test_add_all(self):
-        idx = LabelIndex()
-        idx.add_all([Literal("a"), Literal("b")], 9)
+        interner = LabelInterner()
+        idx = LabelIndex(interner)
+        idx.add_all([interner.intern(Literal("a")),
+                     interner.intern(Literal("b"))], 9)
         assert idx.lookup_exact(Literal("a")) == {9}
         assert idx.lookup_exact(Literal("b")) == {9}
+
+    def test_one_token_view_serves_every_map(self):
+        """Two maps over one dictionary: a label interned for one map is
+        filed once, and the other map's tiers see only its own postings."""
+        interner = LabelInterner()
+        sink, contains = LabelIndex(interner), LabelIndex(interner)
+        post(contains, Literal("Health Policy"), 1)
+        post(sink, Literal("Health Care"), 2)
+        post(contains, Literal("Health Care"), 2)
+        assert interner.ids_with_token("health") == [0, 1]
+        assert sink.lookup(Literal("health")) == {2}
+        assert contains.lookup(Literal("health")) == {1, 2}
+
+    def test_labels_without_postings_add_nothing(self):
+        """A dictionary label this map never posted (another map's, or
+        only a query's) widens no tier."""
+        interner = LabelInterner()
+        idx = LabelIndex(interner)
+        interner.intern(Literal("Care Home"))
+        post(idx, Literal("Health Care"), 5)
+        assert idx.lookup(Literal("care")) == {5}
+        assert idx.lookup(Literal("home")) == set()
 
 
 class TestSemanticMatcher:

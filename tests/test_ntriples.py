@@ -1,6 +1,5 @@
 """Unit tests for the N-Triples parser/serializer."""
 
-import json
 import sys
 
 import pytest
@@ -309,15 +308,18 @@ class TestRunScanning:
                 == {c for c in every if c.isalnum() or c == "-"})
 
     def test_every_lubm_label_key_round_trips(self, tmp_path):
-        """``open_index`` re-parses every label key of ``maps.json``."""
+        """Every label of a LUBM index's ``labels.dict`` spells out in
+        N-Triples and parses back to itself."""
         from repro.datasets import dataset
         from repro.index import build_index
+        from repro.index.labels import LABELS_FILE, LabelInterner
 
         directory = tmp_path / "lubm"
         build_index(dataset("lubm").build(1500, seed=1),
                     str(directory))[0].close()
-        maps = json.loads((directory / "maps.json").read_text("utf-8"))
-        keys = set(maps["sink"]) | set(maps["contains"])
-        assert len(keys) > 500
-        for key in keys:
-            assert parse_term(key).n3() == key
+        interner = LabelInterner.load(directory / LABELS_FILE)
+        assert len(interner) > 500
+        for label_id in range(len(interner)):
+            term = interner.lookup(label_id)
+            assert parse_term(term.n3()) == term
+            assert parse_term(term.n3()).n3() == term.n3()

@@ -93,7 +93,8 @@ class TestLayout:
             sharded_paths = [sharded.path_at(gid).text()
                              for gid in sharded.all_offsets()]
             assert sharded_paths == plain_paths
-            for label in list(plain._sink_index._exact)[:20]:
+            sink_ids = list(plain._sink_index.postings)[:20]
+            for label in map(plain.interner.lookup, sink_ids):
                 want = [plain.path_at(o).text()
                         for o in plain.offsets_with_sink(label)]
                 got = [sharded.path_at(g).text()
@@ -137,7 +138,9 @@ HEALTH_SUBJECTS = ["Health Care", "Health Care Policy", "Care of Health",
 
 @pytest.fixture(scope="module")
 def health_layouts(tmp_path_factory):
-    """The five-literal graph stored unsharded and at 2/3/4 shards."""
+    """The five-literal graph stored unsharded, at 2/3/4 shards, and
+    as a live index."""
+    from repro.index import IncrementalIndex
     from repro.rdf.graph import DataGraph
     from repro.rdf.terms import URI, Literal
 
@@ -149,6 +152,7 @@ def health_layouts(tmp_path_factory):
     for shards in (2, 3, 4):
         layouts[shards] = build_index(graph, str(base / f"s{shards}"),
                                       shards=shards)[0]
+    layouts["live"] = IncrementalIndex(graph, str(base / "live"))
     yield layouts
     for index in layouts.values():
         index.close()
@@ -159,7 +163,7 @@ class TestLookupTiers:
     matches — and decides that tier once for the whole index, so a
     shard without the exact hit adds no fallback matches."""
 
-    @pytest.mark.parametrize("shards", [2, 3, 4])
+    @pytest.mark.parametrize("shards", [2, 3, 4, "live"])
     @pytest.mark.parametrize("lookup", ["offsets_with_sink",
                                         "offsets_containing"])
     @pytest.mark.parametrize("text", ["Health Care", "Health", "Taxes",
